@@ -29,7 +29,7 @@ def main():
                                   max_iters=2000)
 
     print("\ndirect run (original seed and marginals):")
-    direct = engine.run(problem, exhaust, store_cap=100_000)
+    direct = engine.run(problem, exhaust)
     for n, d in distances_to(lp.even_limit, direct):
         if n in (0, 10, 50, 100, 500, 1000, 2000):
             print(f"  ||X_{n:<4d} - L_even||_1 = {d:.3e}")
@@ -37,7 +37,7 @@ def main():
     print("\nrestarted run (seed zeroed outside sigma, marginals (a', b)):")
     restarted_problem = FittingProblem(np.where(lp.sigma, problem.x0, 0.0),
                                        bs.a_prime, problem.b)
-    restarted = engine.run(restarted_problem, exhaust, store_cap=100_000)
+    restarted = engine.run(restarted_problem, exhaust)
     for n, d in distances_to(lp.even_limit, restarted):
         if n in (0, 10, 20, 40, 78, 100, 150):
             print(f"  ||X_{n:<4d} - L_even||_1 = {d:.3e}")
@@ -51,8 +51,7 @@ def main():
                                             engine.StoppingRule(
                                                 tol_marginal=1e-300,
                                                 tol_even_odd=1e-300,
-                                                max_iters=120),
-                                            store_cap=100_000))
+                                                max_iters=120)))
     fitted = rates.source >= 0
     print("per-cell geometric rate fit on the restarted run:")
     print(f"  cells pinned at the limit within noise: {int(rates.converged.sum())}")

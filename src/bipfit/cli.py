@@ -145,7 +145,7 @@ def _cmd_fit(args) -> None:
         "final_marginal_error": float(trace.errors[-1]),
         "even": trace.even_limit().tolist(),
         "odd": trace.odd_limit().tolist() if trace.last_odd is not None else None,
-        "final": trace.stored_matrices[-1].tolist(),
+        "final": trace.iterate(trace.n_iters).tolist(),
     }
     _emit(payload, args.out)
     if args.trace_out:

@@ -176,7 +176,8 @@ def fit_rows(x, a) -> np.ndarray:
     """Rescale each row of ``x`` so its sum becomes ``a[i]``.
 
     Division happens row-wise by the ratio ``x(i,+)/a[i]``; zero entries stay
-    exactly zero, so the support pattern is preserved bit for bit.
+    exactly zero, so the support pattern is preserved bit for bit.  ``x`` may
+    also be a stack of matrices, shape ``(..., p, q)``; each is fitted alike.
 
     Raises
     ------
@@ -185,12 +186,12 @@ def fit_rows(x, a) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     a = np.asarray(a, dtype=float)
-    rows = x.sum(axis=1)
+    rows = x.sum(axis=-1)
     if np.any(rows <= 0):
         raise ValueError(
-            f"row {int(np.argmax(rows <= 0))} has zero sum; cannot fit rows"
+            f"row {int(np.argmax(rows <= 0)) % a.size} has zero sum; cannot fit rows"
         )
-    return x * (a / rows)[:, None]
+    return x * (a / rows)[..., None]
 
 
 def fit_cols(x, b) -> np.ndarray:

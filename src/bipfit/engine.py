@@ -2,8 +2,10 @@
 
 Runs the row/column rescaling loop from a :class:`~bipfit.core.FittingProblem`
 and records everything the downstream diagnostics need: every marginal-ratio
-vector, every L1 marginal error, and (possibly decimated) iterates.  Odd
-iterates are row-fitted, even iterates (from index 2 on) are column-fitted.
+vector and every L1 marginal error.  Odd iterates are row-fitted, even
+iterates (from index 2 on) are column-fitted.  Every iterate is
+``X_n = diag(u) X_0 diag(v)``, so the loop iterates only the scaling vectors
+and the trace keeps their history, from which any iterate is rebuilt.
 
 Three stopping outcomes exist.  ``CONVERGED`` means the marginal error fell
 below tolerance; ``EVEN_ODD_CONVERGED`` means both parity subsequences went
@@ -15,16 +17,14 @@ support is fixed by the seed and preserved exactly.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .core import FittingProblem, MarginalRatios, fit_rows
-
-#: Default cap on the number of stored iterate matrices before decimation.
-STORE_CAP = 10_000
 
 
 class StopReason(Enum):
@@ -57,30 +57,88 @@ class StoppingRule:
 #: Width of the sliding window used for the even/odd Cauchy test.
 _CAUCHY_WINDOW = 8
 
+#: Rules are evaluated per chunk of iterates, its length doubling between
+#: these sizes: early stops overshoot little, long runs pay little per chunk.
+_CHUNKS = (8, 4096)
 
-class _TraceStore:
-    """Iterate storage with keep-every-k-th decimation above a cap.
+#: Every ``_FOLD_EVERY`` double steps a scaling vector leaving ``[1/_FOLD_AT,
+#: _FOLD_AT]`` is folded into a new base, with ~800 binary orders to spare.
+_FOLD_EVERY, _FOLD_AT = 16, 2.0 ** 192
 
-    The stride doubles whenever the store overflows, so at most ``cap``
-    matrices are ever held while indices stay uniformly spaced.
+#: Floats per block of iterates rebuilt for a vectorized read.
+_BLOCK = 1 << 15
+
+
+class _ScalingHistory(Sequence):
+    """Scaling vectors of one run, read as the sequence of iterates ``X_n``.
+
+    ``X_n = diag(U[(n+1)//2]) K_j diag(V[n//2])``: double step ``k`` writes
+    ``U[k]`` (row fit, first read by ``X_{2k-1}``) and ``V[k]`` (column fit,
+    first read by ``X_{2k}``).  ``K_0`` is the seed.  A fold multiplies an
+    overgrown newest vector into a new base and resets it to ones (Schmitzer's
+    absorption step); iterates from fold point ``starts[j]`` on read ``K_j``.
+    Indexing rebuilds an iterate, a slice a stack, :meth:`blocks` any indices.
     """
 
-    def __init__(self, cap: int):
-        self.cap = int(cap)
-        self.stride = 1
-        self.indices: list[int] = []
-        self.matrices: list[np.ndarray] = []
+    def __init__(self, x0: np.ndarray):
+        self.bases, self.starts = [x0], [0]
+        self.u, self.v = (np.ones((_FOLD_EVERY + 1, m)) for m in x0.shape)
+        self.k = 0  # double steps taken
+        self.count = 1  # iterates readable as a sequence, set by the run
 
-    def add(self, n: int, x: np.ndarray) -> None:
-        if n % self.stride:
-            return
-        self.indices.append(n)
-        self.matrices.append(x)
-        if len(self.matrices) > self.cap:
-            self.stride *= 2
-            keep = [k for k, i in enumerate(self.indices) if i % self.stride == 0]
-            self.indices = [self.indices[k] for k in keep]
-            self.matrices = [self.matrices[k] for k in keep]
+    def advance(self, k_end: int, a: np.ndarray, b: np.ndarray) -> None:
+        """Take double steps up to ``k_end``, testing for a fold after each group."""
+        while self.k < k_end:
+            k0, k1 = self.k + 1, min(self.k + 1 + _FOLD_EVERY, k_end + 1)
+            if k1 > len(self.u):
+                self.u, self.v = (np.concatenate([h, np.ones_like(h)]) for h in (self.u, self.v))
+            base, us, vs, v = self.bases[-1], self.u, self.v, self.v[self.k]
+            for k in range(k0, k1):
+                u = us[k]
+                np.divide(a, base @ v, out=u)
+                v = vs[k]
+                np.divide(b, u @ base, out=v)
+            for n, vec in ((2 * k - 1, u), (2 * k, v)):  # odd n: a row scaling
+                if not 1.0 / _FOLD_AT < vec.min() <= vec.max() < _FOLD_AT:
+                    base = base * (vec[:, None] if n % 2 else vec)
+                    self.starts.append(n)
+                    self.bases.append(base)
+                    vec[:] = 1.0
+            self.k = k
+
+    def segments(self, ns: np.ndarray):
+        """Per base: positions in ``ns``, the base, and the ``u``/``v`` rows there."""
+        seg = np.searchsorted(self.starts, ns, side="right") - 1 if self.starts[1:] else None
+        for j, base in enumerate(self.bases):
+            at = slice(None) if seg is None else np.flatnonzero(seg == j)
+            yield at, base, self.u[(ns[at] + 1) // 2], self.v[ns[at] // 2]
+
+    def rebuild(self, ns: np.ndarray) -> np.ndarray:
+        out = np.empty((len(ns),) + self.bases[0].shape)
+        for at, base, u, v in self.segments(ns):
+            out[at] = u[:, :, None] * base * v[:, None, :]
+        return out
+
+    def blocks(self, ns):
+        """``(indices, stacked iterates)`` for the index sequence ``ns``, in blocks."""
+        ns, step = np.asarray(ns, dtype=int), max(1, _BLOCK // self.bases[0].size)
+        for lo in range(0, len(ns), step):
+            yield ns[lo:lo + step], self.rebuild(ns[lo:lo + step])
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            r = range(self.count)[i]
+            return self.rebuild(np.arange(r.start, r.stop, r.step))
+        n = range(self.count)[i]  # one iterate: no segment search
+        base = self.bases[bisect_right(self.starts, n) - 1]
+        return self.u[(n + 1) // 2, :, None] * base * self.v[n // 2]
+
+    def __iter__(self):
+        for _, x in self.blocks(range(self.count)):
+            yield from x
 
 
 @dataclass
@@ -88,36 +146,46 @@ class IterationTrace:
     """Complete record of one engine run.
 
     ``ratio_rows[n]``, ``ratio_cols[n]`` and ``errors[n]`` cover every
-    iterate ``X_0 .. X_N`` in full.  Stored matrices may be decimated above
-    the memory cap (``stored_indices`` says which survive; the stride is a
-    power of two, so surviving indices stay arithmetic).  The final iterate
-    of each parity is always retained separately.
+    iterate ``X_0 .. X_N``.  No iterate is stored: ``stored_matrices`` is a
+    read-only sequence rebuilding each ``X_n`` from the scaling-vector history
+    on access; ``stored_indices`` is ``arange(N + 1)``.
     """
 
     problem: FittingProblem
-    stored_indices: np.ndarray
-    stored_matrices: list[np.ndarray]
     ratio_rows: np.ndarray
     ratio_cols: np.ndarray
     errors: np.ndarray
     stop_reason: StopReason
-    last_even: tuple[int, np.ndarray] = field(repr=False, default=None)
-    last_odd: tuple[int, np.ndarray] | None = field(repr=False, default=None)
+    stored_matrices: _ScalingHistory = field(repr=False)
 
     @property
     def n_iters(self) -> int:
         """Index of the final iterate (the trace holds ``n_iters + 1`` states)."""
         return len(self.errors) - 1
 
+    @property
+    def stored_indices(self) -> np.ndarray:
+        return np.arange(self.n_iters + 1)
+
     def iterate(self, n: int) -> np.ndarray:
-        """Stored iterate ``X_n``; raises ``KeyError`` if decimated away."""
-        pos = np.searchsorted(self.stored_indices, n)
-        if pos == len(self.stored_indices) or self.stored_indices[pos] != n:
-            raise KeyError(f"iterate {n} was not stored (decimation stride)")
-        return self.stored_matrices[pos]
+        """Iterate ``X_n``, rebuilt; raises ``KeyError`` outside ``0 .. N``."""
+        if not 0 <= n <= self.n_iters:
+            raise KeyError(f"iterate {n} outside the trace (0 .. {self.n_iters})")
+        return self.stored_matrices[n]
 
     def ratios(self, n: int) -> MarginalRatios:
         return MarginalRatios(rows=self.ratio_rows[n], cols=self.ratio_cols[n])
+
+    @property
+    def last_even(self) -> tuple[int, np.ndarray]:
+        n = self.n_iters - self.n_iters % 2
+        return n, self.stored_matrices[n]
+
+    @property
+    def last_odd(self) -> tuple[int, np.ndarray] | None:
+        """``(n, X_n)`` for the final odd ``n``; ``None`` before the first."""
+        n = self.n_iters - 1 + self.n_iters % 2
+        return (n, self.stored_matrices[n]) if n > 0 else None
 
     def even_limit(self) -> np.ndarray:
         """Final even iterate — the even-limit estimate."""
@@ -125,91 +193,65 @@ class IterationTrace:
 
     def odd_limit(self) -> np.ndarray:
         """Final odd iterate — the odd-limit estimate."""
-        if self.last_odd is None:
+        if self.n_iters == 0:
             raise ValueError("trace stopped before the first odd iterate")
         return self.last_odd[1]
 
-    def stored_with_parity(self, parity: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Stored (indices, matrices) restricted to one parity (0=even, 1=odd)."""
-        mask = (self.stored_indices % 2) == parity
-        idx = self.stored_indices[mask]
-        mats = [m for m, keep in zip(self.stored_matrices, mask) if keep]
-        return idx, mats
 
-
-def run(problem: FittingProblem, rule: StoppingRule | None = None,
-        store_cap: int = STORE_CAP) -> IterationTrace:
+def run(problem: FittingProblem, rule: StoppingRule | None = None) -> IterationTrace:
     """Run the alternating fitting iteration until a stopping rule fires.
 
     ``X_0`` is the (normalized) seed; ``X_{2k+1} = fit_rows(X_2k, a)``;
-    ``X_{2k+2} = fit_cols(X_{2k+1}, b)``.  The loop body is kept lean on
-    purpose: slow instances legitimately need tens of thousands of steps.
+    ``X_{2k+2} = fit_cols(X_{2k+1}, b)``.  In scaling form these are
+    ``u = a / (K @ v)`` and ``v = b / (K.T @ u)``.  The loop runs them in
+    chunks, evaluates the rules on each chunk's iterates in vectorized code,
+    and cuts the history at the first index where one fires.  Per iterate
+    the rules are tested in the order converged, even/odd, cap, so stop
+    index and reason are those of a loop testing after every step.
 
     Returns
     -------
     IterationTrace
     """
-    if rule is None:
-        rule = StoppingRule()
+    rule = rule or StoppingRule()
     a, b = problem.a, problem.b
-    x = problem.x0
-    r_hist: list[np.ndarray] = []
-    c_hist: list[np.ndarray] = []
-    e_hist: list[float] = []
-    store = _TraceStore(store_cap)
-    prev: list[np.ndarray | None] = [None, None]
-    diffs = (deque(maxlen=_CAUCHY_WINDOW), deque(maxlen=_CAUCHY_WINDOW))
-    last: list[tuple[int, np.ndarray] | None] = [None, None]
-
-    tol_e = rule.tol_marginal
-    tol_eo = rule.tol_even_odd
-    cap = rule.max_iters
-    n = 0
+    hist = _ScalingHistory(problem.x0)
+    parts = []
+    # marginals of the two iterates before the chunk; none exist before X_0
+    tail_r, tail_c = np.full((2, a.size), np.inf), np.full((2, b.size), np.inf)
+    last_bad = 1  # newest index failing the Cauchy test; d_0, d_1 do not exist
+    n0, size = 0, _CHUNKS[0]
     while True:
-        rows = x.sum(axis=1)
-        cols = x.sum(axis=0)
-        r_hist.append(rows / a)
-        c_hist.append(cols / b)
-        e = float(np.abs(rows - a).sum() + np.abs(cols - b).sum())
-        e_hist.append(e)
-        store.add(n, x)
-        par = n & 1
-        last[par] = (n, x)
-        if prev[par] is not None:
-            diffs[par].append(float(np.abs(x - prev[par]).sum()))
-        prev[par] = x
+        n1 = min(n0 + size, rule.max_iters + 1)
+        hist.advance(n1 // 2, a, b)
+        ns = np.arange(n0, n1)
+        rows, cols = np.empty((len(ns), a.size)), np.empty((len(ns), b.size))
+        for at, base, u, v in hist.segments(ns):  # marginals, no iterate rebuilt
+            rows[at], cols[at] = u * (v @ base.T), v * (u @ base)
+        errors = np.abs(rows - a).sum(axis=1) + np.abs(cols - b).sum(axis=1)
+        # d_n = |X_n - X_{n-2}|_1 is at least the L1 change of either
+        # marginal; it is computed exactly unless that bound proves d_n >= tol
+        r2, c2 = np.concatenate([tail_r, rows]), np.concatenate([tail_c, cols])
+        d = np.maximum(np.abs(r2[2:] - r2[:-2]).sum(axis=1),
+                       np.abs(c2[2:] - c2[:-2]).sum(axis=1))
+        near = np.flatnonzero(d < 2.0 * rule.tol_even_odd)
+        d[near] = np.concatenate([np.empty(0)] + [
+            np.abs(x - hist.rebuild(n - 2)).sum(axis=(1, 2)) for n, x in hist.blocks(ns[near])])
+        last = np.maximum.accumulate(np.where(d < rule.tol_even_odd, last_bad, ns))
+        converged, cauchy = errors < rule.tol_marginal, ns - last >= 2 * _CAUCHY_WINDOW
+        hits = np.flatnonzero(converged | cauchy | (ns >= rule.max_iters))
+        parts.append((rows, cols, errors))
+        if hits.size:
+            break
+        tail_r, tail_c, last_bad = rows[-2:], cols[-2:], int(last[-1])
+        n0, size = n1, min(2 * size, _CHUNKS[1])
 
-        if e < tol_e:
-            reason = StopReason.CONVERGED
-            break
-        if (
-            len(diffs[0]) == _CAUCHY_WINDOW
-            and len(diffs[1]) == _CAUCHY_WINDOW
-            and max(diffs[0]) < tol_eo
-            and max(diffs[1]) < tol_eo
-        ):
-            reason = StopReason.EVEN_ODD_CONVERGED
-            break
-        if n >= cap:
-            reason = StopReason.ITERATION_CAP
-            break
-        if par == 0:
-            x = x * (a / rows)[:, None]
-        else:
-            x = x * (b / cols)[None, :]
-        n += 1
-
-    return IterationTrace(
-        problem=problem,
-        stored_indices=np.asarray(store.indices, dtype=int),
-        stored_matrices=store.matrices,
-        ratio_rows=np.asarray(r_hist),
-        ratio_cols=np.asarray(c_hist),
-        errors=np.asarray(e_hist),
-        stop_reason=reason,
-        last_even=last[0],
-        last_odd=last[1],
-    )
+    m = int(hits[0])
+    reason = (StopReason.CONVERGED if converged[m] else StopReason.EVEN_ODD_CONVERGED
+              if cauchy[m] else StopReason.ITERATION_CAP)
+    hist.count = n0 + m + 1
+    rows, cols, errors = (np.concatenate(z)[:hist.count] for z in zip(*parts))
+    return IterationTrace(problem, rows / a, cols / b, errors, reason, hist)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +264,8 @@ def ratio_update_matrix(x, a, b, col_tol: float = 1e-8) -> np.ndarray:
     For a column-fitted ``x`` the row ratios obey
     ``rows(fit_cols(fit_rows(x,a),b))/a = P @ (rows(x)/a)`` with
     ``P(i,k) = sum_j y(i,j) y(k,j) / (a_i b_j c_j)`` where ``y = fit_rows(x, a)``
-    and ``c = cols(y)/b``.  ``P`` has unit row sums by construction.
+    and ``c = cols(y)/b``.  ``P`` has unit row sums by construction.  A stack
+    of matrices, shape ``(..., p, q)``, gives the stack of their ``P``.
 
     Raises
     ------
@@ -232,31 +275,26 @@ def ratio_update_matrix(x, a, b, col_tol: float = 1e-8) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    cols = x.sum(axis=0) / b
+    cols = x.sum(axis=-2) / b
     dev = float(np.abs(cols - 1.0).max())
     if dev > col_tol:
         raise ValueError(
             f"matrix is not column-fitted: max |C_j - 1| = {dev:g} > {col_tol:g}"
         )
     y = fit_rows(x, a)
-    cy = y.sum(axis=0) / b
-    return (y / (b * cy)) @ y.T / a[:, None]
+    cy = y.sum(axis=-2) / b
+    return (y / (b * cy)[..., None, :]) @ np.swapaxes(y, -1, -2) / a[:, None]
 
 
 def ratio_update_matrices(trace: IterationTrace, start: int = 2) -> list[np.ndarray]:
-    """Harvest ``P(X_n)`` for every stored even iterate ``n >= start``.
+    """Harvest ``P(X_n)`` for every even iterate ``n >= start``.
 
-    The backward product of the result, applied to ``rows(X_2)/a``, walks the
-    row-ratio vectors down the even subsequence — so the list is only
-    product-meaningful when no even iterate in range was decimated away.
+    The backward product of the result, applied to ``rows(X_start)/a``, walks
+    the row-ratio vectors down the even subsequence.
     """
-    idx, mats = trace.stored_with_parity(0)
-    if len(idx) >= 2 and np.any(np.diff(idx) != 2):
-        raise ValueError(
-            "trace was decimated; consecutive even iterates are unavailable"
-        )
-    a, b = trace.problem.a, trace.problem.b
-    return [ratio_update_matrix(m, a, b) for n, m in zip(idx, mats) if n >= start]
+    evens = range(start + start % 2, trace.n_iters + 1, 2)
+    return [m for _, x in trace.stored_matrices.blocks(evens)
+            for m in ratio_update_matrix(x, trace.problem.a, trace.problem.b)]
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +320,6 @@ class RateReport:
     window: tuple[int, int]
 
 
-def _fit_loglinear(ns, ds):
-    logs = np.log(ds)
-    slope, intercept = np.polyfit(ns, logs, 1)
-    fitted = slope * ns + intercept
-    ss_res = float(np.sum((logs - fitted) ** 2))
-    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), r2
-
-
 def rate_estimate(trace: IterationTrace, min_even: int = 10,
                   noise_floor: float = 1e-15) -> RateReport:
     """Fit per-cell geometric convergence rates on the tail of a trace.
@@ -309,53 +337,44 @@ def rate_estimate(trace: IterationTrace, min_even: int = 10,
     Raises
     ------
     ValueError
-        If fewer than ``min_even`` even iterates are stored.
+        If the trace holds fewer than ``min_even`` even iterates.
     """
-    even_idx, even_mats = trace.stored_with_parity(0)
-    if len(even_idx) < min_even:
+    n_last, _ = trace.last_even
+    if n_last // 2 + 1 < min_even:
         raise ValueError(
-            f"trace too short for rate fitting: {len(even_idx)} stored even "
+            f"trace too short for rate fitting: {n_last // 2 + 1} stored even "
             f"iterates, need {min_even}"
         )
-    odd_idx, odd_mats = trace.stored_with_parity(1)
     p, q = trace.problem.shape
     rates = np.full((p, q), -np.inf)
     r2s = np.full((p, q), np.nan)
-    conv = np.zeros((p, q), dtype=bool)
     source = np.full((p, q), -1, dtype=np.int8)
+    undecided = np.ones((p, q), dtype=bool)
 
-    n_last = int(even_idx[-1])
     lo, hi = 0.5 * n_last, 0.875 * n_last
-
-    def window_points(idx, mats, limit):
-        sel = [(int(n), m) for n, m in zip(idx, mats) if lo <= n <= hi]
-        if not sel:
-            return None, None
-        ns = np.array([n for n, _ in sel], dtype=float)
-        stack = np.stack([m for _, m in sel])
-        return ns, np.abs(stack - limit)
-
-    ns_e, de = window_points(even_idx, even_mats, trace.even_limit())
-    ns_o, do = (None, None)
-    if odd_idx.size:
-        ns_o, do = window_points(odd_idx, odd_mats, trace.odd_limit())
-
-    for i in range(p):
-        for j in range(q):
-            done = False
-            for src, ns, dd in ((0, ns_e, de), (1, ns_o, do)):
-                if ns is None:
-                    continue
-                d = dd[:, i, j]
-                keep = d > noise_floor
-                if keep.sum() >= 3:
-                    rates[i, j], r2s[i, j] = _fit_loglinear(ns[keep], d[keep])
-                    source[i, j] = src
-                    done = True
-                    break
-            if not done:
-                conv[i, j] = True
-    return RateReport(rates=rates, r_squared=r2s, converged=conv,
+    first = int(np.ceil(lo))
+    for parity, limit in ((0, trace.even_limit), (1, trace.odd_limit)):
+        ns = range(first + (first - parity) % 2, int(hi) + 1, 2)
+        if not ns:
+            continue
+        # least squares of ln|X_n - L| on n, summed over rebuilt blocks, with
+        # n centred on the window so that the sums keep their precision
+        sums, mid, limit = 0.0, (ns[0] + ns[-1]) / 2.0, limit()
+        for n, xs in trace.stored_matrices.blocks(ns):
+            d = np.abs(xs - limit)
+            w = d > noise_floor
+            x = np.where(w, n[:, None, None] - mid, 0.0)
+            y = np.log(np.where(w, d, 1.0))
+            sums = sums + np.stack([w, x, y, x * x, x * y, y * y]).sum(axis=1)
+        w, x, y, xx, xy, yy = sums
+        with np.errstate(invalid="ignore", divide="ignore"):
+            sxx, sxy, syy = xx - x * x / w, xy - x * y / w, yy - y * y / w
+            slope = sxy / sxx
+            r2 = np.where(syy == 0.0, 1.0, 1.0 - (syy - slope * sxy) / syy)
+        take = undecided & (w >= 3)
+        rates[take], r2s[take], source[take] = slope[take], r2[take], parity
+        undecided &= ~take
+    return RateReport(rates=rates, r_squared=r2s, converged=undecided,
                       source=source, window=(int(np.ceil(lo)), int(hi)))
 
 
@@ -380,28 +399,24 @@ def cross_ratio_check(trace: IterationTrace, rel_tol: float = 1e-10) -> CrossRat
     """
     supp = trace.problem.support
     p, q = supp.shape
-    rows_ij = []
-    n_skipped = 0
-    for i in range(p):
-        for i2 in range(i + 1, p):
-            for j in range(q):
-                for j2 in range(j + 1, q):
-                    if supp[i, j] and supp[i, j2] and supp[i2, j] and supp[i2, j2]:
-                        rows_ij.append((i, i2, j, j2))
-                    else:
-                        n_skipped += 1
-    if not rows_ij:
-        return CrossRatioReport(True, 0.0, 0, n_skipped)
-    ii, kk, jj, ll = (np.array(v) for v in zip(*rows_ij))
-    ref = None
-    dev = 0.0
-    for x in trace.stored_matrices:
-        vals = x[ii, jj] * x[kk, ll] / (x[ii, ll] * x[kk, jj])
-        if ref is None:
-            ref = vals
-        else:
-            dev = max(dev, float(np.max(np.abs(vals - ref) / np.abs(ref))))
-    return CrossRatioReport(dev <= rel_tol, dev, len(rows_ij), n_skipped)
+    i, i2 = (t[:, None] for t in np.triu_indices(p, 1))
+    j, j2 = (t[None, :] for t in np.triu_indices(q, 1))
+    full = supp[i, j] & supp[i, j2] & supp[i2, j] & supp[i2, j2]
+    n_minors = int(full.sum())
+    if not n_minors:
+        return CrossRatioReport(True, 0.0, 0, full.size)
+    r, c = np.nonzero(full)
+    ii, kk, jj, ll = i[r, 0], i2[r, 0], j[0, c], j2[0, c]
+
+    def cross(x):
+        return x[..., ii, jj] * x[..., kk, ll] / (x[..., ii, ll] * x[..., kk, jj])
+
+    mats, step = trace.stored_matrices, max(1, _BLOCK // supp.size)
+    ref, dev = cross(mats[0]), 0.0
+    for lo in range(0, len(mats), step):  # fmax skips minors gone 0/0 by underflow
+        dev = float(np.fmax(dev, np.fmax.reduce(np.abs(cross(mats[lo:lo + step]) - ref)
+                                                / np.abs(ref), axis=None)))
+    return CrossRatioReport(dev <= rel_tol, dev, n_minors, full.size - n_minors)
 
 
 def nested_ratio_intervals(trace: IterationTrace) -> np.ndarray:
@@ -412,15 +427,11 @@ def nested_ratio_intervals(trace: IterationTrace) -> np.ndarray:
     ``[min R(X_n), max R(X_n)]``.  Successive intervals nest and every one
     contains 1; both facts are what the tests assert.
     """
-    out = []
-    for n in range(1, trace.n_iters + 1):
-        if n % 2:
-            c = trace.ratio_cols[n]
-            out.append((n, 1.0 / float(c.max()), 1.0 / float(c.min())))
-        else:
-            r = trace.ratio_rows[n]
-            out.append((n, float(r.min()), float(r.max())))
-    return np.asarray(out)
+    n = np.arange(1, trace.n_iters + 1)
+    c, r = trace.ratio_cols[1:], trace.ratio_rows[1:]
+    odd = n % 2 == 1
+    return np.column_stack([n, np.where(odd, 1.0 / c.max(axis=1), r.min(axis=1)),
+                            np.where(odd, 1.0 / c.min(axis=1), r.max(axis=1))])
 
 
 def escape_diagnostic(trace: IterationTrace, cells) -> list[dict]:
@@ -433,22 +444,10 @@ def escape_diagnostic(trace: IterationTrace, cells) -> list[dict]:
     trace; this reports the final partial sum and whether the last third was
     still increasing, and asserts nothing.
     """
-    reports = []
-    n_total = trace.n_iters + 1
-    idx = np.arange(n_total - 1)  # factors come from iterates 0 .. N-1
-    for (i, j) in cells:
-        logs = np.where(
-            idx % 2 == 0,
-            np.log(trace.ratio_rows[:-1, i]),
-            np.log(trace.ratio_cols[:-1, j]),
-        )
-        partial = np.cumsum(logs)
-        tail = partial[-max(2, len(partial) // 3):]
-        reports.append(
-            {
-                "cell": (int(i), int(j)),
-                "final_log_sum": float(partial[-1]),
-                "still_growing": bool(tail[-1] > tail[0]),
-            }
-        )
-    return reports
+    ij = np.array([(int(i), int(j)) for i, j in cells], dtype=int).reshape(-1, 2)
+    even = (np.arange(trace.n_iters) % 2 == 0)[:, None]  # factors: iterates 0 .. N-1
+    partial = np.cumsum(np.where(even, np.log(trace.ratio_rows[:-1, ij[:, 0]]),
+                                 np.log(trace.ratio_cols[:-1, ij[:, 1]])), axis=0)
+    tail = partial[-max(2, len(partial) // 3):]
+    return [{"cell": (int(i), int(j)), "final_log_sum": float(partial[-1, k]),
+             "still_growing": bool(tail[-1, k] > tail[0, k])} for k, (i, j) in enumerate(ij)]

@@ -633,7 +633,7 @@ def limit_points(problem: FittingProblem, rule: StoppingRule | None = None) -> L
             f"{float(trace.errors[-1]):g}); this contradicts the "
             "full-support feasibility of the restriction"
         )
-    even = trace.stored_matrices[-1]
+    even = trace.iterate(trace.n_iters)
     odd = even * (a / bs.a_prime)[:, None]
     checks = (
         ("even limit row sums vs a'", np.abs(even.sum(axis=1) - bs.a_prime).max()),

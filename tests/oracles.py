@@ -16,6 +16,12 @@ is the ``m = 2`` matrix.  The slow and divergent forms use the iterate index
 directly; their ``n = 1`` and ``n = 2`` matrices were likewise checked by
 hand against explicit row/column fits.
 
+Matrix-form reference loop
+--------------------------
+:func:`reference_run` is the fitting loop on whole matrices, every stopping
+rule tested after every step: the engine, which iterates scaling vectors and
+tests the rules chunk by chunk, is compared against it.
+
 Brute-force oracles
 -------------------
 The structural verdicts (feasibility, strongest cause, maximal support) have
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from bipfit import FittingProblem
+from bipfit import FittingProblem, StopReason
 
 # ---------------------------------------------------------------------------
 # the three 2x2 reference instances
@@ -85,6 +91,39 @@ def divergence_iterate(n: int) -> np.ndarray:
     g = 3.0 * 2.0 ** (n - 1)
     printed = np.array([[1.0, g - 2.0], [2.0 * (g - 1.0), 0.0]]) / (3.0 * (g - 1.0))
     return _parity_form(n, printed)
+
+
+# ---------------------------------------------------------------------------
+# matrix-form reference loop
+
+
+def reference_run(problem: FittingProblem, rule):
+    """The fitting loop on whole matrices, testing every rule after every step.
+
+    Returns ``(iterates, ratio_rows, ratio_cols, errors, stop_reason)``; the
+    engine's scaling-vector form must reproduce all of it.
+    """
+    a, b, x = problem.a, problem.b, problem.x0
+    xs, rr, cc, ee, dd = [], [], [], [], [np.inf, np.inf]
+    while True:
+        n = len(xs)
+        xs.append(x)
+        rows, cols = x.sum(axis=1), x.sum(axis=0)
+        rr.append(rows / a)
+        cc.append(cols / b)
+        ee.append(np.abs(rows - a).sum() + np.abs(cols - b).sum())
+        if n >= 2:
+            dd.append(np.abs(x - xs[n - 2]).sum())
+        if ee[-1] < rule.tol_marginal:
+            reason = StopReason.CONVERGED
+        elif max(dd[-16:]) < rule.tol_even_odd:  # last 8 distances of each parity
+            reason = StopReason.EVEN_ODD_CONVERGED
+        elif n >= rule.max_iters:
+            reason = StopReason.ITERATION_CAP
+        else:
+            x = x * (a / rows)[:, None] if n % 2 == 0 else x * (b / cols)[None, :]
+            continue
+        return np.array(xs), np.array(rr), np.array(cc), np.array(ee), reason
 
 
 # ---------------------------------------------------------------------------

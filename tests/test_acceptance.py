@@ -18,9 +18,9 @@ from bipfit.engine import StoppingRule
 import oracles
 
 
-def run_for(problem, n_iters, store_cap=100_000):
+def run_for(problem, n_iters):
     rule = StoppingRule(tol_marginal=1e-300, tol_even_odd=1e-300, max_iters=n_iters)
-    return engine.run(problem, rule, store_cap=store_cap)
+    return engine.run(problem, rule)
 
 
 def test_criterion_1_fast_closed_form(fast_problem):
@@ -52,7 +52,7 @@ def test_criterion_2_slow_closed_form(slow_problem):
         np.testing.assert_allclose(trace.iterate(n), oracles.slow_iterate(n),
                                    rtol=0, atol=1e-10)
 
-    long = run_for(slow_problem, 40_000, store_cap=64)
+    long = run_for(slow_problem, 40_000)
     ns = np.arange(2, long.n_iters + 1, 2)
     dev = np.abs(long.ratio_rows[ns] - 1.0).max(axis=1)
     scaled = np.sqrt(ns) * dev
@@ -172,7 +172,7 @@ def test_criterion_7_property_suites(rng):
         problem = oracles.random_problem(rng)
         n_infeasible += not oracles.feasible_by_enumeration(
             problem.a, problem.b, problem.support)
-        trace = run_for(problem, 60, store_cap=8)
+        trace = run_for(problem, 60)
         assert np.all(np.diff(trace.errors[1:]) <= 1e-14)
         intervals = engine.nested_ratio_intervals(trace)
         lo, hi = intervals[:, 1], intervals[:, 2]

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,25 +123,26 @@ def test_slow_instance_oscillation_detected_late(slow_problem):
 
 
 # ---------------------------------------------------------------------------
-# storage and decimation
+# scaling form: iterates rebuilt on demand, checked against the matrix form
 
 
 def test_decimation_keeps_arithmetic_indices(slow_problem):
-    trace = run_capped(slow_problem, 100, store_cap=16)
-    idx = trace.stored_indices
-    assert len(idx) <= 17
-    stride = int(idx[1] - idx[0])
-    assert stride > 1 and (stride & (stride - 1)) == 0  # power of two
-    assert (np.diff(idx) == stride).all()
-    np.testing.assert_array_equal(trace.iterate(int(idx[3])), trace.stored_matrices[3])
+    # No trace is decimated: a run of 20k iterates, twice the length at
+    # which matrix storage used to thin out, keeps stride 1, and every one
+    # of its iterates is rebuilt from the scaling history.
+    trace = run_capped(slow_problem, 20_001)
+    n = trace.n_iters
+    np.testing.assert_array_equal(trace.stored_indices, np.arange(n + 1))
+    rebuilt = np.stack(list(trace.stored_matrices))
+    expected = np.stack([oracles.slow_iterate(k) for k in range(n + 1)])
+    np.testing.assert_allclose(rebuilt, expected, atol=1e-12)
+    for k in (0, 1, 9_999, 10_000, 10_001, n):
+        np.testing.assert_array_equal(trace.iterate(k), rebuilt[k])
     with pytest.raises(KeyError):
-        trace.iterate(int(idx[0]) + 1)
-    # final iterates of both parities survive decimation separately
-    assert trace.last_even[0] == 100
-    assert trace.last_odd[0] == 99
-    np.testing.assert_allclose(
-        trace.even_limit(), oracles.slow_iterate(100), atol=1e-12
-    )
+        trace.iterate(n + 1)
+    assert trace.last_even[0] == n - 1
+    assert trace.last_odd[0] == n
+    np.testing.assert_array_equal(trace.odd_limit(), rebuilt[n])
 
 
 def test_full_storage_below_cap(fast_problem):
@@ -149,6 +151,59 @@ def test_full_storage_below_cap(fast_problem):
     assert trace.ratio_rows.shape == (51, 2)
     assert trace.ratio_cols.shape == (51, 2)
     assert trace.errors.shape == (51,)
+
+
+def _assert_matches_reference(problem, rule):
+    xs, ratio_rows, ratio_cols, errors, reason = oracles.reference_run(problem, rule)
+    trace = run(problem, rule)
+    assert trace.n_iters == len(xs) - 1
+    assert trace.stop_reason is reason
+    np.testing.assert_allclose(trace.errors, errors, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(trace.ratio_rows, ratio_rows, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(trace.ratio_cols, ratio_cols, rtol=0, atol=1e-13)
+    for n in np.unique(np.linspace(0, trace.n_iters, 9).astype(int)):
+        np.testing.assert_allclose(trace.iterate(n), xs[n], rtol=0, atol=1e-12)
+    # on rebuilt iterates the cross ratios hold by construction; the
+    # matrix-form iterates are where the invariant says something
+    assert cross_ratio_check(SimpleNamespace(problem=problem, stored_matrices=xs)).ok
+    return reason
+
+
+def test_engine_matches_matrix_form_reference(
+    fast_problem, slow_problem, divergence_problem, grid_problem, rng
+):
+    capped = StoppingRule(max_iters=600)
+    cases = [
+        (fast_problem, capped),
+        (slow_problem, capped),
+        (slow_problem, StoppingRule(tol_marginal=1e-300, tol_even_odd=1e-7)),
+        (divergence_problem, capped),
+        # past ~350 steps products of two dying cells of example-5x6 leave
+        # the normal float range, and its cross ratios lose all precision
+        (grid_problem, StoppingRule(max_iters=300)),
+    ] + [(oracles.random_problem(rng), capped) for _ in range(50)]
+    reasons = [_assert_matches_reference(prob, rule) for prob, rule in cases]
+    assert set(reasons) == set(StopReason)
+
+
+def test_scalings_fold_instead_of_overflowing():
+    # On its own divergence-2x2 stops near n=1078 under any positive
+    # tolerance: its dying cell underflows to an exact zero and the even/odd
+    # test fires.  Beside a slow-2x2 block (block-diagonal seed, half the mass
+    # each, so the blocks iterate independently) it keeps dying for 20k steps
+    # while the slow block keeps both rules from firing.
+    x0 = np.zeros((4, 4))
+    x0[:2, :2], x0[2:, 2:] = oracles.DIV_X0, oracles.SLOW_X0
+    a = np.concatenate([oracles.DIV_A, oracles.SLOW_A]) / 2
+    problem = FittingProblem(x0, a, a)
+    rule = StoppingRule(tol_marginal=1e-300, tol_even_odd=1e-300, max_iters=20_000)
+    with np.errstate(over="raise", invalid="raise"):
+        trace = run(problem, rule)
+        xs = oracles.reference_run(problem, rule)[0]
+    assert trace.n_iters == 20_000
+    assert np.isfinite(trace.errors).all()
+    for n in (1000, 5000, 20_000):
+        np.testing.assert_allclose(trace.iterate(n), xs[n], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +245,17 @@ def test_ratio_update_matrices_walk_the_even_subsequence(divergence_problem):
 
 
 def test_ratio_update_matrices_refuse_decimated_trace(slow_problem):
-    trace = run_capped(slow_problem, 200, store_cap=16)
-    with pytest.raises(ValueError, match="decimated"):
-        ratio_update_matrices(trace)
+    # No trace is decimated any more, so none is refused: a 20k-iterate
+    # trace yields P(X_n) for every even n >= 2, each row-stochastic.
+    trace = run_capped(slow_problem, 20_000)
+    ps = ratio_update_matrices(trace)
+    assert len(ps) == 10_000
+    np.testing.assert_allclose(np.stack(ps).sum(axis=-1), 1.0, atol=1e-12)
+    a, b = slow_problem.a, slow_problem.b
+    for k, n in ((0, 2), (4_999, 10_000), (9_999, 20_000)):
+        np.testing.assert_array_equal(
+            ps[k], ratio_update_matrix(trace.iterate(n), a, b)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,21 @@ def test_cli_fit_writes_result_and_trace(tmp_path, capsys):
     assert len(history["ratio_rows"]) == len(errors)
 
 
+def test_cli_fit_final_is_the_last_iterate(tmp_path):
+    # an odd cap: the final iterate is row-fitted, never the even one before
+    out = tmp_path / "fit.json"
+    code = cli.main([
+        "fit", str(io.data_path("slow-2x2.json")), "--max-iters", "19999",
+        "--out", str(out),
+    ])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["iterations"] == 19_999
+    final = np.array(payload["final"])
+    np.testing.assert_allclose(final, oracles.slow_iterate(19_999), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(final.sum(axis=1), oracles.SLOW_A, rtol=0, atol=1e-12)
+
+
 def test_cli_analyze_report_file(tmp_path):
     out = tmp_path / "report.json"
     code = cli.main([
