@@ -186,8 +186,12 @@ def _parse_marginal_arg(value) -> np.ndarray:
 # matrix-sequence files
 
 
-def sequence_from_spec(spec, seed: int | None = None) -> list[np.ndarray]:
-    """Materialize a sequence file: explicit arrays or a generator spec."""
+def sequence_from_spec(spec, seed: int | None = None) -> list[np.ndarray] | np.ndarray:
+    """Materialize a sequence file: explicit arrays or a generator spec.
+
+    A ``birkhoff`` spec gives one ``(count, dim, dim)`` array, every other
+    input a list of matrices.
+    """
     if isinstance(spec, list):
         return [_as_matrix(m, f"sequence[{k}]") for k, m in enumerate(spec)]
     if not isinstance(spec, dict):
@@ -209,19 +213,19 @@ def sequence_from_spec(spec, seed: int | None = None) -> list[np.ndarray]:
             raise InputError("birkhoff spec needs integer 'dim' >= 2")
         gamma = _as_number(spec.get("gamma", 0.0), "gamma")
         n_perms = spec.get("n_perms")
+        if n_perms is not None and not isinstance(n_perms, int):
+            raise InputError("birkhoff spec needs integer 'n_perms' >= dim")
         rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
         try:
-            return [
-                products.random_doubly_stochastic(dim, rng, gamma=gamma, n_perms=n_perms)
-                for _ in range(count)
-            ]
+            return products._random_doubly_stochastic_stack(count, dim, rng, gamma=gamma,
+                                                            n_perms=n_perms)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     raise InputError(f"unknown generator family {spec.get('family')!r}; "
                      "expected one of mr, t0t1, birkhoff")
 
 
-def load_sequence(path, seed: int | None = None) -> list[np.ndarray]:
+def load_sequence(path, seed: int | None = None) -> list[np.ndarray] | np.ndarray:
     return sequence_from_spec(_load_json(path), seed=seed)
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import _BLOCK
 from .errors import InternalCheckError
 
 #: Row sums of an input stochastic matrix may deviate from 1 by this much.
@@ -32,18 +33,33 @@ ROW_SUM_TOL = 1e-12
 DRIFT_TOL = 1e-10
 
 
+def _first_violation(ms: np.ndarray, tol: float):
+    """``(k, reason)`` for the first matrix ``ms[k]`` of a stack that is not stochastic.
+
+    ``None`` when every matrix has nonnegative entries and row sums within
+    ``tol`` of 1 (a NaN entry makes its row sum fail).
+    """
+    dev = np.abs(ms.sum(axis=2) - 1.0).max(axis=1)
+    neg = (ms < 0).any(axis=(1, 2))
+    bad = np.flatnonzero(neg | ~(dev <= tol))
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    if neg[k]:
+        i, j = np.unravel_index(int(np.argmin(ms[k])), ms[k].shape)
+        return k, f"entry ({i},{j}) is negative: {ms[k, i, j]!r}"
+    return k, f"row sums deviate from 1 by {dev[k]:g} (tol {tol:g})"
+
+
 def _check_stochastic(m, tol: float = ROW_SUM_TOL, square: bool = True) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ValueError("stochastic matrix must be 2-D")
     if square and m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got {m.shape}")
-    if np.any(m < 0):
-        i, j = np.unravel_index(int(np.argmin(m)), m.shape)
-        raise ValueError(f"entry ({i},{j}) is negative: {m[i, j]!r}")
-    dev = float(np.abs(m.sum(axis=1) - 1.0).max())
-    if dev > tol:
-        raise ValueError(f"row sums deviate from 1 by {dev:g} (tol {tol:g})")
+    bad = _first_violation(m[None], tol)
+    if bad:
+        raise ValueError(bad[1])
     return m
 
 
@@ -150,22 +166,64 @@ class AssumptionCheck:
     doubly_stochastic: bool
 
 
+def _stack(ms) -> np.ndarray:
+    """The factors as one ``(n, d, d)`` float array.
+
+    A float64 array is returned as it is, without a copy; any other
+    iterable is stacked once.  An empty input gives a ``(0, 0, 0)`` array.
+    """
+    if not isinstance(ms, np.ndarray):
+        ms = list(ms)
+        if not ms:
+            return np.empty((0, 0, 0))
+        try:
+            ms = np.asarray(ms, dtype=float)
+        except ValueError:
+            if len({np.shape(m) for m in ms}) > 1:
+                raise ValueError("matrix sequence mixes dimensions") from None
+            raise
+    stack = np.asarray(ms, dtype=float)
+    if stack.ndim != 3:
+        raise ValueError("stochastic matrix must be 2-D")
+    if stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"expected a square matrix, got {stack.shape[1:]}")
+    return stack
+
+
+def _blocks(n: int, per_item: int):
+    """Slices of ``range(n)`` covering about :data:`_BLOCK` numbers of ``per_item`` each."""
+    step = max(1, _BLOCK // max(1, per_item))
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
 def assumption_check(ms) -> AssumptionCheck:
+    """Validate every factor and summarize the sequence-wide assumptions.
+
+    ``ms`` is any iterable of square matrices or an ``(n, d, d)`` array.
+    A factor with a negative entry or a row sum off 1 by more than
+    :data:`ROW_SUM_TOL` raises ``ValueError`` naming its index (from 0).
+    An empty sequence gives ``gamma = inf``, ``rho = 1`` and
+    ``doubly_stochastic = True``.
+    """
+    stack = _stack(ms)
     gamma = np.inf
     rho = 1.0
     doubly = True
-    for m in ms:
-        m = _check_stochastic(m)
-        gamma = min(gamma, float(np.diag(m).min()))
-        fwd, bwd = m, m.T
-        pos = fwd > 0
+    for blk in _blocks(len(stack), stack.shape[1] ** 2):
+        m = stack[blk]
+        bad = _first_violation(m, ROW_SUM_TOL)
+        if bad:
+            raise ValueError(f"factor {blk.start + bad[0]}: {bad[1]}")
+        gamma = min(gamma, float(np.diagonal(m, axis1=1, axis2=2).min()))
+        bwd = np.swapaxes(m, 1, 2)
+        pos = m > 0
         if np.any(pos & (bwd == 0)):
             rho = float("inf")
         else:
             with np.errstate(invalid="ignore", divide="ignore"):
-                ratios = np.where(pos, fwd / np.where(bwd > 0, bwd, 1.0), 1.0)
+                ratios = np.where(pos, m / np.where(bwd > 0, bwd, 1.0), 1.0)
             rho = max(rho, float(ratios.max()))
-        if float(np.abs(m.sum(axis=0) - 1.0).max()) > ROW_SUM_TOL:
+        if float(np.abs(m.sum(axis=1) - 1.0).max()) > ROW_SUM_TOL:
             doubly = False
     return AssumptionCheck(gamma=float(gamma), rho=rho, doubly_stochastic=doubly)
 
@@ -174,17 +232,21 @@ def assumption_check(ms) -> AssumptionCheck:
 class ProductTrace:
     """Record of one backward-product run ``P_n = M_n ... M_1``.
 
-    ``partial_products[n]`` is ``P_{n+1}``; ``variations[n]`` is
-    ``||P_{n+2} - P_{n+1}||_1`` (entrywise); ``offdiag_partial_sums[n]`` is
-    the running factor sum ``sum_{m <= n+1} M_m``; ``dispersion_history``
-    has one column per tracked vector with ``D(P_n v)`` down the rows.
+    ``factors`` is the ``(n, d, d)`` factor stack (the caller's own array
+    when that was already a float64 stack: it is kept by reference, not
+    copied); ``partial_products`` is the ``(n, d, d)`` stack whose entry
+    ``[n]`` is ``P_{n+1}``; ``variations[n]`` is ``||P_{n+2} - P_{n+1}||_1``
+    (entrywise); ``dispersion_history`` has one column per tracked vector
+    with ``D(P_n v)`` down the rows (shape ``(n, 0)`` when none is tracked).
+    ``offdiag_partial_sums[n]``, the running factor sum
+    ``sum_{m <= n+1} M_m``, is computed from ``factors`` each time it is read.
     """
 
-    partial_products: list[np.ndarray]
+    partial_products: np.ndarray
     variations: np.ndarray
     variation_sum: float
     dispersion_history: np.ndarray
-    offdiag_partial_sums: np.ndarray
+    factors: np.ndarray
     assumptions: AssumptionCheck
     tracked_vectors: list[np.ndarray]
 
@@ -192,54 +254,61 @@ class ProductTrace:
     def final(self) -> np.ndarray:
         return self.partial_products[-1]
 
+    @property
+    def offdiag_partial_sums(self) -> np.ndarray:
+        return np.cumsum(self.factors, axis=0)
+
 
 def product_run(ms, tracked_vectors=()) -> ProductTrace:
     """Multiply out a stochastic sequence, recording everything testable.
 
     ``ms[0]`` is the first factor applied; each new factor multiplies from
-    the left.  Row-sum drift of any partial product beyond
-    :data:`DRIFT_TOL` raises — it would mean the products silently stopped
-    being stochastic, which no downstream bound survives.
+    the left.  ``ms`` is any iterable of square matrices or an ``(n, d, d)``
+    array; a float64 array is used without a copy.  Row-sum drift of any
+    partial product beyond :data:`DRIFT_TOL` raises — it would mean the
+    products silently stopped being stochastic, which no downstream bound
+    survives.
     """
-    ms = [_check_stochastic(m) for m in ms]
-    if not ms:
+    stack = _stack(ms)
+    if not len(stack):
         raise ValueError("empty matrix sequence")
-    d = ms[0].shape[0]
-    for m in ms:
-        if m.shape != (d, d):
-            raise ValueError("matrix sequence mixes dimensions")
+    assumptions = assumption_check(stack)
+    n, d, _ = stack.shape
     tracked = [np.asarray(v, dtype=float).ravel() for v in tracked_vectors]
     for v in tracked:
         if v.size != d:
             raise ValueError(f"tracked vector of size {v.size}, expected {d}")
 
-    partials: list[np.ndarray] = []
-    variations = np.empty(len(ms) - 1)
-    disp = np.empty((len(ms), len(tracked)))
-    factor_sums = np.empty((len(ms), d, d))
-    prod = None
-    running = np.zeros((d, d))
-    for n, m in enumerate(ms):
-        prod = m.copy() if prod is None else m @ prod
-        drift = float(np.abs(prod.sum(axis=1) - 1.0).max())
-        if drift > DRIFT_TOL:
+    partials = np.empty((n, d, d))
+    partials[0] = stack[0]
+    for k in range(1, n):
+        np.matmul(stack[k], partials[k - 1], out=partials[k])
+    variations = np.empty(n - 1)
+    disp = np.empty((n, len(tracked)))
+    for blk in _blocks(n, d * d):
+        prods = partials[blk]
+        drift = np.abs(prods.sum(axis=2) - 1.0).max(axis=1)
+        bad = np.flatnonzero(drift > DRIFT_TOL)
+        if bad.size:
+            k = int(bad[0])
             raise InternalCheckError(
-                f"partial product {n + 1} drifted off stochasticity by {drift:g}"
+                f"partial product {blk.start + k + 1} drifted off stochasticity "
+                f"by {drift[k]:g}"
             )
-        if partials:
-            variations[n - 1] = float(np.abs(prod - partials[-1]).sum())
-        partials.append(prod)
-        running = running + m
-        factor_sums[n] = running
+        lo = max(blk.start, 1)
+        steps = partials[lo:blk.stop] - partials[lo - 1:blk.stop - 1]
+        variations[lo - 1:blk.stop - 1] = np.abs(steps).reshape(-1, d * d).sum(axis=1)
         for t, v in enumerate(tracked):
-            disp[n, t] = dispersion(prod @ v)
+            # `dispersion` of each `P_n v`, summed the same way: bitwise equal
+            w = prods @ v
+            disp[blk, t] = np.abs(w[:, :, None] - w[:, None, :]).reshape(-1, d * d).sum(axis=1)
     return ProductTrace(
         partial_products=partials,
         variations=variations,
         variation_sum=float(variations.sum()),
         dispersion_history=disp,
-        offdiag_partial_sums=factor_sums,
-        assumptions=assumption_check(ms),
+        factors=stack,
+        assumptions=assumptions,
         tracked_vectors=tracked,
     )
 
@@ -287,22 +356,23 @@ def offdiag_convergence_report(trace: ProductTrace, limit=None,
     if limit is None:
         limit = trace.final
     limit = np.asarray(limit, dtype=float)
-    sums = trace.offdiag_partial_sums
-    n = sums.shape[0]
-    cut = 2 * n // 3
+    # offdiag_partial_sums[cut] and [-1], without the whole cumsum stack
+    cut = 2 * len(trace.factors) // 3
+    head = trace.factors[:cut + 1].sum(axis=0)
+    total = trace.factors.sum(axis=0)
     out = []
     d = limit.shape[0]
     for i in range(d):
         for j in range(i + 1, d):
             if float(np.abs(limit[i] - limit[j]).sum()) <= row_diff_tol:
                 continue
-            tail_ij = float(sums[-1, i, j] - sums[cut, i, j])
-            tail_ji = float(sums[-1, j, i] - sums[cut, j, i])
+            tail_ij = float(total[i, j] - head[i, j])
+            tail_ji = float(total[j, i] - head[j, i])
             out.append(
                 OffdiagPairReport(
                     i=i, j=j,
-                    sum_ij=float(sums[-1, i, j]),
-                    sum_ji=float(sums[-1, j, i]),
+                    sum_ij=float(total[i, j]),
+                    sum_ji=float(total[j, i]),
                     tail_ij=tail_ij,
                     tail_ji=tail_ji,
                     bounded_ij=tail_ij < tail_tol,
@@ -366,6 +436,18 @@ def random_doubly_stochastic(d: int, rng: np.random.Generator,
     Birkhoff's theorem makes the average doubly stochastic; the identity
     mixing knob guarantees a diagonal floor of ``gamma``.
     """
+    return _random_doubly_stochastic_stack(1, d, rng, gamma, n_perms)[0]
+
+
+def _random_doubly_stochastic_stack(count: int, d: int, rng: np.random.Generator,
+                                    gamma: float = 0.0,
+                                    n_perms: int | None = None) -> np.ndarray:
+    """``count`` factors of :func:`random_doubly_stochastic` as one ``(count, d, d)`` stack.
+
+    Equal, bitwise, to ``count`` calls of it on the same generator: row by
+    row, ``rng.permuted`` draws the same stream as one ``rng.permutation``
+    call per permutation, and the cell counts are exact.
+    """
     if d < 2:
         raise ValueError("dimension must be at least 2")
     if not 0 <= gamma <= 1:
@@ -374,12 +456,17 @@ def random_doubly_stochastic(d: int, rng: np.random.Generator,
         n_perms = d
     if n_perms < d:
         raise ValueError(f"need at least d={d} permutations, got {n_perms}")
-    avg = np.zeros((d, d))
+    out = np.empty((count, d, d))
     eye = np.eye(d)
-    for _ in range(n_perms):
-        avg += eye[rng.permutation(d)]
-    avg /= n_perms
-    return gamma * eye + (1 - gamma) * avg
+    cells = np.arange(d) * d
+    for blk in _blocks(count, n_perms * d):
+        k = blk.stop - blk.start
+        perms = rng.permuted(np.broadcast_to(np.arange(d), (k * n_perms, d)), axis=1)
+        flat = (np.arange(k)[:, None, None] * (d * d) + cells
+                + perms.reshape(k, n_perms, d)).ravel()
+        avg = np.bincount(flat, minlength=k * d * d).reshape(k, d, d) / n_perms
+        out[blk] = gamma * eye + (1 - gamma) * avg
+    return out
 
 
 def random_ratio_bounded_stochastic(d: int, rng: np.random.Generator,

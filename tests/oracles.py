@@ -22,6 +22,13 @@ Matrix-form reference loop
 rule tested after every step: the engine, which iterates scaling vectors and
 tests the rules chunk by chunk, is compared against it.
 
+Backward-product reference loop
+-------------------------------
+:func:`reference_product_run` multiplies and measures one factor at a time,
+and :func:`reference_birkhoff_sequence` averages permutation matrices drawn
+one ``rng.permutation`` call at a time: ``products.product_run`` and the
+stacked Birkhoff generator are compared against them.
+
 Brute-force oracles
 -------------------
 The structural verdicts (feasibility, strongest cause, maximal support) have
@@ -31,6 +38,8 @@ tests, and sharing no code with the max-flow implementation under test.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -124,6 +133,71 @@ def reference_run(problem: FittingProblem, rule):
             x = x * (a / rows)[:, None] if n % 2 == 0 else x * (b / cols)[None, :]
             continue
         return np.array(xs), np.array(rr), np.array(cc), np.array(ee), reason
+
+
+# ---------------------------------------------------------------------------
+# backward-product reference loops
+
+
+def reference_assumptions(ms):
+    """``(gamma, rho, doubly_stochastic)`` of a factor sequence, factor by factor."""
+    gamma, rho, doubly = np.inf, 1.0, True
+    for m in ms:
+        gamma = min(gamma, float(np.diag(m).min()))
+        pos = m > 0
+        if np.any(pos & (m.T == 0)):
+            rho = float("inf")
+        else:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ratios = np.where(pos, m / np.where(m.T > 0, m.T, 1.0), 1.0)
+            rho = max(rho, float(ratios.max()))
+        doubly = doubly and float(np.abs(m.sum(axis=0) - 1.0).max()) <= 1e-12
+    return float(gamma), rho, doubly
+
+
+def reference_product_run(ms, tracked_vectors=()):
+    """The backward product ``M_n ... M_1`` multiplied and measured one factor at a time.
+
+    Returns the fields of a ``ProductTrace`` (partial products as a list,
+    running factor sums stored) plus ``assumptions`` as
+    :func:`reference_assumptions` gives them.
+    """
+    ms = [np.asarray(m, dtype=float) for m in ms]
+    tracked = [np.asarray(v, dtype=float).ravel() for v in tracked_vectors]
+    partials, variations, disp, sums = [], [], [], []
+    prod, running = None, 0.0
+    for m in ms:
+        prod = m.copy() if prod is None else m @ prod
+        if partials:
+            variations.append(float(np.abs(prod - partials[-1]).sum()))
+        partials.append(prod)
+        running = running + m
+        sums.append(running)
+        ws = [prod @ v for v in tracked]
+        disp.append([float(np.abs(w[:, None] - w[None, :]).sum()) for w in ws])
+    return SimpleNamespace(
+        partial_products=partials,
+        final=partials[-1],
+        variations=np.array(variations),
+        dispersion_history=np.array(disp).reshape(len(ms), len(tracked)),
+        offdiag_partial_sums=np.array(sums),
+        assumptions=reference_assumptions(ms),
+    )
+
+
+def reference_birkhoff_sequence(count: int, d: int, seed: int, gamma: float = 0.0,
+                                n_perms: int | None = None) -> list[np.ndarray]:
+    """What a ``birkhoff`` sequence spec draws, one permutation at a time."""
+    rng = np.random.default_rng(seed)
+    eye = np.eye(d)
+    out = []
+    for _ in range(count):
+        avg = np.zeros((d, d))
+        for _ in range(n_perms or d):
+            avg += eye[rng.permutation(d)]
+        avg /= n_perms or d
+        out.append(gamma * eye + (1 - gamma) * avg)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -161,12 +161,27 @@ def test_sequence_from_spec_families():
         ({"family": "mr", "count": 0}, "count"),
         ({"family": "pascal", "count": 2}, "family"),
         ({"family": "birkhoff", "count": 2, "dim": 1}, "dim"),
+        ({"family": "birkhoff", "count": 2, "dim": 3, "n_perms": 3.5}, "n_perms"),
+        ({"family": "birkhoff", "count": 2, "dim": 3, "n_perms": "4"}, "n_perms"),
         ("nope", "sequence file"),
     ],
 )
 def test_sequence_from_spec_rejections(spec, message):
     with pytest.raises(InputError, match=message):
         io.sequence_from_spec(spec)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_birkhoff_spec_draws_the_per_permutation_stream(d):
+    for seed, gamma, n_perms in ((0, 0.0, None), (5, 0.3, d + 3)):
+        spec = {"family": "birkhoff", "count": 30, "dim": d, "gamma": gamma}
+        if n_perms is not None:
+            spec["n_perms"] = n_perms
+        want = oracles.reference_birkhoff_sequence(30, d, seed, gamma, n_perms)
+        np.testing.assert_array_equal(io.sequence_from_spec(spec, seed=seed), want)
+        one = products.random_doubly_stochastic(d, np.random.default_rng(seed),
+                                                gamma=gamma, n_perms=n_perms)
+        np.testing.assert_array_equal(one, want[0])
 
 
 def test_load_sequence_bundled_files():
@@ -419,6 +434,15 @@ def test_cli_products_explicit_sequence_with_vectors(tmp_path, capsys):
     assert cli.main(["products", str(seq), "--vectors", str(vectors)]) == 2
 
 
+def test_cli_products_birkhoff_matches_reference_loop(capsys):
+    code, payload = run_cli(capsys, "products", str(io.data_path("birkhoff-40.json")),
+                            "--seed", "3")
+    assert code == 0
+    ref = oracles.reference_product_run(oracles.reference_birkhoff_sequence(40, 4, 3, 0.2))
+    assert payload["final_product"] == ref.final.tolist()
+    assert payload["converged"] is True
+
+
 def test_cli_products_nonconvergent_reports_null(capsys):
     code, payload = run_cli(capsys, "products", str(io.data_path("t0t1-60.json")))
     assert code == 0
@@ -448,6 +472,13 @@ def test_cli_input_errors(tmp_path, capsys):
     assert cli.main(["classify", str(io.data_path("fast-2x2.json")),
                      "--a", "0.5,0.5"]) == 2
     assert "input error" in capsys.readouterr().err
+
+    spec = tmp_path / "spec.json"
+    for n_perms in (3.5, "4"):
+        spec.write_text(json.dumps({"family": "birkhoff", "count": 2, "dim": 3,
+                                    "n_perms": n_perms}))
+        assert cli.main(["products", str(spec)]) == 2
+        assert "input error" in capsys.readouterr().err
 
 
 def test_cli_internal_failure_maps_to_exit_3(capsys, monkeypatch):

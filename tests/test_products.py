@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bipfit import (
+    AssumptionCheck,
     StoppingRule,
     assumption_check,
     check_diameter_contraction,
@@ -24,6 +25,7 @@ from bipfit import (
     run,
     t0t1_sequence,
 )
+from bipfit import io
 
 import oracles
 
@@ -179,6 +181,77 @@ def test_product_run_tracks_dispersion_monotone_for_doubly_stochastic(rng):
     trace = product_run(ms, tracked_vectors=[v])
     assert trace.dispersion_history.shape == (50, 1)
     assert (np.diff(trace.dispersion_history[:, 0]) <= 1e-12).all()
+
+
+def _reference_cases():
+    rng = np.random.default_rng(31)
+    blocks = np.zeros((30, 4, 4))
+    for m in blocks:
+        m[:2, :2] = random_ratio_bounded_stochastic(2, rng)
+        m[2:, 2:] = random_ratio_bounded_stochastic(2, rng)
+    return {
+        "mr-60": io.load_sequence(io.data_path("mr-60.json")),
+        "t0t1-60": io.load_sequence(io.data_path("t0t1-60.json")),
+        "birkhoff-4x4": io.load_sequence(io.data_path("birkhoff-40.json"), seed=3),
+        "birkhoff-8x8": io.sequence_from_spec(
+            {"family": "birkhoff", "count": 400, "dim": 8, "gamma": 0.1}, seed=5),
+        "ratio-bounded-3x3": [random_ratio_bounded_stochastic(3, rng, gamma=0.2, rho=5.0)
+                              for _ in range(2000)],
+        "block-diagonal": list(blocks),
+        "single": [np.eye(3)],
+    }
+
+
+@pytest.mark.parametrize("n_tracked", [0, 2])
+@pytest.mark.parametrize("name", list(_reference_cases()))
+def test_product_run_matches_reference_loop(name, n_tracked):
+    ms = _reference_cases()[name]
+    vectors = list(np.random.default_rng(n_tracked).normal(size=(n_tracked, len(ms[0]))))
+    trace = product_run(ms, tracked_vectors=vectors)
+    ref = oracles.reference_product_run(ms, vectors)
+    np.testing.assert_array_equal(trace.partial_products, ref.partial_products)
+    np.testing.assert_array_equal(trace.final, ref.final)
+    assert len(trace.partial_products) == len(ms)
+    for got, want in ((trace.variations, ref.variations),
+                      (trace.dispersion_history, ref.dispersion_history),
+                      (trace.offdiag_partial_sums, ref.offdiag_partial_sums)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    assert trace.dispersion_history.shape == (len(ms), n_tracked)
+    assert (trace.assumptions.gamma, trace.assumptions.rho,
+            trace.assumptions.doubly_stochastic) == ref.assumptions
+    if is_converged(trace):
+        for rep in offdiag_convergence_report(trace):
+            sums = ref.offdiag_partial_sums
+            assert abs(rep.sum_ij - sums[-1, rep.i, rep.j]) <= 1e-13
+            assert abs(rep.sum_ji - sums[-1, rep.j, rep.i]) <= 1e-13
+
+
+@pytest.mark.parametrize("defect, message",
+                         [("negative", "negative"), ("rows", "row sums"), ("nan", "row sums")])
+def test_errors_name_the_offending_factor(rng, defect, message):
+    ms = [random_ratio_bounded_stochastic(3, rng) for _ in range(500)]
+    bad = ms[317].copy()
+    if defect == "negative":
+        bad[1, 0], bad[1, 1] = -0.25, bad[1, 1] + bad[1, 0] + 0.25
+    elif defect == "rows":
+        bad[2] *= 1.01
+    else:
+        bad[0, 2] = np.nan
+    ms[317] = bad
+    for check in (product_run, assumption_check):
+        with pytest.raises(ValueError, match=f"factor 317\\b.*{message}"):
+            check(ms)
+
+
+def test_assumption_check_edge_inputs(divergence_problem):
+    assert assumption_check([]) == AssumptionCheck(gamma=np.inf, rho=1.0,
+                                                   doubly_stochastic=True)
+    ms = t0t1_sequence(7)
+    assert assumption_check(m for m in ms) == assumption_check(ms)
+    rule = StoppingRule(tol_marginal=1e-300, tol_even_odd=1e-300, max_iters=40)
+    ps = ratio_update_matrices(run(divergence_problem, rule))
+    assert assumption_check(ps) == assumption_check(np.array(ps))
 
 
 def test_product_run_rejects_bad_input(rng):
