@@ -23,8 +23,8 @@ def main():
     problem, meta = io.load_problem(io.data_path("example-5x6.json"))
     print(meta["name"])
 
-    bs = structure.block_structure(problem)
     lp = structure.limit_points(problem)
+    bs = lp.blocks
     exhaust = engine.StoppingRule(tol_marginal=1e-300, tol_even_odd=1e-300,
                                   max_iters=2000)
 

@@ -124,9 +124,9 @@ def _cmd_classify(args) -> None:
             "tool": {"name": "bipfit", "version": __version__},
             "problem": io.problem_to_dict(problem, **meta),
             "behavior": cls.behavior.value,
-            "causes": [io.jsonify(cls.cause)] if cls.cause else [],
-            "max_support": io.jsonify(cls.max_support),
-            "witness": io.jsonify(cls.witness),
+            "causes": [cls.cause] if cls.cause else [],
+            "max_support": cls.max_support,
+            "witness": cls.witness,
         },
         args.out,
     )
@@ -173,12 +173,11 @@ def _cmd_analyze(args) -> None:
 
 def _cmd_reduce(args) -> None:
     problem, meta = _load(args)
-    bs = structure.block_structure(problem)
     lp = structure.limit_points(problem)
     x0_restricted = np.where(lp.sigma, problem.x0, 0.0)
     x0_restricted /= x0_restricted.sum()
     payload = {
-        "a": bs.a_prime.tolist(),
+        "a": lp.blocks.a_prime.tolist(),
         "b": problem.b.tolist(),
         "X0": x0_restricted.tolist(),
         "name": (meta.get("name", "problem") + " (reduced)") if meta else "reduced",

@@ -395,7 +395,8 @@ def cross_ratio_check(trace: IterationTrace, rel_tol: float = 1e-10) -> CrossRat
     all lie in the seed's support, the quantity
     ``X(i,j) X(i',j') / (X(i,j') X(i',j))`` is invariant under row and column
     scaling, hence constant along the whole trace.  Minors touching a zero
-    cell are skipped.
+    cell are skipped; so is, iterate by iterate, a minor with a cell below
+    the smallest normal float, where a dying cell has underflowed.
     """
     supp = trace.problem.support
     p, q = supp.shape
@@ -409,13 +410,18 @@ def cross_ratio_check(trace: IterationTrace, rel_tol: float = 1e-10) -> CrossRat
     ii, kk, jj, ll = i[r, 0], i2[r, 0], j[0, c], j2[0, c]
 
     def cross(x):
-        return x[..., ii, jj] * x[..., kk, ll] / (x[..., ii, ll] * x[..., kk, jj])
+        x = np.where(x < np.finfo(float).tiny, np.nan, x)  # underflowed: minors read NaN
+        out = x[..., ii, jj] / x[..., ii, ll]
+        out *= x[..., kk, ll] / x[..., kk, jj]
+        return out
 
     mats, step = trace.stored_matrices, max(1, _BLOCK // supp.size)
-    ref, dev = cross(mats[0]), 0.0
-    for lo in range(0, len(mats), step):  # fmax skips minors gone 0/0 by underflow
-        dev = float(np.fmax(dev, np.fmax.reduce(np.abs(cross(mats[lo:lo + step]) - ref)
-                                                / np.abs(ref), axis=None)))
+    inv_ref, dev = 1.0 / cross(mats[0]), 0.0
+    for lo in range(0, len(mats), step):  # fmax skips the NaN minors
+        rel = cross(mats[lo:lo + step])
+        rel *= inv_ref
+        rel -= 1.0
+        dev = float(np.fmax(dev, np.fmax.reduce(np.abs(rel, out=rel), axis=None)))
     return CrossRatioReport(dev <= rel_tol, dev, n_minors, full.size - n_minors)
 
 

@@ -83,6 +83,8 @@ def jsonify(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()
         return jsonify(obj.tolist())
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
@@ -241,7 +243,6 @@ def _resolved_config(rule: StoppingRule) -> dict:
         "feas_tol": structure.FEAS_TOL,
         "crit_tol": structure.CRIT_TOL,
         "witness_tol": structure.WITNESS_TOL,
-        "best_cause_max_rows": structure.BEST_CAUSE_MAX_ROWS,
         "cluster_gap": structure.CLUSTER_GAP,
     }
 
@@ -258,8 +259,8 @@ def build_report(problem: FittingProblem, rule: StoppingRule | None = None,
     if rule is None:
         rule = StoppingRule()
     cls = structure.classify(problem)
-    bs = structure.block_structure(problem)
     lp = structure.limit_points(problem)
+    bs = lp.blocks
     trace = engine.run(problem, rule)
     report = {
         "tool": {"name": "bipfit", "version": __version__},

@@ -8,21 +8,25 @@ up front from the seed's support pattern and the marginals:
   of the seed whose row set demands more mass than the complementary columns
   can supply.
 * ``maximal_support`` finds which support cells can carry mass at all under
-  the marginal constraints; cells forced to zero by a tight (critical) block
+  the marginal constraints, as the strongly connected components of the
+  witness's residual graph; cells forced to zero by a tight (critical) block
   are exactly what separates slow from fast convergence.
 * ``classify`` combines the two into the three-way verdict.
-* ``best_cause`` / ``block_structure`` peel ratio-maximizing causes off an
-  infeasible instance until the remainder is feasible, yielding the row and
-  column blocks, their scaling factors, and the adjusted marginals that the
+* ``best_cause`` finds the ratio-maximizing cause by Dinkelbach iterations
+  over min cuts; ``block_structure`` peels such causes off an infeasible
+  instance until the remainder is feasible, yielding the row and column
+  blocks, their scaling factors, and the adjusted marginals that the
   oscillating iteration actually honours in the limit.
 * ``limit_points`` turns that into the two exact limit matrices.
+
+Every step is a polynomial number of max-flows; no subset of rows is ever
+enumerated.
 
 Index convention: all row/column sets are 0-based throughout the package.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,13 +44,6 @@ CRIT_TOL = 1e-12
 
 #: A feasibility witness must reproduce the marginals this tightly.
 WITNESS_TOL = 1e-10
-
-#: Subset enumeration refuses instances with more rows than this.
-BEST_CAUSE_MAX_ROWS = 25
-
-#: Up to this many rows, maximal_support cross-checks the per-cell probe
-#: against the exhaustive critical-block enumeration at runtime.
-PROBE_CROSSCHECK_MAX_ROWS = 12
 
 #: Gap threshold for clustering limiting row ratios into blocks.
 CLUSTER_GAP = 1e-4
@@ -126,11 +123,13 @@ class BlockStructure:
 
 @dataclass
 class LimitPair:
-    """The two oscillation limits and their common support pattern."""
+    """The two oscillation limits, their common support pattern, and the
+    block structure they were computed from."""
 
     even_limit: np.ndarray
     odd_limit: np.ndarray
     sigma: np.ndarray
+    blocks: BlockStructure
 
 
 # ---------------------------------------------------------------------------
@@ -158,69 +157,72 @@ def _check_support(supp, p: int | None = None, q: int | None = None) -> np.ndarr
     return supp
 
 
-def _max_flow(a, b, supp):
+def _max_flow(a, c, supp):
     """Max flow on source -> rows -> cols -> sink with supports as free edges.
 
-    Source edges carry ``a``, sink edges ``b``, support edges are unbounded.
-    Shortest augmenting paths (BFS); each augmentation saturates a source or
-    sink edge exactly, so float capacities terminate cleanly.
+    Source edges carry ``a``, sink edges ``c``, support edges are unbounded.
+    A greedy row-by-row allocation comes first.  Each round then grows a
+    breadth-first tree from the rows with spare source capacity, one level
+    at a time (to columns along support cells, back to rows along cells
+    carrying flow), until a level reaches columns with spare sink capacity,
+    and augments along the tree to every such column.  Each augmentation
+    saturates a source, sink or backward edge exactly, so float capacities
+    terminate cleanly.
 
     Returns ``(f, flow_value, reach_rows, reach_cols)`` where ``f`` is the
     flow on support cells and the reach masks describe residual reachability
-    from the source on termination (i.e. the min cut).
+    from the source on termination (i.e. the minimal min cut).
     """
     p, q = supp.shape
     f = np.zeros((p, q))
-    fa = np.zeros(p)
-    fb = np.zeros(q)
+    ra = a.astype(float)  # spare source capacity
+    rc = c.astype(float)  # spare sink capacity
+    for i in range(p):
+        cols = (supp[i] & (rc > _EPS_FLOW)).nonzero()[0]
+        caps = rc[cols]
+        take = np.minimum(caps, np.maximum(ra[i] - (caps.cumsum() - caps), 0.0))
+        f[i, cols] = take
+        rc[cols] -= take
+        ra[i] = max(ra[i] - take.sum(), 0.0)
     while True:
-        row_par = np.full(p, -2, dtype=int)  # -2 unvisited, -1 source, else col
-        col_par = np.full(q, -2, dtype=int)
-        start_rows = np.nonzero(a - fa > _EPS_FLOW)[0]
-        row_par[start_rows] = -1
-        queue = deque(start_rows)
-        is_row_phase = deque([True] * len(start_rows))
-        goal = -1
-        while queue and goal < 0:
-            u = queue.popleft()
-            if is_row_phase.popleft():
-                new_cols = np.nonzero(supp[u] & (col_par == -2))[0]
-                col_par[new_cols] = u
-                open_cols = new_cols[b[new_cols] - fb[new_cols] > _EPS_FLOW]
-                if open_cols.size:
-                    goal = int(open_cols[0])
-                    break
-                queue.extend(new_cols)
-                is_row_phase.extend([False] * len(new_cols))
-            else:
-                new_rows = np.nonzero((f[:, u] > _EPS_FLOW) & (row_par == -2))[0]
-                row_par[new_rows] = u
-                queue.extend(new_rows)
-                is_row_phase.extend([True] * len(new_rows))
-        if goal < 0:
-            return f, float(fa.sum()), row_par != -2, col_par != -2
-        # backtrack: forward middle edges are unbounded, backward ones carry f
-        path_fwd = []
-        path_bwd = []
-        j = goal
-        delta = b[j] - fb[j]
-        while True:
-            i = col_par[j]
-            path_fwd.append((i, j))
-            if row_par[i] == -1:
-                delta = min(delta, a[i] - fa[i])
-                source_row = i
+        row_par = np.full(p, -2)  # -2 unvisited, -1 source, else parent col
+        col_par = np.full(q, -2)  # parent row
+        rows = (ra > _EPS_FLOW).nonzero()[0]
+        row_par[rows] = -1
+        goals = rows[:0]
+        while rows.size:
+            step = supp[rows] & (col_par == -2)
+            cols = step.any(axis=0).nonzero()[0]
+            col_par[cols] = rows[step[:, cols].argmax(axis=0)]
+            goals = cols[rc[cols] > _EPS_FLOW]
+            if goals.size or not cols.size:
                 break
-            j2 = row_par[i]
-            delta = min(delta, f[i, j2])
-            path_bwd.append((i, j2))
-            j = j2
-        fb[goal] += delta
-        fa[source_row] += delta
-        for i, j in path_fwd:
-            f[i, j] += delta
-        for i, j in path_bwd:
-            f[i, j] -= delta
+            back = (f[:, cols] > _EPS_FLOW) & (row_par == -2)[:, None]
+            rows = back.any(axis=1).nonzero()[0]
+            row_par[rows] = cols[back[rows].argmax(axis=1)]
+        if not goals.size:
+            return f, float((a - ra).sum()), row_par != -2, col_par != -2
+        for goal in goals.tolist():
+            # walk the tree back: forward middle edges are unbounded,
+            # backward ones carry f
+            path = []
+            j, delta = goal, rc[goal]
+            while True:
+                i = int(col_par[j])
+                path.append((i, j))
+                if row_par[i] == -1:
+                    delta = min(delta, ra[i])
+                    break
+                j = int(row_par[i])
+                delta = min(delta, f[i, j])
+            if delta <= _EPS_FLOW:  # a bottleneck shared with an earlier goal
+                continue
+            rc[goal] -= delta
+            ra[i] -= delta
+            for i, j in path:
+                f[i, j] += delta
+            for (i, _), (_, j) in zip(path[:-1], path[1:]):
+                f[i, j] -= delta
 
 
 def _cause_from_cut(a, b, reach_rows, reach_cols) -> Cause:
@@ -245,8 +247,7 @@ def _verify_cause(a, b, supp, cause: Cause) -> None:
     if supp[np.ix_(rows, cols)].any():
         raise InternalCheckError("cause block is not a zero block of the seed")
     a_rows = float(a[rows].sum())
-    comp = np.setdiff1d(np.arange(b.size), cols)
-    b_comp = float(b[comp].sum())
+    b_comp = float(np.delete(b, cols).sum())
     gap = a_rows - b_comp
     if cause.kind is CauseKind.INCOMPATIBILITY:
         if gap <= CRIT_TOL * max(1.0, a_rows):
@@ -300,43 +301,7 @@ def feasible(a, b, supp, feas_tol: float = FEAS_TOL) -> Feasibility:
 
 
 # ---------------------------------------------------------------------------
-# cause enumeration
-
-
-def _column_row_masks(supp) -> np.ndarray:
-    """Per-column bitmask (over rows) of the support."""
-    p, q = supp.shape
-    weights = (1 << np.arange(p, dtype=np.int64))
-    return (supp * weights[:, None]).sum(axis=0).astype(np.int64)
-
-
-def _enumerate_zero_blocks(a, b, supp, chunk: int = 1 << 16):
-    """Yield ``(mask, a_sum, b_comp_sum)`` for every row subset with a zero block.
-
-    ``mask`` is the bit mask of the row subset ``A``; the paired column set
-    is always the maximal one ``B(A) = {j : supp[i,j] = 0 for all i in A}``
-    (nonempty, or the subset is skipped).
-    """
-    p, q = supp.shape
-    col_masks = _column_row_masks(supp)
-    weights = 1 << np.arange(p, dtype=np.int64)
-    total_b = float(b.sum())
-    for lo in range(1, 1 << p, chunk):
-        masks = np.arange(lo, min(lo + chunk, 1 << p), dtype=np.int64)
-        bits = (masks[:, None] & weights[None, :]) != 0
-        a_sums = bits @ a
-        in_block = (masks[:, None] & col_masks[None, :]) == 0
-        has_block = in_block.any(axis=1)
-        if not has_block.any():
-            continue
-        b_comp = total_b - in_block @ b
-        for m, asum, bc in zip(masks[has_block], a_sums[has_block],
-                               b_comp[has_block]):
-            yield int(m), float(asum), float(bc)
-
-
-def _mask_to_rows(mask: int, p: int) -> tuple[int, ...]:
-    return tuple(i for i in range(p) if mask >> i & 1)
+# strongest cause
 
 
 def _block_cols(supp, rows) -> tuple[int, ...]:
@@ -344,103 +309,163 @@ def _block_cols(supp, rows) -> tuple[int, ...]:
     return tuple(int(j) for j in np.nonzero(mask)[0])
 
 
-def best_cause(a, b, supp, max_rows: int = BEST_CAUSE_MAX_ROWS,
-               ratio_rel_tol: float = 1e-9) -> Cause:
-    """The ratio-maximizing cause of incompatibility, by subset enumeration.
+def _verify_ratio_bound(a, b, supp, f, lam: float) -> None:
+    """Re-check that no row set beats ratio ``lam``; raise if the flow fails.
+
+    A flow inside ``supp`` with row sums ``a`` and column sums at most
+    ``lam * b`` sends all of ``a(A)`` into the neighbours of ``A``, so
+    ``a(A) <= lam * b(N(A))`` for every row set ``A``.
+    """
+    f = np.where(supp, f, 0.0)
+    if (
+        f.min() < -1e-15
+        or np.abs(f.sum(axis=1) - a).max() > WITNESS_TOL
+        or (f.sum(axis=0) - lam * b).max() > WITNESS_TOL
+    ):
+        raise InternalCheckError(
+            f"flow fails to certify that no cause beats ratio {lam!r}; "
+            "instance is numerically ill-conditioned"
+        )
+
+
+def _best_cause(a, b, supp, lam: float = 1.0) -> Cause | None:
+    """Dinkelbach iterations from ratio ``lam`` up to the ratio-maximizing cause.
+
+    At ratio ``lam`` a min cut of the network with sink capacities
+    ``lam * b`` has as source side a row set ``A`` maximizing
+    ``a(A) - lam * b(N(A))`` (``N(A)``: the columns ``A`` reaches).  While
+    that maximum is positive, ``A`` has a larger ratio and becomes the next
+    ``lam``.  The cuts are solved on the reversed network (columns feed
+    rows): the rows its flow cannot reach are the source side of the
+    original's maximal min cut, the union of every maximizer.  These sets
+    shrink as ``lam`` grows (at most one iteration per row), and at the
+    optimum the set is the union of the tied ratio maximizers.
+
+    ``lam`` must be 1 or the ratio of some zero block; returns ``None``
+    when no zero block has a ratio above 1 (the instance is feasible).
+    """
+    supp_t = np.ascontiguousarray(supp.T)
+    for _ in range(a.size + 1):
+        g, flow, reach_cols, reach_rows = _max_flow(lam * b, a, supp_t)
+        if 1.0 - flow > FEAS_TOL:
+            lam = float(a[~reach_rows].sum() / b[~reach_cols].sum())
+            continue
+        if lam <= 1.0:
+            return None
+        _verify_ratio_bound(a, b, supp, g.T, lam)
+        rows = tuple(int(i) for i in np.flatnonzero(~reach_rows))
+        cols = _block_cols(supp, rows) if rows else ()
+        if not cols:
+            raise InternalCheckError(
+                "maximal min cut at the optimal ratio has no zero block"
+            )
+        ratio = float(a[list(rows)].sum() / np.delete(b, cols).sum())
+        if abs(ratio - lam) > 1e-9 * lam:
+            raise InternalCheckError(
+                f"union of ratio-maximizing causes has ratio {ratio!r}, not "
+                f"{lam!r}; ill-conditioned tie structure"
+            )
+        best = Cause(rows=rows, cols=cols, kind=CauseKind.INCOMPATIBILITY,
+                     ratio=ratio)
+        _verify_cause(a, b, supp, best)
+        return best
+    raise InternalCheckError("Dinkelbach iterations on the cause ratio did not settle")
+
+
+def best_cause(a, b, supp) -> Cause:
+    """The ratio-maximizing cause of incompatibility, by parametric min cuts.
 
     Among all zero blocks ``A x B(A)`` the one maximizing ``a(A)/b(B^c)`` is
-    returned; when several subsets tie (within ``ratio_rel_tol`` relative),
-    their union is taken — the union of ratio maximizers must itself be a
-    maximizer, and that fact is asserted at runtime rather than trusted.
+    returned; when several row sets tie, their union is taken (the union of
+    ratio maximizers is itself a maximizer).  The ratio's optimality is
+    re-checked through a flow whose column sums stay within ``ratio * b``.
 
     Raises
     ------
     ValueError
-        If the instance has no cause with ratio > 1 (it is feasible), or has
-        more than ``max_rows`` rows (enumeration refused).
+        If the instance has no cause with ratio > 1 (it is feasible).
     InternalCheckError
-        If the union of tied maximizers fails to be a maximizer itself.
+        If the verdict cannot be certified at float precision.
     """
     a = as_marginals(a, min_size=1)
     b = as_marginals(b, min_size=1)
     supp = _check_support(supp, a.size, b.size)
-    p = a.size
-    if p > max_rows:
+    cause = _best_cause(a, b, supp)
+    if cause is None:
         raise ValueError(
-            f"best_cause enumerates 2^rows subsets; {p} rows exceeds the "
-            f"hard cap of {max_rows}"
+            "instance has no cause of incompatibility (it is feasible); no "
+            "zero block has a ratio above 1"
         )
-    best_ratio = 0.0
-    ties: list[tuple[int, float]] = []
-    for mask, asum, bcomp in _enumerate_zero_blocks(a, b, supp):
-        ratio = asum / bcomp if bcomp > 0 else float("inf")
-        if ratio > best_ratio:
-            best_ratio = ratio
-            ties = [(m, r) for m, r in ties if r >= best_ratio * (1 - ratio_rel_tol)]
-        if ratio >= best_ratio * (1 - ratio_rel_tol):
-            ties.append((mask, ratio))
-    if best_ratio <= 1.0 + CRIT_TOL:
-        raise ValueError(
-            "instance has no cause of incompatibility (it is feasible or "
-            "merely critical); best ratio found was "
-            f"{best_ratio!r}"
-        )
-    union_mask = 0
-    for m, _ in ties:
-        union_mask |= m
-    rows = _mask_to_rows(union_mask, p)
-    cols = _block_cols(supp, rows)
-    if not cols:
-        raise InternalCheckError(
-            "union of ratio-maximizing row sets has no common zero block"
-        )
-    comp = np.setdiff1d(np.arange(b.size), cols)
-    ratio = float(a[list(rows)].sum() / b[comp].sum())
-    if ratio < best_ratio * (1 - ratio_rel_tol):
-        raise InternalCheckError(
-            "union of ratio-maximizing causes is not itself ratio-maximizing "
-            f"({ratio!r} < {best_ratio!r}); ill-conditioned tie structure"
-        )
-    return Cause(rows=rows, cols=cols, kind=CauseKind.INCOMPATIBILITY,
-                 ratio=max(ratio, best_ratio))
-
-
-def critical_causes(a, b, supp, max_rows: int = BEST_CAUSE_MAX_ROWS) -> list[Cause]:
-    """All critical zero blocks ``A x B(A)`` (``a(A) = b(B^c)`` within tolerance).
-
-    Only meaningful on feasible instances; used to cross-check the maximal
-    support and to report which incompatibility causes turn critical under
-    the adjusted marginals.
-    """
-    a = as_marginals(a, min_size=1)
-    b = as_marginals(b, min_size=1)
-    supp = _check_support(supp, a.size, b.size)
-    p = a.size
-    if p > max_rows:
-        raise ValueError(f"{p} rows exceeds the enumeration cap of {max_rows}")
-    out = []
-    for mask, asum, bcomp in _enumerate_zero_blocks(a, b, supp):
-        if abs(asum - bcomp) <= CRIT_TOL * max(1.0, asum):
-            rows = _mask_to_rows(mask, p)
-            out.append(
-                Cause(rows=rows, cols=_block_cols(supp, rows),
-                      kind=CauseKind.CRITICALITY, ratio=asum / bcomp)
-            )
-    return out
+    return cause
 
 
 # ---------------------------------------------------------------------------
 # maximal support
 
 
-def _support_by_enumeration(a, b, supp) -> np.ndarray:
-    """Maximal support via the union-of-critical-blocks formula (oracle path)."""
-    s0 = supp.copy()
+def _strong_components(indptr: list[int], heads: list[int]) -> np.ndarray:
+    """Strongly connected component label of every node (iterative Tarjan).
+
+    The graph is in compressed form: node ``v``'s arcs lead to
+    ``heads[indptr[v]:indptr[v + 1]]``.
+    """
+    n = len(indptr) - 1
+    index, low, comp = [-1] * n, [0] * n, [-1] * n
+    nxt = indptr[:-1]
+    stack: list[int] = []
+    counter = n_comp = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        calls = [root]
+        while calls:
+            v = calls[-1]
+            k = nxt[v]
+            if k < indptr[v + 1]:
+                nxt[v] = k + 1
+                w = heads[k]
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    calls.append(w)
+                elif comp[w] < 0 and index[w] < low[v]:  # w is on the stack
+                    low[v] = index[w]
+                continue
+            calls.pop()
+            if calls and low[v] < low[calls[-1]]:
+                low[calls[-1]] = low[v]
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    comp[w] = n_comp
+                    if w == v:
+                        break
+                n_comp += 1
+    return np.array(comp)
+
+
+def _support_from_witness(supp, witness) -> np.ndarray:
+    """Maximal support from one feasible witness, via strong components.
+
+    A supported cell can carry mass in some feasible matrix exactly when it
+    lies on a cycle of the witness's residual graph: arcs row -> column on
+    every supported cell, column -> row on every cell carrying mass.  Since
+    ``(i, j)`` supplies the arc ``i -> j``, that means row ``i`` and column
+    ``j`` share a strongly connected component.
+    """
     p, q = supp.shape
-    for cause in critical_causes(a, b, supp):
-        rows_c = np.setdiff1d(np.arange(p), cause.rows)
-        cols_c = np.setdiff1d(np.arange(q), cause.cols)
-        s0[np.ix_(rows_c, cols_c)] = False
+    carrying = witness > _EPS_FLOW * max(1.0, float(witness.max()))
+    degree = np.concatenate([supp.sum(axis=1), carrying.sum(axis=0)])
+    indptr = np.concatenate([[0], np.cumsum(degree)])
+    heads = np.concatenate([p + np.nonzero(supp)[1], np.nonzero(carrying.T)[1]])
+    comp = _strong_components(indptr.tolist(), heads.tolist())
+    s0 = supp & (comp[:p, None] == comp[None, p:])
+    if not (s0.any(axis=1).all() and s0.any(axis=0).all()):
+        raise InternalCheckError("maximal support lost a whole row or column")
     return s0
 
 
@@ -449,12 +474,8 @@ def maximal_support(a, b, supp, feas_tol: float = FEAS_TOL) -> np.ndarray:
 
     Works off one max-flow witness: a supported cell either already carries
     flow, or it can only ever carry mass if a positive augmenting cycle
-    through it exists — equivalently, if the residual graph of the witness
-    (forward along every supported cell, backward along every flow-carrying
-    cell) contains a path from the cell's column back to its row.  On small
-    instances (up to :data:`PROBE_CROSSCHECK_MAX_ROWS` rows) the result is
-    cross-checked against the exhaustive critical-block enumeration;
-    disagreement means an ill-conditioned instance and raises.
+    through it exists in the witness's residual graph, i.e. if its row and
+    column share a strongly connected component there.
 
     Raises
     ------
@@ -470,30 +491,7 @@ def maximal_support(a, b, supp, feas_tol: float = FEAS_TOL) -> np.ndarray:
             "maximal_support called on an infeasible instance; its cause: "
             f"{base.cause}"
         )
-    p, q = supp.shape
-    carrying = base.witness > _EPS_FLOW * max(1.0, float(base.witness.max()))
-    # Per column: rows reachable by alternating backward (flow-carrying)
-    # and forward (supported) arcs, computed as a joint fixed point over
-    # all column starting points at once.
-    reach_rows = carrying.T.copy()  # reach_rows[j, i]: row i reachable from col j
-    reach_cols = np.eye(q, dtype=bool)
-    while True:
-        new_cols = reach_cols | (reach_rows @ supp)
-        new_rows = reach_rows | (new_cols @ carrying.T)
-        if new_rows.sum() == reach_rows.sum() and new_cols.sum() == reach_cols.sum():
-            break
-        reach_rows, reach_cols = new_rows, new_cols
-    s0 = supp & (carrying | reach_rows.T)
-    if not (s0.any(axis=1).all() and s0.any(axis=0).all()):
-        raise InternalCheckError("maximal support lost a whole row or column")
-    if p <= PROBE_CROSSCHECK_MAX_ROWS:
-        s0_enum = _support_by_enumeration(a, b, supp)
-        if not np.array_equal(s0, s0_enum):
-            raise InternalCheckError(
-                "probe and critical-block enumeration disagree on the "
-                "maximal support; instance is numerically ill-conditioned"
-            )
-    return s0
+    return _support_from_witness(supp, base.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -511,15 +509,11 @@ def classify(problem: FittingProblem) -> Classification:
     a, b, supp = problem.a, problem.b, problem.support
     feas = feasible(a, b, supp)
     if not feas.is_feasible:
-        cause = feas.cause
-        if a.size <= BEST_CAUSE_MAX_ROWS:
-            cause = best_cause(a, b, supp)
-        _verify_cause(a, b, supp, cause)
         return Classification(
             behavior=Behavior.DIVERGENCE, witness=None,
-            max_support=None, cause=cause,
+            max_support=None, cause=_best_cause(a, b, supp, feas.cause.ratio),
         )
-    s0 = maximal_support(a, b, supp)
+    s0 = _support_from_witness(supp, feas.witness)
     if np.array_equal(s0, supp):
         behavior = Behavior.FAST_CONVERGENCE
     else:
@@ -556,20 +550,17 @@ def block_structure(problem: FittingProblem) -> BlockStructure:
             raise InternalCheckError(
                 f"peeling produced an empty support line: {exc}"
             ) from exc
-        a_sub = a[rows_left] / a[rows_left].sum()
-        b_sub = b[cols_left] / b[cols_left].sum()
-        feas = feasible(a_sub, b_sub, sub)
-        if feas.is_feasible:
+        cause = _best_cause(a[rows_left] / a[rows_left].sum(),
+                            b[cols_left] / b[cols_left].sum(), sub)
+        if cause is None:
             row_blocks.append(tuple(int(i) for i in rows_left))
             col_blocks.append(tuple(int(j) for j in cols_left))
             break
-        cause = best_cause(a_sub, b_sub, sub)
         block_rows = rows_left[list(cause.rows)]
-        kept_cols = np.setdiff1d(np.arange(cols_left.size), cause.cols)
-        block_cols = cols_left[kept_cols]
+        block_cols = np.delete(cols_left, cause.cols)
         row_blocks.append(tuple(int(i) for i in block_rows))
         col_blocks.append(tuple(int(j) for j in block_cols))
-        rows_left = np.setdiff1d(rows_left, block_rows)
+        rows_left = np.delete(rows_left, cause.rows)
         cols_left = cols_left[list(cause.cols)]
 
     r = len(row_blocks)
@@ -646,7 +637,7 @@ def limit_points(problem: FittingProblem, rule: StoppingRule | None = None) -> L
             raise InternalCheckError(f"{label} deviate by {dev:g}")
     if not np.array_equal(support_of(even), sigma):
         raise InternalCheckError("even limit's support is not sigma")
-    return LimitPair(even_limit=even, odd_limit=odd, sigma=sigma)
+    return LimitPair(even_limit=even, odd_limit=odd, sigma=sigma, blocks=bs)
 
 
 def partition_from_ratios(values, gap: float = CLUSTER_GAP) -> tuple[tuple[int, ...], ...]:

@@ -31,10 +31,13 @@ stacked Birkhoff generator are compared against them.
 
 Brute-force oracles
 -------------------
-The structural verdicts (feasibility, strongest cause, maximal support) have
-independent oracles that enumerate every zero block ``A x B(A)`` over row
-subsets ``A`` — exponential, fine for the small random instances used in
-tests, and sharing no code with the max-flow implementation under test.
+The structural verdicts (feasibility, strongest cause, critical blocks,
+maximal support, block peeling) have independent oracles that enumerate every
+zero block ``A x B(A)`` over row subsets ``A`` — exponential, fine for the
+small random instances used in tests, and sharing no code with the max-flow
+implementation under test.  :func:`planted_blocks` builds divergent instances
+of any size whose block structure is known by construction, so large
+instances are checked through their certificates instead.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from bipfit import FittingProblem, StopReason
+from bipfit.structure import Cause, CauseKind
 
 # ---------------------------------------------------------------------------
 # the three 2x2 reference instances
@@ -319,6 +323,41 @@ def best_cause_by_enumeration(a, b, supp, rel_tol: float = 1e-9):
     return rows, cols, a[list(rows)].sum() / b[comp].sum()
 
 
+def block_structure_by_enumeration(a, b, supp):
+    """Row and column blocks peeled off by iterated :func:`best_cause_by_enumeration`."""
+    supp = np.asarray(supp, dtype=bool)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    rows_left, cols_left = list(range(a.size)), list(range(b.size))
+    row_blocks, col_blocks = [], []
+    while True:
+        cause = best_cause_by_enumeration(a[rows_left], b[cols_left],
+                                          supp[np.ix_(rows_left, cols_left)])
+        if cause is None:
+            return (tuple(row_blocks) + (tuple(rows_left),),
+                    tuple(col_blocks) + (tuple(cols_left),))
+        rows, cols, _ = cause
+        row_blocks.append(tuple(rows_left[i] for i in rows))
+        col_blocks.append(tuple(j for k, j in enumerate(cols_left) if k not in cols))
+        rows_left = [i for k, i in enumerate(rows_left) if k not in rows]
+        cols_left = [cols_left[k] for k in cols]
+
+
+def critical_causes(a, b, supp, crit_tol: float = 1e-12) -> list[Cause]:
+    """Every critical zero block ``A x B(A)`` (``a(A) = b(B(A)^c)`` within tolerance)."""
+    a = np.asarray(a, dtype=float) / np.sum(a)
+    b = np.asarray(b, dtype=float) / np.sum(b)
+    q = b.size
+    out = []
+    for rows, cols in zero_blocks(supp):
+        comp = [j for j in range(q) if j not in cols]
+        a_mass, b_mass = a[list(rows)].sum(), b[comp].sum()
+        if abs(a_mass - b_mass) <= crit_tol * max(1.0, a_mass):
+            out.append(Cause(rows=rows, cols=cols, kind=CauseKind.CRITICALITY,
+                             ratio=a_mass / b_mass))
+    return out
+
+
 def maximal_support_by_enumeration(a, b, supp, crit_tol: float = 1e-12):
     """Seed support minus the forced zeros of every critical zero block.
 
@@ -356,6 +395,44 @@ def random_support(rng: np.random.Generator, p: int, q: int, density: float = 0.
         supp = rng.random((p, q)) < density
         if supp.any(axis=1).all() and supp.any(axis=0).all():
             return supp
+
+
+def planted_blocks(rng: np.random.Generator, p: int, q: int, r: int = 3):
+    """A divergent seed that is lower block triangular, with its planted blocks.
+
+    Rows and columns are split at random into ``r`` blocks ``I_k``, ``J_k``;
+    the seed is dense on ``I_k x J_k'`` for ``k' <= k`` and zero elsewhere.
+    Block masses give ``lambda_k = b(J_k) / a(I_k)`` strictly increasing with
+    ``lambda_(r-1) < 1 < lambda_r``, so the cumulative ratios
+    ``a(I_1..I_k) / b(J_1..J_k)`` strictly decrease, every peeling step
+    takes the next planted block, and the block structure is the planted
+    one.  Marginals are integers over ``2^30``: every partial sum is exact.
+
+    Returns ``(problem, row_blocks, col_blocks, lambdas)``.
+    """
+    denom = 1 << 30
+    row_blocks = [tuple(sorted(int(i) for i in blk))
+                  for blk in np.array_split(rng.permutation(p), r)]
+    col_blocks = [tuple(sorted(int(j) for j in blk))
+                  for blk in np.array_split(rng.permutation(q), r)]
+    alpha = np.full(r, denom // r)
+    alpha[-1] += denom - alpha.sum()
+    beta = np.empty(r, dtype=np.int64)
+    beta[:-1] = np.round(np.linspace(0.3, 0.9, r - 1) * alpha[:-1])
+    beta[-1] = denom - beta[:-1].sum()
+
+    def split(total, size):
+        return rng.multinomial(total - size, np.full(size, 1.0 / size)) + 1
+
+    a, b = np.zeros(p), np.zeros(q)
+    mask = np.zeros((p, q), dtype=bool)
+    for k in range(r):
+        a[list(row_blocks[k])] = split(alpha[k], len(row_blocks[k])) / denom
+        b[list(col_blocks[k])] = split(beta[k], len(col_blocks[k])) / denom
+        mask[np.ix_(row_blocks[k], [j for blk in col_blocks[:k + 1] for j in blk])] = True
+    x0 = np.where(mask, rng.uniform(0.5, 2.0, size=(p, q)), 0.0)
+    return (FittingProblem(x0, a, b), tuple(row_blocks), tuple(col_blocks),
+            beta / alpha)
 
 
 def random_problem(rng: np.random.Generator, p: int | None = None,

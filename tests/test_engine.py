@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -316,6 +317,21 @@ def test_cross_ratios_skip_minors_touching_zeros(fast_problem):
     assert report.ok
     assert report.n_minors == 0
     assert report.n_skipped == 1
+
+
+def test_cross_ratios_skip_underflowed_cells(grid_problem):
+    # past ~350 steps dying cells of example-5x6 fall below the normal float
+    # range; their minors are skipped, not flagged as a broken invariant
+    trace = run_capped(grid_problem, 3000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = cross_ratio_check(trace)
+    assert report.ok and report.max_rel_deviation < 1e-11
+    # a perturbed supported cell is still caught
+    mats = np.array(trace.stored_matrices[:40])
+    mats[30, 4, 3] *= 1.001
+    broken = cross_ratio_check(SimpleNamespace(problem=grid_problem, stored_matrices=mats))
+    assert not broken.ok and broken.max_rel_deviation == pytest.approx(1e-3, rel=1e-6)
 
 
 def test_nested_intervals_slow_hand_values(slow_problem):

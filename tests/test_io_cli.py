@@ -389,6 +389,50 @@ def test_cli_reduce_then_fit_pipeline(tmp_path):
                                rtol=0, atol=PIPELINE_TOL)
 
 
+def _planted_problem_file(tmp_path, rows):
+    """Write a lower-block-triangular divergent problem; return it with its blocks."""
+    problem, row_blocks, col_blocks, lambdas = oracles.planted_blocks(
+        np.random.default_rng(rows), rows, rows)
+    path = tmp_path / f"planted-{rows}.json"
+    path.write_text(json.dumps(io.problem_to_dict(problem)))
+    return path, problem, row_blocks, col_blocks, lambdas
+
+
+def test_cli_classify_reduce_analyze_30_row_divergent(tmp_path):
+    path, problem, row_blocks, col_blocks, lambdas = _planted_problem_file(tmp_path, 30)
+    later_cols = sorted(j for blk in col_blocks[1:] for j in blk)
+
+    out = tmp_path / "classify.json"
+    assert cli.main(["classify", str(path), "--out", str(out)]) == 0
+    (cause,) = json.loads(out.read_text())["causes"]
+    assert tuple(cause["rows"]) == row_blocks[0] and cause["cols"] == later_cols
+
+    out = tmp_path / "reduced.json"
+    assert cli.main(["reduce", str(path), "--out", str(out)]) == 0
+    a_prime = problem.a.copy()
+    for lam, blk in zip(lambdas, row_blocks):
+        a_prime[list(blk)] *= lam
+    np.testing.assert_allclose(json.loads(out.read_text())["a"], a_prime, rtol=0, atol=1e-12)
+
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", str(path), "--out", str(out)]) == 0
+    bs = io.load_report(out, verify=True)["block_structure"]
+    assert tuple(map(tuple, bs["row_blocks"])) == row_blocks
+    assert tuple(map(tuple, bs["col_blocks"])) == col_blocks
+
+
+def test_cli_analyze_300_rows_verifies(tmp_path):
+    path, problem, row_blocks, col_blocks, lambdas = _planted_problem_file(tmp_path, 300)
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", str(path), "--out", str(out)]) == 0
+    report = io.load_report(out, verify=True)
+    assert report["classification"]["behavior"] == "Divergence"
+    bs = report["block_structure"]
+    assert tuple(map(tuple, bs["row_blocks"])) == row_blocks
+    assert tuple(map(tuple, bs["col_blocks"])) == col_blocks
+    np.testing.assert_allclose(bs["lambdas"], lambdas, rtol=1e-12, atol=0)
+
+
 def test_cli_products_seed_resolution(tmp_path, capsys, monkeypatch):
     spec = str(io.data_path("birkhoff-40.json"))
     monkeypatch.delenv("BIPFIT_SEED", raising=False)

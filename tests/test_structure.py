@@ -17,9 +17,10 @@ from bipfit import (
     rate_estimate,
     run,
 )
-from bipfit.structure import CauseKind, critical_causes
+from bipfit.structure import CauseKind
 
 import oracles
+from oracles import critical_causes
 
 
 def run_capped(problem, n):
@@ -244,6 +245,18 @@ def test_block_structure_feasible_is_single_block(fast_problem):
     assert bs.row_blocks == ((0, 1),)
     np.testing.assert_allclose(bs.lambdas, [1.0], atol=1e-14)
     np.testing.assert_allclose(bs.a_prime, fast_problem.a, atol=1e-14)
+
+
+def test_block_structure_matches_peeling_oracle(rng):
+    depths = []
+    for _ in range(80):
+        p, q = (int(v) for v in rng.integers(2, 11, size=2))
+        prob = oracles.random_problem(rng, p, q, density=float(rng.uniform(0.3, 0.6)))
+        bs = block_structure(prob)
+        want = oracles.block_structure_by_enumeration(prob.a, prob.b, prob.support)
+        assert (bs.row_blocks, bs.col_blocks) == want
+        depths.append(bs.r)
+    assert max(depths) >= 3  # the corpus peels more than one cause
 
 
 def test_adjusted_marginals_recover_unit_scaling(rng):
