@@ -19,7 +19,6 @@ variable, then 0.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -92,7 +91,7 @@ def _resolve_seed(flag_value: int | None) -> int:
 
 
 def _emit(payload: dict, out_path) -> None:
-    text = json.dumps(io.jsonify(payload), indent=2)
+    text = io.dumps(payload)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -150,19 +149,13 @@ def _cmd_fit(args) -> None:
     _emit(payload, args.out)
     if args.trace_out:
         with open(args.trace_out, "w") as fh:
-            json.dump(
-                io.jsonify(
-                    {
-                        "stored_indices": trace.stored_indices,
-                        "errors": trace.errors,
-                        "ratio_rows": trace.ratio_rows,
-                        "ratio_cols": trace.ratio_cols,
-                        "stop_reason": trace.stop_reason.value,
-                    }
-                ),
-                fh,
-                indent=2,
-            )
+            fh.write(io.dumps({
+                "stored_indices": trace.stored_indices,
+                "errors": trace.errors,
+                "ratio_rows": trace.ratio_rows,
+                "ratio_cols": trace.ratio_cols,
+                "stop_reason": trace.stop_reason.value,
+            }))
 
 
 def _cmd_analyze(args) -> None:
@@ -202,15 +195,12 @@ def _cmd_products(args) -> None:
         "tool": {"name": "bipfit", "version": __version__},
         "config": {"seed": seed, "n_factors": len(ms),
                    "drift_tol": products.DRIFT_TOL},
-        "assumptions": io.jsonify(trace.assumptions),
+        "assumptions": trace.assumptions,
         "variation_sum": trace.variation_sum,
         "converged": converged,
         "final_product": trace.final.tolist(),
         "dispersion_final": trace.dispersion_history[-1].tolist() if tracked else [],
-        "offdiag_report": (
-            [io.jsonify(r) for r in products.offdiag_convergence_report(trace)]
-            if converged else None
-        ),
+        "offdiag_report": products.offdiag_convergence_report(trace) if converged else None,
     }
     _emit(payload, args.out)
 

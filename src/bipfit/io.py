@@ -20,6 +20,7 @@ import json
 import math
 from enum import Enum
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,10 @@ def _as_number(value, where: str) -> float:
     if isinstance(value, bool):
         raise InputError(f"{where}: expected a number, got a boolean")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise InputError(f"{where}: integer too large for a float") from None
     if isinstance(value, str):
         try:
             return float(value)
@@ -64,6 +68,16 @@ def _as_vector(values, where: str) -> np.ndarray:
 def _as_matrix(values, where: str) -> np.ndarray:
     if not isinstance(values, (list, tuple)) or not values:
         raise InputError(f"{where}: expected a non-empty list of rows")
+    # plain numbers in equal rows convert in one call; anything else (decimal
+    # strings, booleans, ragged rows, overflow) goes element by element, so
+    # values and error messages are the same either way
+    first = values[0]
+    if (all(type(row) is list and len(row) == len(first) for row in values)
+            and set(map(type, chain.from_iterable(values))) <= {int, float}):
+        try:
+            return np.array(values, dtype=float)
+        except OverflowError:
+            pass
     rows = [_as_vector(row, f"{where}[{k}]") for k, row in enumerate(values)]
     width = {r.size for r in rows}
     if len(width) != 1:
@@ -102,6 +116,61 @@ def jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
     return obj
+
+
+#: Types the C encoder writes exactly as ``json.dumps(jsonify(x), indent=2)``
+#: does, apart from non-finite floats (refused there by ``allow_nan=False``).
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def dumps(obj) -> str:
+    """``json.dumps(jsonify(obj), indent=2)``, byte for byte, but faster.
+
+    Dicts and lists are walked here; a list of plain JSON scalars (a matrix
+    row, a vector) is written by the C encoder in one call, its separators
+    carrying the newline and indentation.  Everything else, and any list
+    holding a non-finite float, goes through :func:`jsonify`.
+    """
+    parts: list[str] = []
+    _write(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _write(obj, newline: str, parts: list[str]) -> None:
+    kind = type(obj)
+    if kind not in (dict, list, tuple):
+        obj = jsonify(obj)
+        kind = type(obj)
+        if kind not in (dict, list):
+            parts.append(json.dumps(obj))
+            return
+    if not obj:
+        parts.append("{}" if kind is dict else "[]")
+        return
+    inner = newline + "  "
+    if kind is dict:
+        sep = "{" + inner
+        # keys as jsonify makes them: str(key), the last of equal keys wins
+        for key, value in {str(k): v for k, v in obj.items()}.items():
+            parts.append(sep + json.dumps(key) + ": ")
+            _write(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+        return
+    if set(map(type, obj)) <= _JSON_SCALARS:
+        try:
+            body = json.dumps(obj, separators=("," + inner, ": "), allow_nan=False)
+        except ValueError:  # a non-finite float: write item by item below
+            pass
+        else:
+            parts.append("[" + inner + body[1:-1] + newline + "]")
+            return
+    sep = "[" + inner
+    for value in obj:
+        parts.append(sep)
+        _write(value, inner, parts)
+        sep = "," + inner
+    parts.append(newline + "]")
 
 
 def _load_json(path) -> object:
@@ -344,7 +413,7 @@ def _escape_summary(problem: FittingProblem, lp: structure.LimitPair,
 
 
 def save_report(report: dict, path) -> None:
-    Path(path).write_text(json.dumps(jsonify(report), indent=2) + "\n")
+    Path(path).write_text(dumps(report) + "\n")
 
 
 def load_report(path, verify: bool = True) -> dict:

@@ -29,6 +29,12 @@ and :func:`reference_birkhoff_sequence` averages permutation matrices drawn
 one ``rng.permutation`` call at a time: ``products.product_run`` and the
 stacked Birkhoff generator are compared against them.
 
+Indented JSON
+-------------
+:func:`reference_dumps` is the formulation ``io.dumps`` replaced: the
+pure-Python indent-2 encoder run over ``io.jsonify``'s output.  Every
+JSON file and every stdout payload must come out byte for byte the same.
+
 Brute-force oracles
 -------------------
 The structural verdicts (feasibility, strongest cause, critical blocks,
@@ -42,11 +48,12 @@ instances are checked through their certificates instead.
 
 from __future__ import annotations
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
 
-from bipfit import FittingProblem, StopReason
+from bipfit import FittingProblem, StopReason, io
 from bipfit.structure import Cause, CauseKind
 
 # ---------------------------------------------------------------------------
@@ -202,6 +209,15 @@ def reference_birkhoff_sequence(count: int, d: int, seed: int, gamma: float = 0.
         avg /= n_perms or d
         out.append(gamma * eye + (1 - gamma) * avg)
     return out
+
+
+# ---------------------------------------------------------------------------
+# indented JSON
+
+
+def reference_dumps(obj) -> str:
+    """``json.dumps(io.jsonify(obj), indent=2)``: what ``io.dumps`` must write."""
+    return json.dumps(io.jsonify(obj), indent=2)
 
 
 # ---------------------------------------------------------------------------

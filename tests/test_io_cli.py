@@ -57,12 +57,64 @@ def test_problem_from_dict_accepts_decimal_strings():
         ({"a": [0.5, 0.5], "b": [0.5, 0.5], "X0": [[1, 1], [1]]}, "inconsistent lengths"),
         ({"a": [0.5, 0.5], "b": [0.5, 0.5], "X0": [[1, 1], [1, "x"]]}, "not a decimal number"),
         ({"a": [0.5, 0.5], "b": [0.5, 0.5], "X0": [[1, 1], [1, -2]]}, "negative"),
+        ({"a": [1.0], "b": [1.0], "X0": [[10**400]]}, r"X0\[0\]\[0\]: integer too large"),
         ("not a dict", "expected a JSON object"),
     ],
 )
 def test_problem_from_dict_rejections(data, message):
     with pytest.raises(InputError, match=message):
         io.problem_from_dict(data)
+
+
+def _elementwise(values):
+    """The matrix as ``float()`` of each entry, one at a time."""
+    return np.array([[float(v) for v in row] for row in values])
+
+
+def test_large_matrix_parses_like_elementwise():
+    rng = np.random.default_rng(200)
+    values = rng.exponential(size=(200, 200)).tolist()
+    for i, j in rng.integers(0, 200, size=(4000, 2)):
+        values[i][j] = int(rng.integers(0, 10**6))
+    a = b = [0.005] * 200
+    problem, _ = io.problem_from_dict({"a": a, "b": b, "X0": values})
+    expected = FittingProblem(_elementwise(values), np.array(a), np.array(b)).x0
+    assert problem.x0.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    values[3][:7] = [-0.0, -1, 2**53 + 1, 10**30, -(2**70), 5e-324, 1.7976931348623157e308]
+    parsed = io._as_matrix(values, "m")
+    assert parsed.dtype == np.float64 and parsed.shape == (200, 200)
+    assert parsed.view(np.uint64).tolist() == _elementwise(values).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (True, r"X0\[150\]\[7\]: expected a number, got a boolean"),
+        ([1.0], r"X0\[150\]\[7\]: expected a number or decimal string, got list"),
+        ("1,5", r"X0\[150\]\[7\]: '1,5' is not a decimal number"),
+        (10**400, r"X0\[150\]\[7\]: integer too large for a float"),
+        (None, r"X0\[150\]: rows have inconsistent lengths \[199, 200\]"),
+    ],
+)
+def test_large_matrix_rejections_name_the_entry(bad, message):
+    values = np.full((200, 200), 0.5).tolist()
+    if bad is None:
+        del values[150][7]
+        message = message.replace(r"\[150\]", "")
+    else:
+        values[150][7] = bad
+    with pytest.raises(InputError, match=message):
+        io.problem_from_dict({"a": [0.005] * 200, "b": [0.005] * 200, "X0": values})
+
+
+def test_rows_mixing_decimal_strings_and_numbers_keep_their_values():
+    values = [[str(v) if (i + j) % 3 == 0 else v for j, v in enumerate(row)]
+              for i, row in enumerate(np.random.default_rng(5).random((40, 30)).tolist())]
+    values[0][:4] = ["1e-3", "0.1", 7, "-0"]
+    parsed = io._as_matrix(values, "m")
+    assert parsed.view(np.uint64).tolist() == _elementwise(values).view(np.uint64).tolist()
+    assert parsed[0, 3] == 0.0 and np.signbit(parsed[0, 3])
 
 
 def test_jsonify_encodings():
@@ -90,6 +142,110 @@ def test_jsonify_encodings():
     assert out["3"] == "int key"
     # everything jsonify produces must actually serialize
     json.dumps(out)
+
+
+# ---------------------------------------------------------------------------
+# indented JSON
+
+_CAUSE = structure.Cause(rows=(1,), cols=(1,), kind=structure.CauseKind.INCOMPATIBILITY,
+                         ratio=2.0)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        float("nan"), float("inf"), -np.inf, np.float64("nan"), 0.1, -0.0, 5e-324, 10**30,
+        True, None, "text", "日本", [], {}, (), [[]], [{}], {"k": []},
+        [1.0, float("nan"), 2, float("-inf")],
+        [[1.0, np.inf], [np.nan, 2.0]],
+        np.array([[1.0, np.nan], [np.inf, -np.inf]]),
+        np.array([[0.5, 0.25]]), np.zeros((2, 0)), np.array([], dtype=float),
+        np.array([[True, False], [False, True]]), np.array([3, -4], dtype=np.int32),
+        np.float32(0.1), np.int64(7), np.bool_(True), [np.float64(1.5), np.int16(2)],
+        [1, [2.5, [None, "x", []]], {"a": (1, 2)}, True],
+        (1.0, (2.0, 3.0)), [(1.0, 2.0), (np.float64(3.0), "y")],
+        {3: "int key", None: 1, (1, 2): "tuple key", 1.5: [1]},
+        {1: "first", "1": "second"},
+        {"naïve": "café", "ключ": ["значение", {"ß": 1}]},
+        _CAUSE, [_CAUSE, {"cause": _CAUSE}], structure.Behavior.DIVERGENCE,
+        {"a": {"b": {"c": {"d": [[[]]]}}}},
+    ],
+)
+def test_dumps_matches_reference_on_edge_payloads(obj):
+    assert io.dumps(obj) == oracles.reference_dumps(obj)
+
+
+@pytest.fixture
+def checked_dumps(monkeypatch):
+    """Route every ``io.dumps`` call through a comparison with the reference."""
+    calls = []
+    dumps = io.dumps
+
+    def checking(obj):
+        text = dumps(obj)
+        assert text == oracles.reference_dumps(obj)
+        calls.append(text)
+        return text
+
+    monkeypatch.setattr(io, "dumps", checking)
+    return calls
+
+
+def test_every_command_writes_the_reference_bytes(tmp_path, capsys, checked_dumps):
+    names = ["fast-2x2.json", "slow-2x2.json", "divergence-2x2.json", "example-5x6.json"]
+    csv = [str(io.data_path("sample-2x2.csv")), "--a", "0.6666666666666666,0.3333333333333333",
+           "--b", "0.6666666666666666,0.3333333333333333"]
+    runs = []
+    for problem in [[str(io.data_path(name))] for name in names] + [csv]:
+        for command in ("classify", "fit", "analyze", "reduce"):
+            cap = ["--max-iters", "3000"] if command in ("fit", "analyze") else []
+            runs.append([command, *problem, *cap])
+    for name in ("birkhoff-40.json", "mr-60.json", "t0t1-60.json"):
+        runs.append(["products", str(io.data_path(name)), "--seed", "3"])
+    vectors = tmp_path / "vectors.json"
+    vectors.write_text(json.dumps([[1.0, 0.0], [0.25, 0.75]]))
+    runs.append(["products", str(io.data_path("mr-60.json")), "--vectors", str(vectors)])
+
+    out = tmp_path / "out.json"
+    for argv in runs:
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().out == checked_dumps[-1] + "\n"
+        assert cli.main(argv + ["--out", str(out)]) == 0, argv
+        assert out.read_text() == checked_dumps[-1] + "\n"
+    assert len(checked_dumps) == 2 * len(runs)
+
+
+def test_classify_300_rows_writes_the_reference_bytes(tmp_path, checked_dumps):
+    problem, *_ = oracles.planted_blocks(np.random.default_rng(300), 300, 300)
+    path = tmp_path / "planted-300.json"
+    path.write_text(json.dumps(io.problem_to_dict(problem)))
+    out = tmp_path / "classify.json"
+    assert cli.main(["classify", str(path), "--out", str(out)]) == 0
+    (text,) = checked_dumps
+    assert out.read_text() == text + "\n"
+    assert json.loads(text)["behavior"] == "Divergence"
+
+
+def test_trace_out_and_saved_report_bytes(tmp_path):
+    result, trace_out = tmp_path / "fit.json", tmp_path / "trace.json"
+    path = io.data_path("example-5x6.json")
+    assert cli.main(["fit", str(path), "--max-iters", "500", "--out", str(result),
+                     "--trace-out", str(trace_out)]) == 0
+    problem, meta = io.load_problem(path)
+    trace = engine.run(problem, StoppingRule(max_iters=500))
+    assert trace_out.read_text() == oracles.reference_dumps({  # no trailing newline
+        "stored_indices": trace.stored_indices,
+        "errors": trace.errors,
+        "ratio_rows": trace.ratio_rows,
+        "ratio_cols": trace.ratio_cols,
+        "stop_reason": trace.stop_reason.value,
+    })
+
+    for name in ("divergence-2x2.json", "example-5x6.json"):
+        problem, meta = io.load_problem(io.data_path(name))
+        report = io.build_report(problem, StoppingRule(max_iters=2000), meta=meta)
+        io.save_report(report, tmp_path / "report.json")
+        assert (tmp_path / "report.json").read_text() == oracles.reference_dumps(report) + "\n"
 
 
 def test_load_problem_csv_with_marginals(fast_problem):
@@ -516,6 +672,12 @@ def test_cli_input_errors(tmp_path, capsys):
     assert cli.main(["classify", str(io.data_path("fast-2x2.json")),
                      "--a", "0.5,0.5"]) == 2
     assert "input error" in capsys.readouterr().err
+
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"a": [1' + "0" * 400 + '], "b": [1], "X0": [[1]]}')
+    assert cli.main(["classify", str(huge)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and ".a[0]: integer too large" in err
 
     spec = tmp_path / "spec.json"
     for n_perms in (3.5, "4"):
