@@ -81,30 +81,37 @@ class _ScalingHistory(Sequence):
     """
 
     def __init__(self, x0: np.ndarray):
-        self.bases, self.starts = [x0], [0]
+        self.bases, self.starts, self.folds = [x0], [0], []  # folds: the folded vectors
         self.u, self.v = (np.ones((_FOLD_EVERY + 1, m)) for m in x0.shape)
         self.k = 0  # double steps taken
         self.count = 1  # iterates readable as a sequence, set by the run
 
     def advance(self, k_end: int, a: np.ndarray, b: np.ndarray) -> None:
-        """Take double steps up to ``k_end``, testing for a fold after each group."""
+        """Take allocation-free double steps up to ``k_end``; test for a fold per group."""
+        row, col = np.empty(a.size), np.empty(b.size)
         while self.k < k_end:
             k0, k1 = self.k + 1, min(self.k + 1 + _FOLD_EVERY, k_end + 1)
             if k1 > len(self.u):
                 self.u, self.v = (np.concatenate([h, np.ones_like(h)]) for h in (self.u, self.v))
-            base, us, vs, v = self.bases[-1], self.u, self.v, self.v[self.k]
-            for k in range(k0, k1):
-                u = us[k]
-                np.divide(a, base @ v, out=u)
-                v = vs[k]
-                np.divide(b, u @ base, out=v)
-            for n, vec in ((2 * k - 1, u), (2 * k, v)):  # odd n: a row scaling
-                if not 1.0 / _FOLD_AT < vec.min() <= vec.max() < _FOLD_AT:
+            base, vs = self.bases[-1], list(self.v[k0 - 1:k1])
+            for u, v_in, v in zip(list(self.u[k0:k1]), vs, vs[1:]):
+                np.dot(base, v_in, row)
+                np.divide(a, row, u)
+                np.dot(u, base, col)
+                np.divide(b, col, v)
+            for n, vec in ((2 * k1 - 3, u), (2 * k1 - 2, v)):  # odd n: a row scaling
+                if not 1 / _FOLD_AT < np.minimum.reduce(vec) <= np.maximum.reduce(vec) < _FOLD_AT:
                     base = base * (vec[:, None] if n % 2 else vec)
                     self.starts.append(n)
                     self.bases.append(base)
+                    self.folds.append(vec.copy())
                     vec[:] = 1.0
-            self.k = k
+            self.k = k1 - 1
+
+    def log_scaling(self, n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """``ln X_n(i,j) - ln X_0(i,j)`` from the logs of the scalings; no entry is read."""
+        fs = [f[i] if s % 2 else f[j] for s, f in zip(self.starts[1:], self.folds) if s <= n]
+        return np.log(self.u[(n + 1) // 2, i]) + np.log(self.v[n // 2, j]) + sum(map(np.log, fs))
 
     def segments(self, ns: np.ndarray):
         """Per base: positions in ``ns``, the base, and the ``u``/``v`` rows there."""
@@ -217,7 +224,7 @@ def run(problem: FittingProblem, rule: StoppingRule | None = None) -> IterationT
     a, b = problem.a, problem.b
     hist = _ScalingHistory(problem.x0)
     parts = []
-    # marginals of the two iterates before the chunk; none exist before X_0
+    # raw marginals of the two iterates before the chunk; none exist before X_0
     tail_r, tail_c = np.full((2, a.size), np.inf), np.full((2, b.size), np.inf)
     last_bad = 1  # newest index failing the Cauchy test; d_0, d_1 do not exist
     n0, size = 0, _CHUNKS[0]
@@ -240,18 +247,18 @@ def run(problem: FittingProblem, rule: StoppingRule | None = None) -> IterationT
         last = np.maximum.accumulate(np.where(d < rule.tol_even_odd, last_bad, ns))
         converged, cauchy = errors < rule.tol_marginal, ns - last >= 2 * _CAUCHY_WINDOW
         hits = np.flatnonzero(converged | cauchy | (ns >= rule.max_iters))
-        parts.append((rows, cols, errors))
+        parts.append((np.divide(rows, a, out=rows), np.divide(cols, b, out=cols), errors))
         if hits.size:
             break
-        tail_r, tail_c, last_bad = rows[-2:], cols[-2:], int(last[-1])
+        tail_r, tail_c, last_bad = r2[-2:].copy(), c2[-2:].copy(), int(last[-1])
         n0, size = n1, min(2 * size, _CHUNKS[1])
 
     m = int(hits[0])
     reason = (StopReason.CONVERGED if converged[m] else StopReason.EVEN_ODD_CONVERGED
               if cauchy[m] else StopReason.ITERATION_CAP)
     hist.count = n0 + m + 1
-    rows, cols, errors = (np.concatenate(z)[:hist.count] for z in zip(*parts))
-    return IterationTrace(problem, rows / a, cols / b, errors, reason, hist)
+    rows, cols, errors = (np.concatenate([*z[:-1], z[-1][:m + 1]]) for z in zip(*parts))
+    return IterationTrace(problem, rows, cols, errors, reason, hist)
 
 
 # ---------------------------------------------------------------------------
@@ -443,17 +450,16 @@ def nested_ratio_intervals(trace: IterationTrace) -> np.ndarray:
 def escape_diagnostic(trace: IterationTrace, cells) -> list[dict]:
     """Soft unboundedness diagnostic for cells squeezed out of the support.
 
-    For a cell ``(i, j)`` the entry obeys
-    ``X_n(i,j) = X_0(i,j) / (R_i(X_0) C_j(X_1) R_i(X_2) ...)``, so the entry
-    dies exactly when the running log-sum ``sum ln R_i(X_even) + ln C_j(X_odd)``
-    grows without bound.  Unboundedness cannot be certified from a finite
-    trace; this reports the final partial sum and whether the last third was
-    still increasing, and asserts nothing.
+    For a cell ``(i, j)`` the entry obeys ``X_n(i,j) = X_0(i,j) / (R_i(X_0)
+    C_j(X_1) R_i(X_2) ...)``, so it dies exactly when the running log-sum
+    ``sum ln R_i(X_even) + ln C_j(X_odd) = ln X_0(i,j) - ln X_n(i,j)``, read
+    from the scalings, grows without bound.  Unboundedness cannot be certified
+    from a finite trace; this reports the final partial sum and whether the
+    last third was still increasing, and asserts nothing.
     """
-    ij = np.array([(int(i), int(j)) for i, j in cells], dtype=int).reshape(-1, 2)
-    even = (np.arange(trace.n_iters) % 2 == 0)[:, None]  # factors: iterates 0 .. N-1
-    partial = np.cumsum(np.where(even, np.log(trace.ratio_rows[:-1, ij[:, 0]]),
-                                 np.log(trace.ratio_cols[:-1, ij[:, 1]])), axis=0)
-    tail = partial[-max(2, len(partial) // 3):]
-    return [{"cell": (int(i), int(j)), "final_log_sum": float(partial[-1, k]),
-             "still_growing": bool(tail[-1, k] > tail[0, k])} for k, (i, j) in enumerate(ij)]
+    i, j = np.array([(int(i), int(j)) for i, j in cells], dtype=int).reshape(-1, 2).T
+    n = trace.n_iters
+    final, first = (0.0 - trace.stored_matrices.log_scaling(k, i, j)  # -0.0 would print
+                    for k in (n, max(0, n - max(2, n // 3)) + 1 if n else 0))
+    return [{"cell": (int(i[k]), int(j[k])), "final_log_sum": float(final[k]),
+             "still_growing": bool(final[k] > first[k])} for k in range(i.size)]

@@ -470,8 +470,7 @@ def _random_doubly_stochastic_stack(count: int, d: int, rng: np.random.Generator
 
 
 def random_ratio_bounded_stochastic(d: int, rng: np.random.Generator,
-                                    gamma: float = 0.2,
-                                    rho: float = 5.0) -> np.ndarray:
+                                    gamma: float = 0.2, rho: float = 5.0) -> np.ndarray:
     """Random stochastic matrix with diagonal >= ``gamma`` and ratio bound ``rho``.
 
     Row-normalizing a symmetric positive matrix with entries in
@@ -479,11 +478,16 @@ def random_ratio_bounded_stochastic(d: int, rng: np.random.Generator,
     quotient, hence within ``rho``; identity mixing then installs the
     diagonal floor without touching off-diagonal ratios.
     """
+    return _random_ratio_bounded_stack(1, d, rng, gamma, rho)[0]
+
+
+def _random_ratio_bounded_stack(count, d, rng, gamma, rho) -> np.ndarray:
+    """``count`` factors of :func:`random_ratio_bounded_stochastic`, bitwise, as one stack."""
     if rho < 1:
         raise ValueError(f"rho must be >= 1, got {rho!r}")
     if not 0 <= gamma < 1:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma!r}")
-    w = rng.uniform(1.0 / rho, 1.0, size=(d, d))
-    w = (w + w.T) / 2
-    m = w / w.sum(axis=1, keepdims=True)
+    w = rng.uniform(1.0 / rho, 1.0, size=(count, d, d))
+    w = (w + np.swapaxes(w, 1, 2)) / 2
+    m = w / w.sum(axis=2, keepdims=True)
     return gamma * np.eye(d) + (1 - gamma) * m

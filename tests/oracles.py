@@ -22,12 +22,24 @@ Matrix-form reference loop
 rule tested after every step: the engine, which iterates scaling vectors and
 tests the rules chunk by chunk, is compared against it.
 
+Scaling-loop reference
+----------------------
+:func:`reference_scaling_run` is the engine as it was before its double step
+was cut to four allocation-free numpy calls: each step allocates its
+matrix-vector products (``np.divide(a, base @ v, out=u)``), and the ratios
+are divided once, after the run.  The engine must reproduce its history,
+ratios, errors, stop index and reason bitwise.
+:func:`reference_escape_diagnostic` sums the log-ratios along the whole
+trace with a cumulative sum; ``engine.escape_diagnostic`` reads the
+telescoped sum from the scalings instead.
+
 Backward-product reference loop
 -------------------------------
 :func:`reference_product_run` multiplies and measures one factor at a time,
-and :func:`reference_birkhoff_sequence` averages permutation matrices drawn
-one ``rng.permutation`` call at a time: ``products.product_run`` and the
-stacked Birkhoff generator are compared against them.
+:func:`reference_birkhoff_sequence` averages permutation matrices drawn
+one ``rng.permutation`` call at a time, and :func:`reference_ratio_bounded`
+draws one ratio-bounded factor per call: ``products.product_run`` and the
+stacked generators are compared against them.
 
 Indented JSON
 -------------
@@ -53,7 +65,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from bipfit import FittingProblem, StopReason, io
+from bipfit import FittingProblem, StopReason, engine, io
 from bipfit.structure import Cause, CauseKind
 
 # ---------------------------------------------------------------------------
@@ -146,6 +158,76 @@ def reference_run(problem: FittingProblem, rule):
         return np.array(xs), np.array(rr), np.array(cc), np.array(ee), reason
 
 
+class _ReferenceHistory(engine._ScalingHistory):
+    def advance(self, k_end, a, b):
+        while self.k < k_end:
+            k0, k1 = self.k + 1, min(self.k + 1 + engine._FOLD_EVERY, k_end + 1)
+            if k1 > len(self.u):
+                self.u, self.v = (np.concatenate([h, np.ones_like(h)]) for h in (self.u, self.v))
+            base, us, vs, v = self.bases[-1], self.u, self.v, self.v[self.k]
+            for k in range(k0, k1):
+                u = us[k]
+                np.divide(a, base @ v, out=u)
+                v = vs[k]
+                np.divide(b, u @ base, out=v)
+            for n, vec in ((2 * k - 1, u), (2 * k, v)):
+                if not 1.0 / engine._FOLD_AT < vec.min() <= vec.max() < engine._FOLD_AT:
+                    base = base * (vec[:, None] if n % 2 else vec)
+                    self.starts.append(n)
+                    self.bases.append(base)
+                    vec[:] = 1.0
+            self.k = k
+
+
+def reference_scaling_run(problem: FittingProblem, rule) -> engine.IterationTrace:
+    """``engine.run`` with per-step temporaries and the ratios divided after the run."""
+    a, b = problem.a, problem.b
+    hist = _ReferenceHistory(problem.x0)
+    parts = []
+    tail_r, tail_c = np.full((2, a.size), np.inf), np.full((2, b.size), np.inf)
+    last_bad = 1
+    n0, size = 0, engine._CHUNKS[0]
+    while True:
+        n1 = min(n0 + size, rule.max_iters + 1)
+        hist.advance(n1 // 2, a, b)
+        ns = np.arange(n0, n1)
+        rows, cols = np.empty((len(ns), a.size)), np.empty((len(ns), b.size))
+        for at, base, u, v in hist.segments(ns):
+            rows[at], cols[at] = u * (v @ base.T), v * (u @ base)
+        errors = np.abs(rows - a).sum(axis=1) + np.abs(cols - b).sum(axis=1)
+        r2, c2 = np.concatenate([tail_r, rows]), np.concatenate([tail_c, cols])
+        d = np.maximum(np.abs(r2[2:] - r2[:-2]).sum(axis=1),
+                       np.abs(c2[2:] - c2[:-2]).sum(axis=1))
+        near = np.flatnonzero(d < 2.0 * rule.tol_even_odd)
+        d[near] = np.concatenate([np.empty(0)] + [
+            np.abs(x - hist.rebuild(n - 2)).sum(axis=(1, 2)) for n, x in hist.blocks(ns[near])])
+        last = np.maximum.accumulate(np.where(d < rule.tol_even_odd, last_bad, ns))
+        converged, cauchy = errors < rule.tol_marginal, ns - last >= 2 * engine._CAUCHY_WINDOW
+        hits = np.flatnonzero(converged | cauchy | (ns >= rule.max_iters))
+        parts.append((rows, cols, errors))
+        if hits.size:
+            break
+        tail_r, tail_c, last_bad = rows[-2:], cols[-2:], int(last[-1])
+        n0, size = n1, min(2 * size, engine._CHUNKS[1])
+    m = int(hits[0])
+    reason = (StopReason.CONVERGED if converged[m] else StopReason.EVEN_ODD_CONVERGED
+              if cauchy[m] else StopReason.ITERATION_CAP)
+    hist.count = n0 + m + 1
+    rows, cols, errors = (np.concatenate(z)[:hist.count] for z in zip(*parts))
+    return engine.IterationTrace(problem, rows / a, cols / b, errors, reason, hist)
+
+
+def reference_escape_diagnostic(trace, cells) -> list[dict]:
+    """The escape log-sums as one cumulative sum of ``ln R_i`` and ``ln C_j`` over the trace."""
+    ij = np.array([(int(i), int(j)) for i, j in cells], dtype=int).reshape(-1, 2)
+    even = (np.arange(trace.n_iters) % 2 == 0)[:, None]  # factors: iterates 0 .. N-1
+    partial = np.cumsum(np.where(even, np.log(trace.ratio_rows[:-1, ij[:, 0]]),
+                                 np.log(trace.ratio_cols[:-1, ij[:, 1]])), axis=0)
+    tail = partial[-max(2, len(partial) // 3):]
+    return [{"cell": (int(i), int(j)), "final_log_sum": float(partial[-1, k]),
+             "still_growing": bool(tail[-1, k] > tail[0, k])} for k, (i, j) in enumerate(ij)]
+
+
 # ---------------------------------------------------------------------------
 # backward-product reference loops
 
@@ -209,6 +291,15 @@ def reference_birkhoff_sequence(count: int, d: int, seed: int, gamma: float = 0.
         avg /= n_perms or d
         out.append(gamma * eye + (1 - gamma) * avg)
     return out
+
+
+def reference_ratio_bounded(d: int, rng: np.random.Generator, gamma: float,
+                            rho: float) -> np.ndarray:
+    """One ratio-bounded factor, drawn on its own: the per-call generator."""
+    w = rng.uniform(1.0 / rho, 1.0, size=(d, d))
+    w = (w + w.T) / 2
+    m = w / w.sum(axis=1, keepdims=True)
+    return gamma * np.eye(d) + (1 - gamma) * m
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +540,21 @@ def planted_blocks(rng: np.random.Generator, p: int, q: int, r: int = 3):
     x0 = np.where(mask, rng.uniform(0.5, 2.0, size=(p, q)), 0.0)
     return (FittingProblem(x0, a, b), tuple(row_blocks), tuple(col_blocks),
             beta / alpha)
+
+
+def planted_critical(rng: np.random.Generator, p: int, q: int) -> FittingProblem:
+    """A feasible seed with one critical zero block: it crawls at rate ``1/n``.
+
+    The seed is zero on ``A x B`` (the first half of the rows and of the
+    columns) and positive elsewhere.  The marginals are the sums of an integer
+    witness on ``A x B^c`` and ``A^c x B`` over ``2^14``, so ``a(A) = b(B^c)``
+    exactly, and the seed cells on ``A^c x B^c`` are squeezed out.
+    """
+    in_a, in_b = np.arange(p)[:, None] < p // 2, np.arange(q)[None, :] < q // 2
+    w = np.where(in_a != in_b, rng.integers(1, 9, size=(p, q)), 0)
+    w[0, -1] += (1 << 14) - w.sum()
+    x0 = np.where(in_a & in_b, 0.0, rng.uniform(0.5, 2.0, size=(p, q)))
+    return FittingProblem(x0, w.sum(axis=1) / (1 << 14), w.sum(axis=0) / (1 << 14))
 
 
 def random_problem(rng: np.random.Generator, p: int | None = None,

@@ -213,8 +213,7 @@ def test_criterion_7_property_suites(rng):
 
     # (f): bounded-ratio sequences have summable variation, hence converge
     for _ in range(100):
-        ms = [products.random_ratio_bounded_stochastic(3, rng, gamma=0.2, rho=5.0)
-              for _ in range(10_000)]
+        ms = products._random_ratio_bounded_stack(10_000, 3, rng, gamma=0.2, rho=5.0)
         trace = products.product_run(ms)
         assert np.isfinite(trace.variation_sum)
         assert trace.variations[-1] < 1e-10

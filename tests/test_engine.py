@@ -1,4 +1,6 @@
+import copy
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -10,12 +12,14 @@ from bipfit import (
     StoppingRule,
     StopReason,
     cross_ratio_check,
+    io,
     marginal_ratios,
     nested_ratio_intervals,
     rate_estimate,
     ratio_update_matrices,
     ratio_update_matrix,
     run,
+    structure,
 )
 from bipfit.engine import escape_diagnostic
 
@@ -187,7 +191,7 @@ def test_engine_matches_matrix_form_reference(
     assert set(reasons) == set(StopReason)
 
 
-def test_scalings_fold_instead_of_overflowing():
+def _fold_problem():
     # On its own divergence-2x2 stops near n=1078 under any positive
     # tolerance: its dying cell underflows to an exact zero and the even/odd
     # test fires.  Beside a slow-2x2 block (block-diagonal seed, half the mass
@@ -196,7 +200,11 @@ def test_scalings_fold_instead_of_overflowing():
     x0 = np.zeros((4, 4))
     x0[:2, :2], x0[2:, 2:] = oracles.DIV_X0, oracles.SLOW_X0
     a = np.concatenate([oracles.DIV_A, oracles.SLOW_A]) / 2
-    problem = FittingProblem(x0, a, a)
+    return FittingProblem(x0, a, a)
+
+
+def test_scalings_fold_instead_of_overflowing():
+    problem = _fold_problem()
     rule = StoppingRule(tol_marginal=1e-300, tol_even_odd=1e-300, max_iters=20_000)
     with np.errstate(over="raise", invalid="raise"):
         trace = run(problem, rule)
@@ -205,6 +213,60 @@ def test_scalings_fold_instead_of_overflowing():
     assert np.isfinite(trace.errors).all()
     for n in (1000, 5000, 20_000):
         np.testing.assert_allclose(trace.iterate(n), xs[n], rtol=0, atol=1e-12)
+    # around the first folds the log-scalings still give ln X_n - ln X_0
+    hist, (i, j) = trace.stored_matrices, np.nonzero(problem.x0)
+    for n in {k + s for k in hist.starts[1:5] for s in (-1, 0, 1)}:
+        np.testing.assert_allclose(hist.log_scaling(n, i, j),
+                                   np.log(xs[n][i, j] / problem.x0[i, j]), rtol=0, atol=1e-12)
+
+
+def _assert_bitwise_equal(trace, ref):
+    assert trace.n_iters == ref.n_iters
+    assert trace.stop_reason is ref.stop_reason
+    for name in ("ratio_rows", "ratio_cols", "errors"):
+        got, want = getattr(trace, name), getattr(ref, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    hist, ref_hist = trace.stored_matrices, ref.stored_matrices
+    assert hist.k == ref_hist.k and hist.starts == ref_hist.starts
+    for got, want in zip([hist.u, hist.v, *hist.bases], [ref_hist.u, ref_hist.v, *ref_hist.bases]):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert len(hist.bases) == len(ref_hist.bases)
+
+
+def test_scaling_loop_matches_reference_bitwise(slow_problem, fast_problem,
+                                                divergence_problem):
+    critical = oracles.planted_critical(np.random.default_rng(7), 40, 40)
+    # FittingProblem stores its seed in C order; the loop's BLAS calls must
+    # give the same bits on a Fortran-ordered base all the same
+    fortran = copy.copy(critical)
+    fortran.x0 = np.asfortranarray(critical.x0)
+    assert not fortran.x0.flags.c_contiguous
+    capped = StoppingRule(tol_marginal=1e-300, tol_even_odd=1e-300, max_iters=20_000)
+    cases = [(slow_problem, capped), (critical, capped), (fortran, capped),
+             (_fold_problem(), capped), (fast_problem, StoppingRule()),
+             (divergence_problem, StoppingRule())]
+    traces = [run(problem, rule) for problem, rule in cases]
+    for trace, (problem, rule) in zip(traces, cases):
+        _assert_bitwise_equal(trace, oracles.reference_scaling_run(problem, rule))
+    folded = traces[3].stored_matrices
+    assert len(folded.starts) > 1 and len(folded.folds) == len(folded.starts) - 1
+    assert traces[-1].stop_reason is StopReason.EVEN_ODD_CONVERGED  # mid-chunk
+
+
+def test_run_peak_memory_within_twice_the_trace():
+    problem = oracles.planted_critical(np.random.default_rng(7), 40, 40)
+    rule = StoppingRule(tol_marginal=1e-300, tol_even_odd=1e-300, max_iters=20_000)
+    tracemalloc.start()
+    try:
+        trace = run(problem, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    hist = trace.stored_matrices
+    held = sum(x.nbytes for x in (trace.ratio_rows, trace.ratio_cols, trace.errors,
+                                  hist.u, hist.v))
+    assert trace.n_iters == 20_000
+    assert peak <= 2 * held, (peak, held)
 
 
 # ---------------------------------------------------------------------------
@@ -363,3 +425,27 @@ def test_escape_diagnostic_separates_dying_from_settled_cells(
     # the log-sum converges to ln(X0/limit) = ln((1/2)/(1/3))
     fast_report = escape_diagnostic(run_capped(fast_problem, 2000), [(0, 0)])[0]
     assert fast_report["final_log_sum"] == pytest.approx(math.log(1.5), abs=1e-6)
+
+
+def test_escape_diagnostic_matches_cumulative_sum(slow_problem, divergence_problem):
+    capped = StoppingRule(tol_marginal=1e-300, tol_even_odd=1e-300, max_iters=100_000)
+    traces = [run(io.load_problem(io.data_path(name))[0]) for name in
+              ("fast-2x2.json", "slow-2x2.json", "divergence-2x2.json", "example-5x6.json")]
+    traces += [run(p, StoppingRule(max_iters=n)) for n in (1, 2, 3, 4)
+               for p in (slow_problem, divergence_problem)]
+    traces += [run(slow_problem, capped), run(_fold_problem(), StoppingRule(
+        tol_marginal=1e-300, tol_even_odd=1e-300, max_iters=20_000))]
+    assert len(traces[-1].stored_matrices.starts) > 1
+    for trace in traces:
+        problem = trace.problem
+        cells = np.argwhere(problem.support)
+        got = escape_diagnostic(trace, cells)
+        want = oracles.reference_escape_diagnostic(trace, cells)
+        outside = ~structure.limit_points(problem).sigma[tuple(cells.T)]
+        for g, w, out in zip(got, want, outside):
+            # cells of sigma settle, and their sums may settle near zero
+            tol = {"rel": 1e-12} if out else {"rel": 0, "abs": 1e-10}
+            assert g["cell"] == w["cell"]
+            assert g["final_log_sum"] == pytest.approx(w["final_log_sum"], **tol)
+            assert g["still_growing"] == w["still_growing"] or not out
+    assert sum(outside) and traces[-2].n_iters == 100_000

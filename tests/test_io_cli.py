@@ -520,6 +520,18 @@ def test_cli_analyze_report_file(tmp_path):
     assert 0 < report["engine"]["agreement_even_l1"] < 1e-2
 
 
+def test_cli_analyze_before_the_first_step(tmp_path):
+    out = tmp_path / "report.json"
+    for name in ("slow-2x2.json", "divergence-2x2.json"):
+        argv = ["analyze", str(io.data_path(name)), "--max-iters", "0", "--out", str(out)]
+        assert cli.main(argv) == 0, name
+        report = io.load_report(out, verify=True)
+        assert report["engine"]["iterations"] == 0
+        assert report["escaped_cells"] == [
+            {"cell": [0, 0], "final_log_sum": 0.0, "still_growing": False}]
+        assert '"final_log_sum": 0.0,' in out.read_text()  # not -0.0
+
+
 def test_cli_reduce_then_fit_pipeline(tmp_path):
     reduced = tmp_path / "reduced.json"
     fitted = tmp_path / "fitted.json"

@@ -25,7 +25,7 @@ from bipfit import (
     run,
     t0t1_sequence,
 )
-from bipfit import io
+from bipfit import io, products
 
 import oracles
 
@@ -169,6 +169,18 @@ def test_random_ratio_bounded_invariants(rng):
         checks = assumption_check([m])
         assert checks.gamma >= gamma
         assert checks.rho <= rho * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_ratio_bounded_stack_draws_the_per_call_stream(d):
+    for seed, gamma, rho in ((0, 0.2, 5.0), (9, 0.0, 1.0), (4, 0.55, 30.0)):
+        per_call, stacked = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [oracles.reference_ratio_bounded(d, per_call, gamma, rho) for _ in range(500)]
+        got = products._random_ratio_bounded_stack(500, d, stacked, gamma, rho)
+        assert got.tobytes() == np.stack(want).tobytes()
+        assert stacked.bit_generator.state == per_call.bit_generator.state
+        one = random_ratio_bounded_stochastic(d, np.random.default_rng(seed), gamma, rho)
+        assert one.tobytes() == want[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
