@@ -22,8 +22,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__, io, products, structure
 from .engine import StoppingRule, run
 from .errors import InputError, InternalCheckError
@@ -122,10 +120,7 @@ def _cmd_classify(args) -> None:
         {
             "tool": {"name": "bipfit", "version": __version__},
             "problem": io.problem_to_dict(problem, **meta),
-            "behavior": cls.behavior.value,
-            "causes": [cls.cause] if cls.cause else [],
-            "max_support": cls.max_support,
-            "witness": cls.witness,
+            **io._classification_fields(cls),
         },
         args.out,
     )
@@ -167,12 +162,10 @@ def _cmd_analyze(args) -> None:
 def _cmd_reduce(args) -> None:
     problem, meta = _load(args)
     lp = structure.limit_points(problem)
-    x0_restricted = np.where(lp.sigma, problem.x0, 0.0)
-    x0_restricted /= x0_restricted.sum()
     payload = {
         "a": lp.blocks.a_prime.tolist(),
         "b": problem.b.tolist(),
-        "X0": x0_restricted.tolist(),
+        "X0": lp.restricted.x0.tolist(),
         "name": (meta.get("name", "problem") + " (reduced)") if meta else "reduced",
         "description": "seed restricted to the limit support; marginals adjusted "
                        "to (a', b) so the fit converges geometrically",

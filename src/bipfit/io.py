@@ -207,6 +207,9 @@ def problem_from_dict(data, where: str = "problem") -> tuple[FittingProblem, dic
     except ValueError as exc:
         raise InputError(f"{where}: {exc}") from exc
     meta = {k: data[k] for k in ("name", "description") if k in data}
+    for key, value in meta.items():
+        if not isinstance(value, str):
+            raise InputError(f"{where}.{key}: expected a string, got {type(value).__name__}")
     return problem, meta
 
 
@@ -327,7 +330,6 @@ def build_report(problem: FittingProblem, rule: StoppingRule | None = None,
     """
     if rule is None:
         rule = StoppingRule()
-    cls = structure.classify(problem)
     lp = structure.limit_points(problem)
     bs = lp.blocks
     trace = engine.run(problem, rule)
@@ -335,12 +337,7 @@ def build_report(problem: FittingProblem, rule: StoppingRule | None = None,
         "tool": {"name": "bipfit", "version": __version__},
         "config": _resolved_config(rule),
         "problem": problem_to_dict(problem, **(meta or {})),
-        "classification": {
-            "behavior": cls.behavior.value,
-            "causes": [jsonify(cls.cause)] if cls.cause else [],
-            "max_support": jsonify(cls.max_support),
-            "witness": jsonify(cls.witness),
-        },
+        "classification": _classification_fields(lp.classification),
         "block_structure": {
             "r": bs.r,
             "row_blocks": [list(blk) for blk in bs.row_blocks],
@@ -366,9 +363,20 @@ def build_report(problem: FittingProblem, rule: StoppingRule | None = None,
             ),
         },
         "criticality_under_adjusted": _criticality_transfer(problem, bs),
-        "escaped_cells": _escape_summary(problem, lp, trace),
+        "escaped_cells": engine.escape_diagnostic(
+            trace, np.argwhere(problem.support & ~lp.sigma)),
     }
     return report
+
+
+def _classification_fields(cls: structure.Classification) -> dict:
+    """The verdict and its certificates, JSON-ready, as reports print them."""
+    return {
+        "behavior": cls.behavior.value,
+        "causes": [jsonify(cls.cause)] if cls.cause else [],
+        "max_support": jsonify(cls.max_support),
+        "witness": jsonify(cls.witness),
+    }
 
 
 def _criticality_transfer(problem: FittingProblem, bs: structure.BlockStructure) -> list[dict]:
@@ -404,14 +412,6 @@ def _criticality_transfer(problem: FittingProblem, bs: structure.BlockStructure)
     return out
 
 
-def _escape_summary(problem: FittingProblem, lp: structure.LimitPair,
-                    trace: engine.IterationTrace) -> list[dict]:
-    cells = [tuple(c) for c in np.argwhere(problem.support & ~lp.sigma)]
-    if not cells:
-        return []
-    return engine.escape_diagnostic(trace, cells)
-
-
 def save_report(report: dict, path) -> None:
     Path(path).write_text(dumps(report) + "\n")
 
@@ -427,19 +427,21 @@ def verify_report(report: dict) -> None:
     """Re-verify the certificates embedded in an analysis report.
 
     Rebuilds the problem from the embedded input and checks every cause
-    (zero block, mass comparison), the witness marginals, the monotone block
-    scalings, and the limit marginals.  Raises :class:`InputError` on any
-    mismatch.
+    (indices in range, zero block, mass comparison), the witness marginals,
+    the monotone block scalings, that the blocks partition the rows and the
+    columns, ``a'`` and ``b'`` against the scalings, and the limit marginals.
+    Raises :class:`InputError` on any mismatch.
     """
     if not isinstance(report, dict) or "problem" not in report:
         raise InputError("not an analysis report: missing 'problem'")
     problem, _ = problem_from_dict(report["problem"], where="report.problem")
     a, b, supp = problem.a, problem.b, problem.support
+    p, q = supp.shape
 
     cls = report.get("classification", {})
-    for cause in cls.get("causes", []):
-        rows = np.asarray(cause["rows"], dtype=int)
-        cols = np.asarray(cause["cols"], dtype=int)
+    for k, cause in enumerate(cls.get("causes", [])):
+        rows = _indices(cause["rows"], p, f"report cause {k} rows")
+        cols = _indices(cause["cols"], q, f"report cause {k} cols")
         if supp[np.ix_(rows, cols)].any():
             raise InputError("report cause block is not a zero block of the seed")
         gap = float(a[rows].sum() - np.delete(b, cols).sum())
@@ -459,17 +461,27 @@ def verify_report(report: dict) -> None:
         lambdas = np.asarray(bs["lambdas"], dtype=float)
         if np.any(np.diff(lambdas) <= 0):
             raise InputError("report block scalings are not strictly increasing")
-        a_prime = np.asarray(bs["a_prime"], dtype=float)
-        for lam, blk in zip(lambdas, bs["row_blocks"]):
-            if np.abs(a_prime[list(blk)] - lam * a[list(blk)]).max() > 1e-10:
-                raise InputError("report a' is inconsistent with its lambdas")
-
-    limits = report.get("limits")
-    if limits and bs:
-        even = _as_matrix(limits["even"], "report.limits.even")
-        odd = _as_matrix(limits["odd"], "report.limits.odd")
+        partitions = []
+        for key, size, label in (("row_blocks", p, "row"), ("col_blocks", q, "column")):
+            blocks = [_indices(blk, size, f"report {label} block {k}")
+                      for k, blk in enumerate(bs[key])]
+            if (len(blocks) != lambdas.size or not all(blk.size for blk in blocks)
+                    or sorted(i for blk in blocks for i in blk.tolist()) != list(range(size))):
+                raise InputError(f"report {label} blocks do not partition the {label}s, "
+                                 "one block per lambda")
+            partitions.append(blocks)
         a_prime = np.asarray(bs["a_prime"], dtype=float)
         b_prime = np.asarray(bs["b_prime"], dtype=float)
+        for lam, rows, cols in zip(lambdas, *partitions):
+            if np.abs(a_prime[rows] - lam * a[rows]).max() > 1e-10:
+                raise InputError("report a' is inconsistent with its lambdas")
+            if np.abs(b_prime[cols] - b[cols] / lam).max() > 1e-10:
+                raise InputError("report b' is inconsistent with its lambdas")
+
+    limits = report.get("limits")
+    if limits and bs:  # a_prime and b_prime were read above
+        even = _as_matrix(limits["even"], "report.limits.even")
+        odd = _as_matrix(limits["odd"], "report.limits.odd")
         checks = (
             (np.abs(even.sum(axis=1) - a_prime).max(), "even limit rows vs a'"),
             (np.abs(even.sum(axis=0) - b).max(), "even limit cols vs b"),
@@ -479,3 +491,10 @@ def verify_report(report: dict) -> None:
         for dev, label in checks:
             if dev > 1e-7:
                 raise InputError(f"report {label} deviate by {dev:g}")
+
+
+def _indices(values, size: int, where: str) -> np.ndarray:
+    """Row or column indices read from a report, each checked to be in range."""
+    if not isinstance(values, list) or not all(type(v) is int and 0 <= v < size for v in values):
+        raise InputError(f"{where}: expected indices in range(0, {size})")
+    return np.array(values, dtype=int)

@@ -124,12 +124,14 @@ class BlockStructure:
 @dataclass
 class LimitPair:
     """The two oscillation limits, their common support pattern, and the
-    block structure they were computed from."""
+    classification, blocks and restricted problem they were computed from."""
 
     even_limit: np.ndarray
     odd_limit: np.ndarray
     sigma: np.ndarray
     blocks: BlockStructure
+    classification: Classification
+    restricted: FittingProblem
 
 
 # ---------------------------------------------------------------------------
@@ -527,41 +529,32 @@ def classify(problem: FittingProblem) -> Classification:
 # block structure and limit points
 
 
-def block_structure(problem: FittingProblem) -> BlockStructure:
-    """Peel ratio-maximizing causes until feasible; return the block partition.
-
-    Each step removes the maximizing rows ``I_k`` together with the columns
-    ``J_k`` they are allowed to reach; the scaling factors
-    ``lambda_k = b(J_k)/a(I_k)`` come out strictly increasing (asserted),
-    and the adjusted marginals ``a'`` / ``b'`` scale each block to mutual
-    consistency.
-    """
+def _peel(problem: FittingProblem, cause: Cause | None) -> BlockStructure:
+    """The block structure peeled from ``cause``, the instance's
+    ratio-maximizing cause (``None`` if it is feasible)."""
     a, b, supp = problem.a, problem.b, problem.support
     p, q = supp.shape
     rows_left = np.arange(p)
     cols_left = np.arange(q)
     row_blocks: list[tuple[int, ...]] = []
     col_blocks: list[tuple[int, ...]] = []
-    while True:
-        sub = supp[np.ix_(rows_left, cols_left)]
-        try:
-            sub = _check_support(sub)
-        except ValueError as exc:
-            raise InternalCheckError(
-                f"peeling produced an empty support line: {exc}"
-            ) from exc
-        cause = _best_cause(a[rows_left] / a[rows_left].sum(),
-                            b[cols_left] / b[cols_left].sum(), sub)
-        if cause is None:
-            row_blocks.append(tuple(int(i) for i in rows_left))
-            col_blocks.append(tuple(int(j) for j in cols_left))
-            break
+    while cause is not None:
         block_rows = rows_left[list(cause.rows)]
         block_cols = np.delete(cols_left, cause.cols)
         row_blocks.append(tuple(int(i) for i in block_rows))
         col_blocks.append(tuple(int(j) for j in block_cols))
         rows_left = np.delete(rows_left, cause.rows)
         cols_left = cols_left[list(cause.cols)]
+        try:
+            sub = _check_support(supp[np.ix_(rows_left, cols_left)])
+        except ValueError as exc:
+            raise InternalCheckError(
+                f"peeling produced an empty support line: {exc}"
+            ) from exc
+        cause = _best_cause(a[rows_left] / a[rows_left].sum(),
+                            b[cols_left] / b[cols_left].sum(), sub)
+    row_blocks.append(tuple(int(i) for i in rows_left))
+    col_blocks.append(tuple(int(j) for j in cols_left))
 
     r = len(row_blocks)
     lambdas = np.array(
@@ -592,27 +585,40 @@ def block_structure(problem: FittingProblem) -> BlockStructure:
     )
 
 
-def limit_points(problem: FittingProblem, rule: StoppingRule | None = None) -> LimitPair:
+def block_structure(problem: FittingProblem) -> BlockStructure:
+    """Peel ratio-maximizing causes until feasible; return the block partition.
+
+    Each step removes the maximizing rows ``I_k`` together with the columns
+    ``J_k`` they are allowed to reach; the scaling factors
+    ``lambda_k = b(J_k)/a(I_k)`` come out strictly increasing (asserted),
+    and the adjusted marginals ``a'`` / ``b'`` scale each block to mutual
+    consistency.
+    """
+    return _peel(problem, _best_cause(problem.a, problem.b, problem.support))
+
+
+def limit_points(problem: FittingProblem) -> LimitPair:
     """Exact limits of the even and odd iterate subsequences.
 
     The even limit lives in ``Gamma(a', b)`` and is computed by restarting
     the iteration from the seed restricted to the common limit support
     ``sigma`` — feasible with full support, hence geometrically convergent.
     The odd limit is the even one with row ``i`` scaled by ``a_i / a'_i``.
-    On a feasible instance both limits coincide with the plain fit.
+    On a feasible instance both limits coincide with the plain fit.  The
+    instance is classified once, and the blocks are peeled from its cause.
     """
-    bs = block_structure(problem)
+    cls = classify(problem)
+    bs = _peel(problem, cls.cause)
     a, b = problem.a, problem.b
-    sigma = maximal_support(bs.a_prime, b, problem.support)
-    x0_restricted = np.where(sigma, problem.x0, 0.0)
-    restarted = FittingProblem(x0_restricted, bs.a_prime, b)
-    if rule is None:
-        # Keep the even/odd criterion near rounding level so the marginal
-        # criterion decides; on a restriction this tight the two iterate
-        # parities share one limit and stalls only happen at float precision.
-        rule = StoppingRule(tol_marginal=1e-13, tol_even_odd=1e-16,
-                            max_iters=50_000)
-    trace = run(restarted, rule)
+    sigma = cls.max_support
+    if sigma is None:
+        sigma = maximal_support(bs.a_prime, b, problem.support)
+    restricted = FittingProblem(np.where(sigma, problem.x0, 0.0), bs.a_prime, b)
+    # Keep the even/odd criterion near rounding level so the marginal
+    # criterion decides; on a restriction this tight the two iterate
+    # parities share one limit and stalls only happen at float precision.
+    trace = run(restricted, StoppingRule(tol_marginal=1e-13, tol_even_odd=1e-16,
+                                         max_iters=50_000))
     stalled = (
         trace.stop_reason is StopReason.EVEN_ODD_CONVERGED
         and float(trace.errors[-1]) <= 1e-10
@@ -637,7 +643,8 @@ def limit_points(problem: FittingProblem, rule: StoppingRule | None = None) -> L
             raise InternalCheckError(f"{label} deviate by {dev:g}")
     if not np.array_equal(support_of(even), sigma):
         raise InternalCheckError("even limit's support is not sigma")
-    return LimitPair(even_limit=even, odd_limit=odd, sigma=sigma, blocks=bs)
+    return LimitPair(even_limit=even, odd_limit=odd, sigma=sigma, blocks=bs,
+                     classification=cls, restricted=restricted)
 
 
 def partition_from_ratios(values, gap: float = CLUSTER_GAP) -> tuple[tuple[int, ...], ...]:

@@ -59,6 +59,10 @@ def test_problem_from_dict_accepts_decimal_strings():
         ({"a": [0.5, 0.5], "b": [0.5, 0.5], "X0": [[1, 1], [1, -2]]}, "negative"),
         ({"a": [1.0], "b": [1.0], "X0": [[10**400]]}, r"X0\[0\]\[0\]: integer too large"),
         ("not a dict", "expected a JSON object"),
+        ({"a": [0.5, 0.5], "b": [0.5, 0.5], "X0": [[1, 1], [1, 0]], "name": 5},
+         r"problem\.name: expected a string, got int"),
+        ({"a": [0.5, 0.5], "b": [0.5, 0.5], "X0": [[1, 1], [1, 0]], "description": ["x"]},
+         r"problem\.description: expected a string, got list"),
     ],
 )
 def test_problem_from_dict_rejections(data, message):
@@ -431,6 +435,71 @@ def test_verify_report_rejects_corrupted_structure(divergence_problem):
         io.verify_report(broken)
 
 
+def _set(path, value):
+    """A corruption of a report: replace the entry at ``path`` by ``value``."""
+    def corrupt(report):
+        *parents, last = path
+        for key in parents:
+            report = report[key]
+        report[last] = value(report[last]) if callable(value) else value
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_set(("classification", "causes", 0, "rows"), [7]), "cause 0 rows: expected indices"),
+        (_set(("classification", "causes", 0, "cols"), [-1]), "cause 0 cols: expected indices"),
+        (_set(("block_structure", "row_blocks", 0), [7]), "row block 0: expected indices"),
+        (_set(("block_structure", "col_blocks", 1), [0.5]), "column block 1: expected indices"),
+        (_set(("block_structure", "row_blocks"), [[1], [1]]), "row blocks do not partition"),
+        (_set(("block_structure", "col_blocks"), [[], [0, 1]]), "column blocks do not partition"),
+        (_set(("block_structure", "col_blocks"), [[0, 1]]), "one block per lambda"),
+        (_set(("block_structure", "b_prime", 0), lambda v: v + 1e-6), "b' is inconsistent"),
+    ],
+)
+def test_verify_report_rejects_bad_blocks_and_indices(divergence_problem, corrupt, message):
+    broken = json.loads(json.dumps(io.jsonify(io.build_report(divergence_problem))))
+    io.verify_report(broken)
+    corrupt(broken)
+    with pytest.raises(InputError, match=message):
+        io.verify_report(broken)
+
+
+@pytest.fixture
+def max_flows(monkeypatch):
+    """The list of ``structure._max_flow`` calls made while the test runs."""
+    calls = []
+    real = structure._max_flow
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(structure, "_max_flow", counting)
+    return calls
+
+
+def _report_max_flows(max_flows, name):
+    problem, meta = io.load_problem(io.data_path(f"{name}.json"))
+    max_flows.clear()
+    io.build_report(problem, StoppingRule(max_iters=3000), meta=meta)
+    return len(max_flows)
+
+
+def test_build_report_runs_each_max_flow_once(max_flows):
+    # divergent: feasibility, the first cause's Dinkelbach steps, the peeled
+    # remainder's, and the limit support under (a', b); feasible: one
+    assert _report_max_flows(max_flows, "example-5x6") <= 7
+    assert _report_max_flows(max_flows, "fast-2x2") == 1
+
+
+def test_cli_reduce_runs_one_max_flow_on_a_feasible_seed(max_flows, tmp_path):
+    assert cli.main(["reduce", str(io.data_path("slow-2x2.json")),
+                     "--out", str(tmp_path / "reduced.json")]) == 0
+    assert len(max_flows) == 1
+
+
 # ---------------------------------------------------------------------------
 # command-line interface
 
@@ -697,6 +766,15 @@ def test_cli_input_errors(tmp_path, capsys):
                                     "n_perms": n_perms}))
         assert cli.main(["products", str(spec)]) == 2
         assert "input error" in capsys.readouterr().err
+
+
+def test_cli_reduce_rejects_a_non_string_name(tmp_path, capsys):
+    data = json.loads(io.data_path("slow-2x2.json").read_text())
+    path = tmp_path / "numbered.json"
+    path.write_text(json.dumps({**data, "name": 5}))
+    assert cli.main(["reduce", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and ".name: expected a string" in err
 
 
 def test_cli_internal_failure_maps_to_exit_3(capsys, monkeypatch):

@@ -17,6 +17,7 @@ from bipfit import (
     rate_estimate,
     run,
 )
+from bipfit import io
 from bipfit.structure import CauseKind
 
 import oracles
@@ -306,6 +307,37 @@ def test_limit_points_agree_with_long_run(divergence_problem):
     trace = run(divergence_problem)
     np.testing.assert_allclose(trace.even_limit(), lp.even_limit, atol=1e-10)
     np.testing.assert_allclose(trace.odd_limit(), lp.odd_limit, atol=1e-10)
+
+
+def _pipeline_problems():
+    for name in ("fast-2x2", "slow-2x2", "divergence-2x2", "example-5x6"):
+        yield pytest.param(io.load_problem(io.data_path(f"{name}.json"))[0], id=name)
+    for rows in (30, 100):
+        problem = oracles.planted_blocks(np.random.default_rng(rows), rows, rows)[0]
+        yield pytest.param(problem, id=f"planted-{rows}")
+
+
+@pytest.mark.parametrize("problem", list(_pipeline_problems()))
+def test_limit_points_agrees_with_the_standalone_functions(problem):
+    lp = limit_points(problem)
+
+    cls, expected = lp.classification, classify(problem)
+    assert cls.behavior is expected.behavior
+    assert cls.cause == expected.cause
+    for field in ("witness", "max_support"):
+        got, want = getattr(cls, field), getattr(expected, field)
+        assert (got is None) == (want is None)
+        if want is not None:
+            np.testing.assert_array_equal(got, want)
+
+    bs, expected = lp.blocks, block_structure(problem)
+    assert (bs.r, bs.row_blocks, bs.col_blocks) == (
+        expected.r, expected.row_blocks, expected.col_blocks)
+    for field in ("lambdas", "a_prime", "b_prime"):
+        np.testing.assert_array_equal(getattr(bs, field), getattr(expected, field))
+
+    x0 = np.where(lp.sigma, problem.x0, 0.0)
+    np.testing.assert_array_equal(lp.restricted.x0, x0 / x0.sum())
 
 
 # ---------------------------------------------------------------------------
