@@ -1,11 +1,12 @@
 """Alternating-fitting iteration engine.
 
 Runs the row/column rescaling loop from a :class:`~bipfit.core.FittingProblem`
-and records everything the downstream diagnostics need: every marginal-ratio
-vector and every L1 marginal error.  Odd iterates are row-fitted, even
-iterates (from index 2 on) are column-fitted.  Every iterate is
+and records everything the downstream diagnostics need: every L1 marginal
+error and the scaling history.  Odd iterates are row-fitted, even iterates
+(from index 2 on) are column-fitted.  Every iterate is
 ``X_n = diag(u) X_0 diag(v)``, so the loop iterates only the scaling vectors
-and the trace keeps their history, from which any iterate is rebuilt.
+and the trace keeps their history, from which any iterate is rebuilt and any
+marginal-ratio vector read off without a matrix product.
 
 Three stopping outcomes exist.  ``CONVERGED`` means the marginal error fell
 below tolerance; ``EVEN_ODD_CONVERGED`` means both parity subsequences went
@@ -68,6 +69,19 @@ _FOLD_EVERY, _FOLD_AT = 16, 2.0 ** 192
 #: Floats per block of iterates rebuilt for a vectorized read.
 _BLOCK = 1 << 15
 
+#: Floats per block of 2x2 minors read off those iterates (1.5 MB): 2 MB
+#: temporaries page-fault on every block of a long trace, and each extra
+#: block pays ~0.2 ms of numpy call overhead.
+_MINOR_BLOCK = 3 << 16
+
+
+def _doubled(h: np.ndarray) -> np.ndarray:
+    """``h`` followed by as many rows of ones, written in place."""
+    out = np.empty((2 * len(h), h.shape[1]))
+    out[:len(h)] = h
+    out[len(h):] = 1.0
+    return out
+
 
 class _ScalingHistory(Sequence):
     """Scaling vectors of one run, read as the sequence of iterates ``X_n``.
@@ -77,7 +91,8 @@ class _ScalingHistory(Sequence):
     first read by ``X_{2k}``).  ``K_0`` is the seed.  A fold multiplies an
     overgrown newest vector into a new base and resets it to ones (Schmitzer's
     absorption step); iterates from fold point ``starts[j]`` on read ``K_j``.
-    Indexing rebuilds an iterate, a slice a stack, :meth:`blocks` any indices.
+    Indexing rebuilds an iterate, a slice a stack, :meth:`blocks` any indices;
+    :meth:`ratios` reads marginal ratios off the vectors.
     """
 
     def __init__(self, x0: np.ndarray):
@@ -92,12 +107,15 @@ class _ScalingHistory(Sequence):
         while self.k < k_end:
             k0, k1 = self.k + 1, min(self.k + 1 + _FOLD_EVERY, k_end + 1)
             if k1 > len(self.u):
-                self.u, self.v = (np.concatenate([h, np.ones_like(h)]) for h in (self.u, self.v))
+                self.u = _doubled(self.u)
+                self.v = _doubled(self.v)
             base, vs = self.bases[-1], list(self.v[k0 - 1:k1])
+            # bound methods call BLAS without numpy's __array_function__ dispatch
+            row_dot, col_dot = base.dot, base.T.dot
             for u, v_in, v in zip(list(self.u[k0:k1]), vs, vs[1:]):
-                np.dot(base, v_in, row)
+                row_dot(v_in, row)
                 np.divide(a, row, u)
-                np.dot(u, base, col)
+                col_dot(u, col)
                 np.divide(b, col, v)
             for n, vec in ((2 * k1 - 3, u), (2 * k1 - 2, v)):  # odd n: a row scaling
                 if not 1 / _FOLD_AT < np.minimum.reduce(vec) <= np.maximum.reduce(vec) < _FOLD_AT:
@@ -107,6 +125,33 @@ class _ScalingHistory(Sequence):
                     self.folds.append(vec.copy())
                     vec[:] = 1.0
             self.k = k1 - 1
+
+    def ratios(self, n0: int, n1: int, a: np.ndarray, b: np.ndarray):
+        """``rows(X_n)/a`` and ``cols(X_n)/b`` for ``n0 <= n < n1``, from the scalings.
+
+        The next scaling divides the marginal it fits, so
+        ``rows(X_2k)/a = u_k/u_{k+1}`` and ``cols(X_2k+1)/b = v_k/v_{k+1}``; at
+        a fold point the next vector is the recorded pre-fold one.  The fitted
+        side of an iterate reads 1; ``X_0``'s columns are summed from the seed.
+        ``u_{k+1}`` of an even final iterate is not taken: one matvec gives it.
+        """
+        rows, cols = np.ones((n1 - n0, a.size)), np.ones((n1 - n0, b.size))
+        k0, k1 = (n0 + 1) // 2, (n1 + 1) // 2  # even n = 2k
+        kt = min(k1, self.k)
+        evens = rows[n0 % 2::2]
+        np.divide(self.u[k0:kt], self.u[k0 + 1:kt + 1], out=evens[:kt - k0])
+        if kt < k1:
+            base = self.bases[bisect_right(self.starts, 2 * kt) - 1]
+            np.divide(self.u[kt] * base.dot(self.v[kt]), a, out=evens[-1])
+        np.divide(self.v[n0 // 2:n1 // 2], self.v[n0 // 2 + 1:n1 // 2 + 1],
+                  out=cols[1 - n0 % 2::2])
+        for s, f in zip(self.starts[1:], self.folds):
+            if n0 < s <= n1:  # iterate s - 1 reads the folded vector's pre-fold value
+                side, h = (rows, self.u) if s % 2 else (cols, self.v)
+                np.divide(h[(s - 1) // 2], f, out=side[s - 1 - n0])
+        if n0 == 0 < n1:
+            np.divide(self.bases[0].sum(axis=0), b, out=cols[0])
+        return rows, cols
 
     def log_scaling(self, n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """``ln X_n(i,j) - ln X_0(i,j)`` from the logs of the scalings; no entry is read."""
@@ -152,15 +197,14 @@ class _ScalingHistory(Sequence):
 class IterationTrace:
     """Complete record of one engine run.
 
-    ``ratio_rows[n]``, ``ratio_cols[n]`` and ``errors[n]`` cover every
-    iterate ``X_0 .. X_N``.  No iterate is stored: ``stored_matrices`` is a
-    read-only sequence rebuilding each ``X_n`` from the scaling-vector history
-    on access; ``stored_indices`` is ``arange(N + 1)``.
+    ``errors[n]`` covers every iterate ``X_0 .. X_N``; ``ratio_rows[n]`` and
+    ``ratio_cols[n]`` do too, read off the scaling-vector history on access.
+    No iterate is stored: ``stored_matrices`` is a read-only sequence
+    rebuilding each ``X_n`` from that history on access; ``stored_indices``
+    is ``arange(N + 1)``.
     """
 
     problem: FittingProblem
-    ratio_rows: np.ndarray
-    ratio_cols: np.ndarray
     errors: np.ndarray
     stop_reason: StopReason
     stored_matrices: _ScalingHistory = field(repr=False)
@@ -174,6 +218,19 @@ class IterationTrace:
     def stored_indices(self) -> np.ndarray:
         return np.arange(self.n_iters + 1)
 
+    def _ratios(self, n0: int, n1: int):
+        return self.stored_matrices.ratios(n0, n1, self.problem.a, self.problem.b)
+
+    @property
+    def ratio_rows(self) -> np.ndarray:
+        """``rows(X_n)/a`` for every iterate, shape ``(N + 1, p)``; computed on each access."""
+        return self._ratios(0, self.n_iters + 1)[0]
+
+    @property
+    def ratio_cols(self) -> np.ndarray:
+        """``cols(X_n)/b`` for every iterate, shape ``(N + 1, q)``; computed on each access."""
+        return self._ratios(0, self.n_iters + 1)[1]
+
     def iterate(self, n: int) -> np.ndarray:
         """Iterate ``X_n``, rebuilt; raises ``KeyError`` outside ``0 .. N``."""
         if not 0 <= n <= self.n_iters:
@@ -181,7 +238,10 @@ class IterationTrace:
         return self.stored_matrices[n]
 
     def ratios(self, n: int) -> MarginalRatios:
-        return MarginalRatios(rows=self.ratio_rows[n], cols=self.ratio_cols[n])
+        """Marginal ratios of ``X_n`` alone."""
+        n = range(self.n_iters + 1)[n]
+        rows, cols = self._ratios(n, n + 1)
+        return MarginalRatios(rows=rows[0], cols=cols[0])
 
     @property
     def last_even(self) -> tuple[int, np.ndarray]:
@@ -212,8 +272,9 @@ def run(problem: FittingProblem, rule: StoppingRule | None = None) -> IterationT
     ``X_{2k+2} = fit_cols(X_{2k+1}, b)``.  In scaling form these are
     ``u = a / (K @ v)`` and ``v = b / (K.T @ u)``.  The loop runs them in
     chunks, evaluates the rules on each chunk's iterates in vectorized code,
-    and cuts the history at the first index where one fires.  Per iterate
-    the rules are tested in the order converged, even/odd, cap, so stop
+    and cuts the history at the first index where one fires.  The rules read
+    marginals as ratios off the scalings, with no matrix product.  Per
+    iterate they are tested in the order converged, even/odd, cap, so stop
     index and reason are those of a loop testing after every step.
 
     Returns
@@ -223,42 +284,38 @@ def run(problem: FittingProblem, rule: StoppingRule | None = None) -> IterationT
     rule = rule or StoppingRule()
     a, b = problem.a, problem.b
     hist = _ScalingHistory(problem.x0)
-    parts = []
-    # raw marginals of the two iterates before the chunk; none exist before X_0
-    tail_r, tail_c = np.full((2, a.size), np.inf), np.full((2, b.size), np.inf)
+    errs = []
     last_bad = 1  # newest index failing the Cauchy test; d_0, d_1 do not exist
     n0, size = 0, _CHUNKS[0]
     while True:
         n1 = min(n0 + size, rule.max_iters + 1)
         hist.advance(n1 // 2, a, b)
         ns = np.arange(n0, n1)
-        rows, cols = np.empty((len(ns), a.size)), np.empty((len(ns), b.size))
-        for at, base, u, v in hist.segments(ns):  # marginals, no iterate rebuilt
-            rows[at], cols[at] = u * (v @ base.T), v * (u @ base)
-        errors = np.abs(rows - a).sum(axis=1) + np.abs(cols - b).sum(axis=1)
+        lo = max(n0 - 2, 0)  # the chunk and the two iterates before it, if any
+        rows, cols = hist.ratios(lo, n1, a, b)
+        errors = np.abs(rows[n0 - lo:] - 1.0) @ a + np.abs(cols[n0 - lo:] - 1.0) @ b
         # d_n = |X_n - X_{n-2}|_1 is at least the L1 change of either
         # marginal; it is computed exactly unless that bound proves d_n >= tol
-        r2, c2 = np.concatenate([tail_r, rows]), np.concatenate([tail_c, cols])
-        d = np.maximum(np.abs(r2[2:] - r2[:-2]).sum(axis=1),
-                       np.abs(c2[2:] - c2[:-2]).sum(axis=1))
+        d = np.full(len(ns), np.inf)  # from n = lo + 2 on, X_{n-2} was read
+        d[lo + 2 - n0:] = np.maximum(np.abs(rows[2:] - rows[:-2]) @ a,
+                                     np.abs(cols[2:] - cols[:-2]) @ b)
         near = np.flatnonzero(d < 2.0 * rule.tol_even_odd)
         d[near] = np.concatenate([np.empty(0)] + [
             np.abs(x - hist.rebuild(n - 2)).sum(axis=(1, 2)) for n, x in hist.blocks(ns[near])])
         last = np.maximum.accumulate(np.where(d < rule.tol_even_odd, last_bad, ns))
         converged, cauchy = errors < rule.tol_marginal, ns - last >= 2 * _CAUCHY_WINDOW
         hits = np.flatnonzero(converged | cauchy | (ns >= rule.max_iters))
-        parts.append((np.divide(rows, a, out=rows), np.divide(cols, b, out=cols), errors))
+        errs.append(errors)
         if hits.size:
             break
-        tail_r, tail_c, last_bad = r2[-2:].copy(), c2[-2:].copy(), int(last[-1])
+        last_bad = int(last[-1])
         n0, size = n1, min(2 * size, _CHUNKS[1])
 
     m = int(hits[0])
     reason = (StopReason.CONVERGED if converged[m] else StopReason.EVEN_ODD_CONVERGED
               if cauchy[m] else StopReason.ITERATION_CAP)
     hist.count = n0 + m + 1
-    rows, cols, errors = (np.concatenate([*z[:-1], z[-1][:m + 1]]) for z in zip(*parts))
-    return IterationTrace(problem, rows, cols, errors, reason, hist)
+    return IterationTrace(problem, np.concatenate(errs)[:hist.count], reason, hist)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +479,8 @@ def cross_ratio_check(trace: IterationTrace, rel_tol: float = 1e-10) -> CrossRat
         out *= x[..., kk, ll] / x[..., kk, jj]
         return out
 
-    mats, step = trace.stored_matrices, max(1, _BLOCK // supp.size)
+    mats = trace.stored_matrices
+    step = max(1, min(_BLOCK // supp.size, _MINOR_BLOCK // n_minors))
     inv_ref, dev = 1.0 / cross(mats[0]), 0.0
     for lo in range(0, len(mats), step):  # fmax skips the NaN minors
         rel = cross(mats[lo:lo + step])
@@ -440,11 +498,13 @@ def nested_ratio_intervals(trace: IterationTrace) -> np.ndarray:
     ``[min R(X_n), max R(X_n)]``.  Successive intervals nest and every one
     contains 1; both facts are what the tests assert.
     """
-    n = np.arange(1, trace.n_iters + 1)
-    c, r = trace.ratio_cols[1:], trace.ratio_rows[1:]
-    odd = n % 2 == 1
-    return np.column_stack([n, np.where(odd, 1.0 / c.max(axis=1), r.min(axis=1)),
-                            np.where(odd, 1.0 / c.min(axis=1), r.max(axis=1))])
+    n = trace.n_iters
+    r, c = trace._ratios(0, n + 1)
+    out = np.empty((n, 3))
+    out[:, 0] = np.arange(1, n + 1)
+    out[0::2, 1], out[0::2, 2] = 1.0 / c[1::2].max(axis=1), 1.0 / c[1::2].min(axis=1)
+    out[1::2, 1], out[1::2, 2] = r[2::2].min(axis=1), r[2::2].max(axis=1)
+    return out
 
 
 def escape_diagnostic(trace: IterationTrace, cells) -> list[dict]:

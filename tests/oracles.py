@@ -26,9 +26,11 @@ Scaling-loop reference
 ----------------------
 :func:`reference_scaling_run` is the engine as it was before its double step
 was cut to four allocation-free numpy calls: each step allocates its
-matrix-vector products (``np.divide(a, base @ v, out=u)``), and the ratios
-are divided once, after the run.  The engine must reproduce its history,
-ratios, errors, stop index and reason bitwise.
+matrix-vector products (``np.divide(a, base @ v, out=u)``), and the rules
+read the marginals of every iterate from two more matrix-vector products,
+divided into ratios once, after the run.  The engine must reproduce its
+history, stop index and reason bitwise; it reads ratios and errors off the
+scalings instead, so those agree to rounding.
 :func:`reference_escape_diagnostic` sums the log-ratios along the whole
 trace with a cumulative sum; ``engine.escape_diagnostic`` reads the
 telescoped sum from the scalings instead.
@@ -179,8 +181,12 @@ class _ReferenceHistory(engine._ScalingHistory):
             self.k = k
 
 
-def reference_scaling_run(problem: FittingProblem, rule) -> engine.IterationTrace:
-    """``engine.run`` with per-step temporaries and the ratios divided after the run."""
+def reference_scaling_run(problem: FittingProblem, rule) -> SimpleNamespace:
+    """``engine.run`` with per-step temporaries and marginals multiplied out.
+
+    Returns the trace's fields: ``n_iters``, ``stop_reason``, ``errors``,
+    ``ratio_rows``, ``ratio_cols`` and the history as ``stored_matrices``.
+    """
     a, b = problem.a, problem.b
     hist = _ReferenceHistory(problem.x0)
     parts = []
@@ -214,7 +220,8 @@ def reference_scaling_run(problem: FittingProblem, rule) -> engine.IterationTrac
               if cauchy[m] else StopReason.ITERATION_CAP)
     hist.count = n0 + m + 1
     rows, cols, errors = (np.concatenate(z)[:hist.count] for z in zip(*parts))
-    return engine.IterationTrace(problem, rows / a, cols / b, errors, reason, hist)
+    return SimpleNamespace(n_iters=hist.count - 1, stop_reason=reason, errors=errors,
+                           ratio_rows=rows / a, ratio_cols=cols / b, stored_matrices=hist)
 
 
 def reference_escape_diagnostic(trace, cells) -> list[dict]:

@@ -220,12 +220,37 @@ def test_scalings_fold_instead_of_overflowing():
                                    np.log(xs[n][i, j] / problem.x0[i, j]), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("cap", [19_999, 20_000])
+def test_ratios_read_off_the_scalings_are_the_iterates_marginals(cap):
+    # rows(X_2k)/a = u_k/u_{k+1} and cols(X_2k+1)/b = v_k/v_{k+1}, with the
+    # pre-fold vector at a fold point, the seed's columns at X_0 and one
+    # matvec at an even cap, where u_{k+1} is never taken
+    problem = _fold_problem()
+    rule = StoppingRule(tol_marginal=1e-300, tol_even_odd=1e-300, max_iters=cap)
+    trace = run(problem, rule)
+    hist = trace.stored_matrices
+    assert trace.n_iters == cap and len(hist.starts) > 1
+    rows, cols = trace.ratio_rows, trace.ratio_cols
+    assert rows.shape == (cap + 1, 4) and cols.shape == (cap + 1, 4)
+    ns = {0, 1, 2, cap - 1, cap} | {s + d for s in hist.starts[1:] for d in (-1, 0, 1)}
+    for n in sorted(n for n in ns if n <= cap):
+        x = trace.iterate(n)
+        want = x.sum(axis=1) / problem.a, x.sum(axis=0) / problem.b
+        one = trace.ratios(n)
+        for got in ((one.rows, one.cols), (rows[n], cols[n])):
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-13, err_msg=f"n={n}")
+
+
 def _assert_bitwise_equal(trace, ref):
     assert trace.n_iters == ref.n_iters
     assert trace.stop_reason is ref.stop_reason
+    # ratios and errors are read off the scalings, the reference multiplies
+    # the marginals out: the two agree to rounding, not bit for bit
     for name in ("ratio_rows", "ratio_cols", "errors"):
         got, want = getattr(trace, name), getattr(ref, name)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert got.shape == want.shape, name
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13, err_msg=name)
     hist, ref_hist = trace.stored_matrices, ref.stored_matrices
     assert hist.k == ref_hist.k and hist.starts == ref_hist.starts
     for got, want in zip([hist.u, hist.v, *hist.bases], [ref_hist.u, ref_hist.v, *ref_hist.bases]):
@@ -263,8 +288,7 @@ def test_run_peak_memory_within_twice_the_trace():
     finally:
         tracemalloc.stop()
     hist = trace.stored_matrices
-    held = sum(x.nbytes for x in (trace.ratio_rows, trace.ratio_cols, trace.errors,
-                                  hist.u, hist.v))
+    held = sum(x.nbytes for x in (trace.errors, hist.u, hist.v))
     assert trace.n_iters == 20_000
     assert peak <= 2 * held, (peak, held)
 
