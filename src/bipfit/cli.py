@@ -92,7 +92,8 @@ def _emit(payload: dict, out_path) -> None:
     text = io.dumps(payload)
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     else:
         print(text)
 
@@ -119,7 +120,7 @@ def _cmd_classify(args) -> None:
     _emit(
         {
             "tool": {"name": "bipfit", "version": __version__},
-            "problem": io.problem_to_dict(problem, **meta),
+            "problem": io._problem_fields(problem, meta),
             **io._classification_fields(cls),
         },
         args.out,
@@ -133,13 +134,13 @@ def _cmd_fit(args) -> None:
     payload = {
         "tool": {"name": "bipfit", "version": __version__},
         "config": io._resolved_config(rule),
-        "problem": io.problem_to_dict(problem, **meta),
+        "problem": io._problem_fields(problem, meta),
         "stop_reason": trace.stop_reason.value,
         "iterations": trace.n_iters,
         "final_marginal_error": float(trace.errors[-1]),
-        "even": trace.even_limit().tolist(),
-        "odd": trace.odd_limit().tolist() if trace.last_odd is not None else None,
-        "final": trace.iterate(trace.n_iters).tolist(),
+        "even": trace.even_limit(),
+        "odd": trace.odd_limit() if trace.last_odd is not None else None,
+        "final": trace.iterate(trace.n_iters),
     }
     _emit(payload, args.out)
     if args.trace_out:
@@ -165,7 +166,7 @@ def _cmd_reduce(args) -> None:
     payload = {
         "a": lp.blocks.a_prime.tolist(),
         "b": problem.b.tolist(),
-        "X0": lp.restricted.x0.tolist(),
+        "X0": lp.restricted.x0,
         "name": (meta.get("name", "problem") + " (reduced)") if meta else "reduced",
         "description": "seed restricted to the limit support; marginals adjusted "
                        "to (a', b) so the fit converges geometrically",

@@ -423,13 +423,15 @@ def rate_estimate(trace: IterationTrace, min_even: int = 10,
             continue
         # least squares of ln|X_n - L| on n, summed over rebuilt blocks, with
         # n centred on the window so that the sums keep their precision
-        sums, mid, limit = 0.0, (ns[0] + ns[-1]) / 2.0, limit()
+        sums, mid, limit = [0.0] * 6, (ns[0] + ns[-1]) / 2.0, limit()
         for n, xs in trace.stored_matrices.blocks(ns):
             d = np.abs(xs - limit)
             w = d > noise_floor
             x = np.where(w, n[:, None, None] - mid, 0.0)
             y = np.log(np.where(w, d, 1.0))
-            sums = sums + np.stack([w, x, y, x * x, x * y, y * y]).sum(axis=1)
+            block_sums = (w.sum(axis=0, dtype=float), x.sum(axis=0), y.sum(axis=0),
+                          (x * x).sum(axis=0), (x * y).sum(axis=0), (y * y).sum(axis=0))
+            sums = [s + t for s, t in zip(sums, block_sums)]
         w, x, y, xx, xy, yy = sums
         with np.errstate(invalid="ignore", divide="ignore"):
             sxx, sxy, syy = xx - x * x / w, xy - x * y / w, yy - y * y / w

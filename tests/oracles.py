@@ -564,6 +564,27 @@ def planted_critical(rng: np.random.Generator, p: int, q: int) -> FittingProblem
     return FittingProblem(x0, w.sum(axis=1) / (1 << 14), w.sum(axis=0) / (1 << 14))
 
 
+def sparse_critical(rng: np.random.Generator, n: int, density: float) -> FittingProblem:
+    """A sparse ``n x n`` seed (``n`` even) with one critical zero block.
+
+    As in :func:`planted_critical`, ``A`` and ``B`` are the first halves of
+    the rows and columns, the seed is zero on ``A x B``, and an integer
+    witness on ``A x B^c`` and ``A^c x B`` over ``2^20`` gives the marginals,
+    so ``a(A) = b(B^c)`` exactly and the seed cells on ``A^c x B^c`` are
+    squeezed out.  The other three quadrants hold about ``density`` of their
+    cells, plus the diagonals of ``A x B^c`` and ``A^c x B``, which keep a
+    witness cell in every row and column.
+    """
+    half = n // 2
+    in_a, in_b = np.arange(n)[:, None] < half, np.arange(n)[None, :] < half
+    cover = ((rng.random((n, n)) < density) | np.eye(n, k=half, dtype=bool)
+             | np.eye(n, k=-half, dtype=bool))
+    w = np.where(cover & (in_a != in_b), rng.integers(1, 9, size=(n, n)), 0)
+    w[0, half] += (1 << 20) - w.sum()
+    x0 = np.where(cover & ~(in_a & in_b), rng.uniform(0.5, 2.0, size=(n, n)), 0.0)
+    return FittingProblem(x0, w.sum(axis=1) / (1 << 20), w.sum(axis=0) / (1 << 20))
+
+
 def random_problem(rng: np.random.Generator, p: int | None = None,
                    q: int | None = None, density: float = 0.65) -> FittingProblem:
     p = int(rng.integers(2, 7)) if p is None else p

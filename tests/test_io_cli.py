@@ -1,14 +1,20 @@
 """File formats, analysis reports, and the command-line interface.
 
 CLI tests drive :func:`bipfit.cli.main` in-process and assert on exit codes,
-stdout JSON, and written artifacts; nothing here spawns a subprocess.
+stdout JSON, and written artifacts; only the test of ``python -m bipfit``
+spawns a subprocess.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bipfit
 import bipfit.cli as cli
 from bipfit import engine, io, products, structure
 from bipfit.core import FittingProblem, support_of
@@ -153,6 +159,10 @@ def test_jsonify_encodings():
 
 _CAUSE = structure.Cause(rows=(1,), cols=(1,), kind=structure.CauseKind.INCOMPATIBILITY,
                          ratio=2.0)
+# 4 of 15 cells nonzero, -0.0 and the extremes among them
+_SPARSE = np.zeros((3, 5))
+_SPARSE[0, 1], _SPARSE[0, 4], _SPARSE[1, 2], _SPARSE[2, 0], _SPARSE[2, 3] = (
+    -0.0, 5e-324, 1e308, 0.1, -2.5)
 
 
 @pytest.mark.parametrize(
@@ -173,6 +183,13 @@ _CAUSE = structure.Cause(rows=(1,), cols=(1,), kind=structure.CauseKind.INCOMPAT
         {"naïve": "café", "ключ": ["значение", {"ß": 1}]},
         _CAUSE, [_CAUSE, {"cause": _CAUSE}], structure.Behavior.DIVERGENCE,
         {"a": {"b": {"c": {"d": [[[]]]}}}},
+        # 2-D arrays: the sparse ones are written from their nonzeros
+        _SPARSE, {"m": [_SPARSE, (_SPARSE,)]}, np.zeros((3, 4)), np.zeros((2, 2), dtype=bool),
+        np.eye(1, 9), np.eye(9, 1), np.eye(1), _SPARSE.T, np.asfortranarray(_SPARSE),
+        np.eye(8)[1::3, ::2], np.eye(7, dtype=bool), ~np.eye(7, dtype=bool),
+        np.where(np.eye(4) > 0, np.nan, 0.0), np.where(np.eye(4) > 0, np.inf, 0.0),
+        np.diag([1.0, -np.inf, 0.0]), np.arange(12.0).reshape(3, 4) / 7,
+        np.eye(3)[:, [0, 1, 1]], np.zeros((0, 3)), np.zeros((3, 0)),
     ],
 )
 def test_dumps_matches_reference_on_edge_payloads(obj):
@@ -228,6 +245,40 @@ def test_classify_300_rows_writes_the_reference_bytes(tmp_path, checked_dumps):
     (text,) = checked_dumps
     assert out.read_text() == text + "\n"
     assert json.loads(text)["behavior"] == "Divergence"
+
+
+def test_sparse_300_rows_every_command_writes_the_reference_bytes(
+        tmp_path, checked_dumps, monkeypatch):
+    problem = oracles.sparse_critical(np.random.default_rng(300), 300, 0.03)
+    path = tmp_path / "sparse-300.json"
+    path.write_text(json.dumps(io.problem_to_dict(problem)))
+    written = []  # shapes of the arrays written from their nonzeros
+    write_sparse = io._write_sparse
+
+    def recording(m, newline, parts):
+        taken = write_sparse(m, newline, parts)
+        if taken:
+            written.append(m.shape)
+        return taken
+
+    monkeypatch.setattr(io, "_write_sparse", recording)
+    out = tmp_path / "out.json"
+    for argv in (["classify"], ["reduce"], ["fit", "--max-iters", "20"],
+                 ["analyze", "--max-iters", "20"]):
+        assert cli.main([argv[0], str(path), *argv[1:], "--out", str(out)]) == 0, argv
+        assert out.read_text() == checked_dumps[-1] + "\n"
+    assert json.loads(checked_dumps[0])["behavior"] == "SlowConvergence"
+    # X0, max_support and witness; X0; X0, even, odd and final
+    assert written == [(300, 300)] * 8
+
+
+def test_python_m_bipfit_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(io.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "bipfit", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.strip() == f"bipfit {bipfit.__version__}"
 
 
 def test_trace_out_and_saved_report_bytes(tmp_path):
