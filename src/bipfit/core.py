@@ -93,16 +93,15 @@ def check_matrix(x) -> np.ndarray:
     if np.any(x < 0):
         i, j = np.unravel_index(int(np.argmin(x)), x.shape)
         raise ValueError(f"matrix entry ({i},{j}) is negative: {x[i, j]!r}")
-    row_sums = x.sum(axis=1)
-    if np.any(row_sums <= 0):
+    positive = x > 0  # a sum could overflow; a positive entry cannot
+    if not positive.any(axis=1).all():
         raise ValueError(
-            f"row {int(np.argmax(row_sums <= 0))} has zero sum; every row "
+            f"row {int(np.argmin(positive.any(axis=1)))} has zero sum; every row "
             "needs a positive entry"
         )
-    col_sums = x.sum(axis=0)
-    if np.any(col_sums <= 0):
+    if not positive.any(axis=0).all():
         raise ValueError(
-            f"column {int(np.argmax(col_sums <= 0))} has zero sum; every "
+            f"column {int(np.argmin(positive.any(axis=0)))} has zero sum; every "
             "column needs a positive entry"
         )
     return x.copy()
@@ -129,7 +128,8 @@ class FittingProblem:
     """A seed matrix plus target marginals, validated and normalized.
 
     The seed is stored rescaled to total mass 1 (the iteration is
-    homogeneous in the seed, so nothing is lost).  Instances are treated as
+    homogeneous in the seed, so nothing is lost); a seed whose total
+    overflows is divided by its largest entry first.  Instances are treated as
     immutable: the stored arrays are marked read-only.
 
     Parameters
@@ -151,7 +151,12 @@ class FittingProblem:
                 f"seed shape {x0.shape} does not match marginals "
                 f"({a.size} rows, {b.size} columns)"
             )
-        x0 = x0 / x0.sum()
+        with np.errstate(over="ignore"):
+            total = x0.sum()
+        if not np.isfinite(total):  # finite entries whose sum overflows
+            x0 = x0 / x0.max()
+            total = x0.sum()
+        x0 = x0 / total
         for arr in (x0, a, b):
             arr.setflags(write=False)
         self.x0 = x0

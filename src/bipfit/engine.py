@@ -69,10 +69,11 @@ _FOLD_EVERY, _FOLD_AT = 16, 2.0 ** 192
 #: Floats per block of iterates rebuilt for a vectorized read.
 _BLOCK = 1 << 15
 
-#: Floats per block of 2x2 minors read off those iterates (1.5 MB): 2 MB
-#: temporaries page-fault on every block of a long trace, and each extra
-#: block pays ~0.2 ms of numpy call overhead.
-_MINOR_BLOCK = 3 << 16
+#: Floats per buffer of :func:`cross_ratio_check` (1 MB): a block of iterates
+#: stacked on their last axis, and the column ratios of a chunk of row pairs
+#: over that block.  The buffers are reused from block to block, since fresh
+#: MB-sized temporaries can page-fault on every block of a long trace.
+_PAIR_BLOCK = 1 << 17
 
 
 def _doubled(h: np.ndarray) -> np.ndarray:
@@ -170,6 +171,20 @@ class _ScalingHistory(Sequence):
         for at, base, u, v in self.segments(ns):
             out[at] = u[:, :, None] * base * v[:, None, :]
         return out
+
+    def stack(self, n0: int, n1: int, out: np.ndarray) -> None:
+        """Iterates ``n0 .. n1 - 1`` written into ``out`` of shape ``(p, q, n1 - n0)``.
+
+        The iterates lie on the last, contiguous axis; the entries are those
+        of :meth:`rebuild`, bit for bit.
+        """
+        for base, start, end in zip(self.bases, self.starts, self.starts[1:] + [n1]):
+            ns = np.arange(max(start, n0), min(end, n1))
+            if ns.size:
+                x = out[:, :, ns[0] - n0:ns[-1] + 1 - n0]
+                # contiguous copies of u and v keep numpy's inner loops on the iterate axis
+                np.multiply(base[:, :, None], self.u[(ns + 1) // 2].T.copy()[:, None], out=x)
+                x *= self.v[ns // 2].T.copy()
 
     def blocks(self, ns):
         """``(indices, stacked iterates)`` for the index sequence ``ns``, in blocks."""
@@ -446,7 +461,13 @@ def rate_estimate(trace: IterationTrace, min_even: int = 10,
 
 @dataclass
 class CrossRatioReport:
-    """Constancy check of all fully-supported 2x2 minors along a trace."""
+    """Constancy check of all fully-supported 2x2 minors along a trace.
+
+    ``max_rel_deviation`` is the largest ``max(rho, 1/rho) - 1`` over the
+    checked minors and iterates, where ``rho`` is a minor's cross ratio over
+    its value at ``X_0``.  It agrees with the largest ``|rho - 1|`` to first
+    order: exactly, it is at least that value ``d`` and at most ``d / (1 - d)``.
+    """
 
     ok: bool
     max_rel_deviation: float
@@ -463,33 +484,62 @@ def cross_ratio_check(trace: IterationTrace, rel_tol: float = 1e-10) -> CrossRat
     scaling, hence constant along the whole trace.  Minors touching a zero
     cell are skipped; so is, iterate by iterate, a minor with a cell below
     the smallest normal float, where a dying cell has underflowed.
+
+    No minor is listed.  Over the columns ``j`` that rows ``i`` and ``i'``
+    share, ``S_j = (X(i,j)/X(i',j)) / (X_0(i,j)/X_0(i',j))`` gives every
+    minor's cross ratio over its start value as ``S_j / S_j'``, so a row
+    pair's largest deviation is ``max S / min S - 1``: O(p^2 q) work per
+    iterate.  The iterates are stacked in blocks on their last axis, and
+    every buffer holds at most :data:`_PAIR_BLOCK` floats, or one iterate
+    when that alone is more.
     """
     supp = trace.problem.support
     p, q = supp.shape
-    i, i2 = (t[:, None] for t in np.triu_indices(p, 1))
-    j, j2 = (t[None, :] for t in np.triu_indices(q, 1))
-    full = supp[i, j] & supp[i, j2] & supp[i2, j] & supp[i2, j2]
-    n_minors = int(full.sum())
+    s = supp.astype(float)
+    shared = (s @ s.T)[np.triu_indices(p, 1)]  # columns each row pair shares
+    n_minors = int((shared * (shared - 1)).sum()) // 2
+    n_all = p * (p - 1) // 2 * (q * (q - 1) // 2)
     if not n_minors:
-        return CrossRatioReport(True, 0.0, 0, full.size)
-    r, c = np.nonzero(full)
-    ii, kk, jj, ll = i[r, 0], i2[r, 0], j[0, c], j2[0, c]
+        return CrossRatioReport(True, 0.0, 0, n_all)
 
-    def cross(x):
-        x = np.where(x < np.finfo(float).tiny, np.nan, x)  # underflowed: minors read NaN
-        out = x[..., ii, jj] / x[..., ii, ll]
-        out *= x[..., kk, ll] / x[..., kk, jj]
-        return out
-
-    mats = trace.stored_matrices
-    step = max(1, min(_BLOCK // supp.size, _MINOR_BLOCK // n_minors))
-    inv_ref, dev = 1.0 / cross(mats[0]), 0.0
-    for lo in range(0, len(mats), step):  # fmax skips the NaN minors
-        rel = cross(mats[lo:lo + step])
-        rel *= inv_ref
-        rel -= 1.0
-        dev = float(np.fmax(dev, np.fmax.reduce(np.abs(rel, out=rel), axis=None)))
-    return CrossRatioReport(dev <= rel_tol, dev, n_minors, full.size - n_minors)
+    mats, tiny, on = trace.stored_matrices, np.finfo(float).tiny, supp[:, :, None]
+    x0 = np.asarray(mats[0], dtype=float)[:, :, None]
+    inv = np.full(x0.shape, np.nan)  # NaN drops a column from its row pairs
+    np.divide(1.0, x0, out=inv, where=on & (x0 >= tiny))
+    floor = np.where(on, tiny, 0.0)  # the support's underflowed cells lie below it
+    n = len(mats)
+    step = -(-n // -(-n * p * q // _PAIR_BLOCK))  # equal blocks of at most the budget
+    y, under = np.empty((p, q, step)), np.empty((p, q, step), dtype=bool)
+    # one row against all later ones always fits; more rows while the budget allows
+    ratios = np.empty(max((p - 1) * q * step, min(_PAIR_BLOCK, (p - 1) ** 2 * q * step)))
+    hi, lo = np.empty(ratios.size // q), np.empty(ratios.size // q)
+    worst = 1.0
+    for n0 in range(0, n, step):
+        m = min(step, n - n0)
+        x = y[:, :, :m]
+        if isinstance(mats, _ScalingHistory):
+            mats.stack(n0, n0 + m, x)
+        else:
+            x[...] = np.moveaxis(np.asarray(mats[n0:n0 + m], dtype=float), 0, -1)
+        low = np.less(x, floor, out=under[:, :, :m])
+        x *= inv  # X_n / X_0, NaN off the support
+        if low.any():
+            np.copyto(x, np.nan, where=low)
+        i0 = 0
+        # rows i0 .. i1 - 1 against rows i0 + 1 ..; a pair repeated in a chunk, or a
+        # row against itself (spread 1), moves no maximum; fmax and fmin skip NaN
+        while i0 < p - 1:
+            later = p - 1 - i0
+            i1 = min(p - 1, i0 + ratios.size // (later * q * m))
+            size = (i1 - i0) * later * m
+            r = np.divide(x[i0:i1, None], x[None, i0 + 1:],
+                          out=ratios[:size * q].reshape(i1 - i0, later, q, m))
+            spread = np.fmax.reduce(r, axis=2, out=hi[:size].reshape(i1 - i0, later, m))
+            spread /= np.fmin.reduce(r, axis=2, out=lo[:size].reshape(spread.shape))
+            worst = float(np.fmax(worst, np.fmax.reduce(spread, axis=None)))
+            i0 = i1
+    dev = worst - 1.0
+    return CrossRatioReport(dev <= rel_tol, dev, n_minors, n_all - n_minors)
 
 
 def nested_ratio_intervals(trace: IterationTrace) -> np.ndarray:

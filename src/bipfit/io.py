@@ -333,22 +333,24 @@ def sequence_from_spec(spec, seed: int | None = None) -> list[np.ndarray] | np.n
         raise InputError("sequence file must be a JSON array of matrices or a generator spec")
     family = str(spec.get("family", "")).lower()
     count = spec.get("count")
-    if not isinstance(count, int) or count < 1:
+    if type(count) is not int or count < 1:  # JSON true is no count
         raise InputError("generator spec needs an integer 'count' >= 1")
     if family == "mr":
         r_values = spec.get("r_values")
         if r_values is not None:
+            if not isinstance(r_values, list):
+                raise InputError("mr spec needs 'r_values' as a list of numbers")
             r_values = [_as_number(r, "r_values") for r in r_values]
         return products.mr_sequence(count, r_values)
     if family == "t0t1":
         return products.t0t1_sequence(count)
     if family == "birkhoff":
         dim = spec.get("dim", 3)
-        if not isinstance(dim, int) or dim < 2:
+        if type(dim) is not int or dim < 2:
             raise InputError("birkhoff spec needs integer 'dim' >= 2")
         gamma = _as_number(spec.get("gamma", 0.0), "gamma")
         n_perms = spec.get("n_perms")
-        if n_perms is not None and not isinstance(n_perms, int):
+        if n_perms is not None and type(n_perms) is not int:
             raise InputError("birkhoff spec needs integer 'n_perms' >= dim")
         rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
         try:
@@ -493,7 +495,8 @@ def verify_report(report: dict) -> None:
     (indices in range, zero block, mass comparison), the witness marginals,
     the monotone block scalings, that the blocks partition the rows and the
     columns, ``a'`` and ``b'`` against the scalings, and the limit marginals.
-    Raises :class:`InputError` on any mismatch.
+    Raises :class:`InputError` on any mismatch, and on a missing or
+    malformed field, naming it.
     """
     if not isinstance(report, dict) or "problem" not in report:
         raise InputError("not an analysis report: missing 'problem'")
@@ -501,50 +504,60 @@ def verify_report(report: dict) -> None:
     a, b, supp = problem.a, problem.b, problem.support
     p, q = supp.shape
 
-    cls = report.get("classification", {})
-    for k, cause in enumerate(cls.get("causes", [])):
-        rows = _indices(cause["rows"], p, f"report cause {k} rows")
-        cols = _indices(cause["cols"], q, f"report cause {k} cols")
+    cls = _section(report, "classification")
+    causes = cls.get("causes", [])
+    if not isinstance(causes, list):
+        raise InputError("report.classification.causes: expected a list")
+    for k, cause in enumerate(causes):
+        where = f"report cause {k}"
+        rows = _indices(_field(cause, "rows", where), p, f"{where} rows")
+        cols = _indices(_field(cause, "cols", where), q, f"{where} cols")
         if supp[np.ix_(rows, cols)].any():
             raise InputError("report cause block is not a zero block of the seed")
         gap = float(a[rows].sum() - np.delete(b, cols).sum())
-        if cause["kind"] == "Incompatibility" and gap <= 0:
+        if _field(cause, "kind", where) == "Incompatibility" and gap <= 0:
             raise InputError("report incompatibility cause does not over-demand")
     witness = cls.get("witness")
     if witness is not None:
-        w = _as_matrix(witness, "report.witness")
+        w = _report_matrix(witness, supp.shape, "report.witness")
         if (np.abs(w.sum(axis=1) - a).max() > 1e-8
                 or np.abs(w.sum(axis=0) - b).max() > 1e-8):
             raise InputError("report witness does not have the target marginals")
         if np.any(support_of(w) & ~supp):
             raise InputError("report witness puts mass outside the seed support")
 
-    bs = report.get("block_structure")
+    bs = _section(report, "block_structure")
     if bs:
-        lambdas = np.asarray(bs["lambdas"], dtype=float)
+        where = "report.block_structure"
+        lambdas = _as_vector(_field(bs, "lambdas", where), f"{where}.lambdas")
+        if not np.all(np.isfinite(lambdas) & (lambdas > 0)):
+            raise InputError("report block scalings are not finite and positive")
         if np.any(np.diff(lambdas) <= 0):
             raise InputError("report block scalings are not strictly increasing")
         partitions = []
         for key, size, label in (("row_blocks", p, "row"), ("col_blocks", q, "column")):
+            blocks = _field(bs, key, where)
+            if not isinstance(blocks, list):
+                raise InputError(f"{where}.{key}: expected a list of blocks")
             blocks = [_indices(blk, size, f"report {label} block {k}")
-                      for k, blk in enumerate(bs[key])]
+                      for k, blk in enumerate(blocks)]
             if (len(blocks) != lambdas.size or not all(blk.size for blk in blocks)
                     or sorted(i for blk in blocks for i in blk.tolist()) != list(range(size))):
                 raise InputError(f"report {label} blocks do not partition the {label}s, "
                                  "one block per lambda")
             partitions.append(blocks)
-        a_prime = np.asarray(bs["a_prime"], dtype=float)
-        b_prime = np.asarray(bs["b_prime"], dtype=float)
+        a_prime, b_prime = (_report_vector(_field(bs, key, where), size, f"{where}.{key}")
+                            for key, size in (("a_prime", p), ("b_prime", q)))
         for lam, rows, cols in zip(lambdas, *partitions):
             if np.abs(a_prime[rows] - lam * a[rows]).max() > 1e-10:
                 raise InputError("report a' is inconsistent with its lambdas")
             if np.abs(b_prime[cols] - b[cols] / lam).max() > 1e-10:
                 raise InputError("report b' is inconsistent with its lambdas")
 
-    limits = report.get("limits")
+    limits = _section(report, "limits")
     if limits and bs:  # a_prime and b_prime were read above
-        even = _as_matrix(limits["even"], "report.limits.even")
-        odd = _as_matrix(limits["odd"], "report.limits.odd")
+        even, odd = (_report_matrix(_field(limits, key, "report.limits"), supp.shape,
+                                    f"report.limits.{key}") for key in ("even", "odd"))
         checks = (
             (np.abs(even.sum(axis=1) - a_prime).max(), "even limit rows vs a'"),
             (np.abs(even.sum(axis=0) - b).max(), "even limit cols vs b"),
@@ -554,6 +567,40 @@ def verify_report(report: dict) -> None:
         for dev, label in checks:
             if dev > 1e-7:
                 raise InputError(f"report {label} deviate by {dev:g}")
+
+
+def _section(report: dict, key: str) -> dict:
+    """An optional object of a report: ``{}`` when absent or null."""
+    value = report.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise InputError(f"report.{key}: expected a JSON object")
+    return value
+
+
+def _field(obj, key: str, where: str):
+    """A required field of a report object."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{where}: expected a JSON object")
+    if key not in obj:
+        raise InputError(f"{where}: missing field {key!r}")
+    return obj[key]
+
+
+def _report_vector(values, size: int, where: str) -> np.ndarray:
+    v = _as_vector(values, where)
+    if v.size != size:
+        raise InputError(f"{where}: expected {size} entries, got {v.size}")
+    return v
+
+
+def _report_matrix(values, shape: tuple[int, int], where: str) -> np.ndarray:
+    x = _as_matrix(values, where)
+    if x.shape != shape:
+        raise InputError(f"{where}: expected a {shape[0]}x{shape[1]} matrix, "
+                         f"got {x.shape[0]}x{x.shape[1]}")
+    return x
 
 
 def _indices(values, size: int, where: str) -> np.ndarray:

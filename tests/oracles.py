@@ -34,6 +34,8 @@ scalings instead, so those agree to rounding.
 :func:`reference_escape_diagnostic` sums the log-ratios along the whole
 trace with a cumulative sum; ``engine.escape_diagnostic`` reads the
 telescoped sum from the scalings instead.
+:func:`reference_cross_ratio_check` lists every supported 2x2 minor;
+``engine.cross_ratio_check`` takes one max/min spread per row pair instead.
 
 Backward-product reference loop
 -------------------------------
@@ -233,6 +235,43 @@ def reference_escape_diagnostic(trace, cells) -> list[dict]:
     tail = partial[-max(2, len(partial) // 3):]
     return [{"cell": (int(i), int(j)), "final_log_sum": float(partial[-1, k]),
              "still_growing": bool(tail[-1, k] > tail[0, k])} for k, (i, j) in enumerate(ij)]
+
+
+def reference_cross_ratio_check(trace, rel_tol: float = 1e-10) -> engine.CrossRatioReport:
+    """The cross-ratio check with every supported 2x2 minor listed.
+
+    Each minor ``(i, i', j, j')`` is read in index order as
+    ``X(i,j)/X(i,j') * X(i',j')/X(i',j)``, divided by its value at ``X_0``,
+    and its deviation is ``|rho - 1|``; a minor with a cell below the
+    smallest normal float reads NaN and is skipped in that iterate.
+    O(p^2 q^2) work and index memory per iterate.
+    """
+    supp = trace.problem.support
+    p, q = supp.shape
+    i, i2 = (t[:, None] for t in np.triu_indices(p, 1))
+    j, j2 = (t[None, :] for t in np.triu_indices(q, 1))
+    full = supp[i, j] & supp[i, j2] & supp[i2, j] & supp[i2, j2]
+    n_minors = int(full.sum())
+    if not n_minors:
+        return engine.CrossRatioReport(True, 0.0, 0, full.size)
+    r, c = np.nonzero(full)
+    ii, kk, jj, ll = i[r, 0], i2[r, 0], j[0, c], j2[0, c]
+
+    def cross(x):
+        x = np.where(x < np.finfo(float).tiny, np.nan, x)
+        out = x[..., ii, jj] / x[..., ii, ll]
+        out *= x[..., kk, ll] / x[..., kk, jj]
+        return out
+
+    mats = trace.stored_matrices
+    step = max(1, min((1 << 15) // supp.size, (3 << 16) // n_minors))
+    inv_ref, dev = 1.0 / cross(mats[0]), 0.0
+    for lo in range(0, len(mats), step):  # fmax skips the NaN minors
+        rel = cross(mats[lo:lo + step])
+        rel *= inv_ref
+        rel -= 1.0
+        dev = float(np.fmax(dev, np.fmax.reduce(np.abs(rel, out=rel), axis=None)))
+    return engine.CrossRatioReport(dev <= rel_tol, dev, n_minors, full.size - n_minors)
 
 
 # ---------------------------------------------------------------------------

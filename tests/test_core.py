@@ -43,6 +43,17 @@ def test_as_marginals_rejects_bad_input():
         as_marginals([0.5, np.nan])
 
 
+def test_seed_whose_total_overflows_keeps_its_shape(rng):
+    big = FittingProblem([[1e308, 1e308], [1e308, 0.0]], [0.5, 0.5], [0.5, 0.5])
+    np.testing.assert_array_equal(big.x0, FittingProblem(oracles.SLOW_X0, [0.5, 0.5],
+                                                         [0.5, 0.5]).x0)
+    assert big.support.sum() == 3
+    # a finite total is still divided as it was, bit for bit
+    x0 = rng.random((5, 6)) * 1e300
+    np.testing.assert_array_equal(FittingProblem(x0, np.full(5, 0.2), np.full(6, 1 / 6)).x0,
+                                  x0 / x0.sum())
+
+
 def test_as_marginals_singleton_allowed_for_blocks():
     np.testing.assert_array_equal(as_marginals([1.0], min_size=1), [1.0])
 

@@ -1,5 +1,6 @@
 import copy
 import math
+import time
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -220,6 +221,17 @@ def test_scalings_fold_instead_of_overflowing():
                                    np.log(xs[n][i, j] / problem.x0[i, j]), rtol=0, atol=1e-12)
 
 
+def test_stack_puts_the_rebuilt_iterates_on_the_last_axis():
+    rule = StoppingRule(tol_marginal=1e-300, tol_even_odd=1e-300, max_iters=2000)
+    hist = run(_fold_problem(), rule).stored_matrices
+    starts = hist.starts[1:4]
+    assert len(starts) == 3
+    for n0, n1 in [(0, 7)] + [(s - 3, s + 4) for s in starts] + [(starts[0] - 1, starts[2] + 2)]:
+        out = np.empty((4, 4, n1 - n0))
+        hist.stack(n0, n1, out)
+        np.testing.assert_array_equal(np.moveaxis(out, -1, 0), hist.rebuild(np.arange(n0, n1)))
+
+
 @pytest.mark.parametrize("cap", [19_999, 20_000])
 def test_ratios_read_off_the_scalings_are_the_iterates_marginals(cap):
     # rows(X_2k)/a = u_k/u_{k+1} and cols(X_2k+1)/b = v_k/v_{k+1}, with the
@@ -418,6 +430,77 @@ def test_cross_ratios_skip_underflowed_cells(grid_problem):
     mats[30, 4, 3] *= 1.001
     broken = cross_ratio_check(SimpleNamespace(problem=grid_problem, stored_matrices=mats))
     assert not broken.ok and broken.max_rel_deviation == pytest.approx(1e-3, rel=1e-6)
+
+
+def _assert_matches_minor_listing(trace):
+    """Counts and verdict as the minor listing; the deviation within its bracket."""
+    old, new = oracles.reference_cross_ratio_check(trace), cross_ratio_check(trace)
+    assert (new.n_minors, new.n_skipped, new.ok) == (old.n_minors, old.n_skipped, old.ok)
+    d, slack = old.max_rel_deviation, 8 * np.finfo(float).eps
+    assert d - slack <= new.max_rel_deviation <= d / (1 - d) + slack, (d, new)
+    return new
+
+
+def test_cross_ratios_match_minor_listing(rng, grid_problem, divergence_problem):
+    x0 = rng.random((4, 5)) + 0.1
+    full = FittingProblem(x0, oracles.random_marginals(rng, 4), oracles.random_marginals(rng, 5))
+    assert _assert_matches_minor_listing(run_capped(full, 60)).n_skipped == 0
+    planted = oracles.planted_critical(rng, 10, 10)
+    crawl = run(planted, StoppingRule(max_iters=4000))
+    assert crawl.n_iters == 4000 and _assert_matches_minor_listing(crawl).ok
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _assert_matches_minor_listing(run_capped(grid_problem, 3000)).ok
+    assert _assert_matches_minor_listing(run_capped(divergence_problem, 40)).n_minors == 0
+
+
+def test_cross_ratios_match_minor_listing_rectangular_and_perturbed(rng):
+    # 7 x 12 with mixed support: a swapped row and column axis changes the counts
+    problem = oracles.random_problem(rng, 7, 12, density=0.6)
+    trace = run_capped(problem, 300)
+    report = _assert_matches_minor_listing(trace)
+    assert report.ok and 0 < report.n_minors < 21 * 66
+    xs = np.array(trace.stored_matrices[:50])
+    supp = problem.support
+    p, q = supp.shape
+    first_col, last_col = np.argmax(supp, axis=1), q - 1 - np.argmax(supp[:, ::-1], axis=1)
+    first_row, last_row = np.argmax(supp, axis=0), p - 1 - np.argmax(supp[::-1], axis=0)
+    cells = [(0, first_col[0]), (0, last_col[0]), (p - 1, first_col[-1]),
+             (p - 1, last_col[-1]), (first_row[0], 0), (last_row[0], 0),
+             (first_row[-1], q - 1), (last_row[-1], q - 1)]
+    for i, j in cells:
+        mats = xs.copy()
+        mats[37, i, j] *= 1.001
+        broken = _assert_matches_minor_listing(
+            SimpleNamespace(problem=problem, stored_matrices=mats))
+        assert not broken.ok and broken.max_rel_deviation == pytest.approx(1e-3, rel=1e-6)
+    # a cell below the support threshold is outside the check, however it moves
+    x0 = problem.x0.copy()
+    i, j = np.argwhere(~supp)[0]
+    x0[i, j] = 1e-20 * x0.max()
+    faint = FittingProblem(x0, problem.a, problem.b)
+    assert np.array_equal(faint.support, supp)
+    mats = np.array(run_capped(faint, 50).stored_matrices)
+    mats[37, i, j] *= 1.001
+    assert _assert_matches_minor_listing(
+        SimpleNamespace(problem=faint, stored_matrices=mats)).ok
+
+
+def test_cross_ratio_memory_bounded_and_fast():
+    # listing the minors peaked at 25.6 MB already at 200 iterates of this size
+    problem = oracles.planted_critical(np.random.default_rng(11), 40, 40)
+    for n in (500, 2000):
+        trace = run_capped(problem, n)
+        tracemalloc.start()
+        try:
+            report = cross_ratio_check(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and peak < 6e6, (n, peak)
+    start = time.perf_counter()
+    cross_ratio_check(trace)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_nested_intervals_slow_hand_values(slow_problem):

@@ -374,6 +374,10 @@ def test_sequence_from_spec_families():
         ({"family": "birkhoff", "count": 2, "dim": 1}, "dim"),
         ({"family": "birkhoff", "count": 2, "dim": 3, "n_perms": 3.5}, "n_perms"),
         ({"family": "birkhoff", "count": 2, "dim": 3, "n_perms": "4"}, "n_perms"),
+        ({"family": "mr", "count": True}, "count"),
+        ({"family": "mr", "count": 2, "r_values": 5}, "r_values"),
+        ({"family": "birkhoff", "count": 2, "dim": True}, "dim"),
+        ({"family": "birkhoff", "count": 2, "dim": 3, "n_perms": True}, "n_perms"),
         ("nope", "sequence file"),
     ],
 )
@@ -496,6 +500,16 @@ def _set(path, value):
     return corrupt
 
 
+def _drop(path):
+    """A corruption of a report: delete the entry at ``path``."""
+    def corrupt(report):
+        *parents, last = path
+        for key in parents:
+            report = report[key]
+        del report[last]
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -507,6 +521,16 @@ def _set(path, value):
         (_set(("block_structure", "col_blocks"), [[], [0, 1]]), "column blocks do not partition"),
         (_set(("block_structure", "col_blocks"), [[0, 1]]), "one block per lambda"),
         (_set(("block_structure", "b_prime", 0), lambda v: v + 1e-6), "b' is inconsistent"),
+        (_drop(("classification", "causes", 0, "rows")), "cause 0: missing field 'rows'"),
+        (_set(("classification", "causes"), {"rows": [1]}), "causes: expected a list"),
+        (_set(("block_structure", "lambdas"), "x"), r"lambdas: expected a list of numbers"),
+        (_set(("block_structure", "lambdas"), ["nan", "nan"]), "not finite and positive"),
+        (_drop(("block_structure", "a_prime")), r"block_structure: missing field 'a_prime'"),
+        (_drop(("limits", "odd")), r"report\.limits: missing field 'odd'"),
+        (_set(("classification",), ["Divergence"]), "classification: expected a JSON object"),
+        (_set(("block_structure", "a_prime"), lambda v: v[:1]), r"a_prime: expected 2 entries"),
+        (_set(("limits", "even"), lambda v: [row + [0.0] for row in v]),
+         r"limits\.even: expected a 2x2 matrix"),
     ],
 )
 def test_verify_report_rejects_bad_blocks_and_indices(divergence_problem, corrupt, message):
@@ -514,6 +538,14 @@ def test_verify_report_rejects_bad_blocks_and_indices(divergence_problem, corrup
     io.verify_report(broken)
     corrupt(broken)
     with pytest.raises(InputError, match=message):
+        io.verify_report(broken)
+
+
+def test_verify_report_rejects_a_witness_of_the_wrong_shape(fast_problem):
+    broken = json.loads(json.dumps(io.jsonify(io.build_report(fast_problem))))
+    io.verify_report(broken)
+    broken["classification"]["witness"].append([0.0, 0.0])
+    with pytest.raises(InputError, match=r"witness: expected a 2x2 matrix, got 3x2"):
         io.verify_report(broken)
 
 
@@ -621,6 +653,17 @@ def test_cli_fit_final_is_the_last_iterate(tmp_path):
     final = np.array(payload["final"])
     np.testing.assert_allclose(final, oracles.slow_iterate(19_999), rtol=0, atol=1e-10)
     np.testing.assert_allclose(final.sum(axis=1), oracles.SLOW_A, rtol=0, atol=1e-12)
+
+
+def test_cli_seed_whose_total_overflows(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"a": [0.5, 0.5], "b": [0.5, 0.5],
+                                "X0": [[1e308, 1e308], [1e308, 0]]}))
+    code, payload = run_cli(capsys, "classify", str(path))
+    assert code == 0 and payload["behavior"] == "SlowConvergence"
+    code, payload = run_cli(capsys, "fit", str(path), "--max-iters", "200")
+    assert code == 0 and payload["iterations"] == 200
+    np.testing.assert_allclose(payload["final"], oracles.slow_iterate(200), rtol=0, atol=1e-12)
 
 
 def test_cli_analyze_report_file(tmp_path):
