@@ -144,12 +144,13 @@ def _cmd_fit(args) -> None:
     }
     _emit(payload, args.out)
     if args.trace_out:
+        rows, cols = trace._ratios(0, trace.n_iters + 1)  # both from one pass
         with open(args.trace_out, "w") as fh:
             fh.write(io.dumps({
                 "stored_indices": trace.stored_indices,
                 "errors": trace.errors,
-                "ratio_rows": trace.ratio_rows,
-                "ratio_cols": trace.ratio_cols,
+                "ratio_rows": rows,
+                "ratio_cols": cols,
                 "stop_reason": trace.stop_reason.value,
             }))
 

@@ -22,6 +22,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -49,8 +50,10 @@ class StoppingRule:
     max_iters: int = 100_000
 
     def __post_init__(self):
-        if self.tol_marginal <= 0 or self.tol_even_odd <= 0:
+        if not (self.tol_marginal > 0 and self.tol_even_odd > 0):  # NaN fails too
             raise ValueError("stopping tolerances must be positive")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
 
@@ -92,7 +95,9 @@ class _ScalingHistory(Sequence):
     first read by ``X_{2k}``).  ``K_0`` is the seed.  A fold multiplies an
     overgrown newest vector into a new base and resets it to ones (Schmitzer's
     absorption step); iterates from fold point ``starts[j]`` on read ``K_j``.
-    Indexing rebuilds an iterate, a slice a stack, :meth:`blocks` any indices;
+    An integer index rebuilds one iterate by that formula; every read of more
+    is a :meth:`stack`, iterate axis last and contiguous, taken in
+    :meth:`blocks` or, by slices and iteration, as ``(p, q)`` views.
     :meth:`ratios` reads marginal ratios off the vectors.
     """
 
@@ -159,38 +164,30 @@ class _ScalingHistory(Sequence):
         fs = [f[i] if s % 2 else f[j] for s, f in zip(self.starts[1:], self.folds) if s <= n]
         return np.log(self.u[(n + 1) // 2, i]) + np.log(self.v[n // 2, j]) + sum(map(np.log, fs))
 
-    def segments(self, ns: np.ndarray):
-        """Per base: positions in ``ns``, the base, and the ``u``/``v`` rows there."""
-        seg = np.searchsorted(self.starts, ns, side="right") - 1 if self.starts[1:] else None
-        for j, base in enumerate(self.bases):
-            at = slice(None) if seg is None else np.flatnonzero(seg == j)
-            yield at, base, self.u[(ns[at] + 1) // 2], self.v[ns[at] // 2]
+    def stack(self, ns, out: np.ndarray | None = None) -> np.ndarray:
+        """Iterates ``X_n`` for ``n`` in ``ns``, shape ``(p, q, len(ns))``, into ``out`` if given.
 
-    def rebuild(self, ns: np.ndarray) -> np.ndarray:
-        out = np.empty((len(ns),) + self.bases[0].shape)
-        for at, base, u, v in self.segments(ns):
-            out[at] = u[:, :, None] * base * v[:, None, :]
-        return out
-
-    def stack(self, n0: int, n1: int, out: np.ndarray) -> None:
-        """Iterates ``n0 .. n1 - 1`` written into ``out`` of shape ``(p, q, n1 - n0)``.
-
-        The iterates lie on the last, contiguous axis; the entries are those
-        of :meth:`rebuild`, bit for bit.
+        The iterates lie on the last, contiguous axis, in the order of ``ns``.
+        Each run of indices reading one base is written in one pass.
         """
-        for base, start, end in zip(self.bases, self.starts, self.starts[1:] + [n1]):
-            ns = np.arange(max(start, n0), min(end, n1))
-            if ns.size:
-                x = out[:, :, ns[0] - n0:ns[-1] + 1 - n0]
-                # contiguous copies of u and v keep numpy's inner loops on the iterate axis
-                np.multiply(base[:, :, None], self.u[(ns + 1) // 2].T.copy()[:, None], out=x)
-                x *= self.v[ns // 2].T.copy()
+        ns = np.asarray(ns, dtype=int)
+        if out is None:
+            out = np.empty(self.bases[0].shape + ns.shape)
+        seg = np.searchsorted(self.starts, ns, side="right") - 1
+        cut = [0, *np.flatnonzero(seg[1:] != seg[:-1]) + 1, ns.size] if ns.size else []
+        for lo, hi in zip(cut, cut[1:]):
+            m, x = ns[lo:hi], out[:, :, lo:hi]
+            # contiguous copies of u and v keep numpy's inner loops on the iterate axis
+            u, v = self.u[(m + 1) // 2].T.copy(), self.v[m // 2].T.copy()
+            np.multiply(self.bases[seg[lo]][:, :, None], u[:, None], out=x)
+            x *= v
+        return out
 
     def blocks(self, ns):
         """``(indices, stacked iterates)`` for the index sequence ``ns``, in blocks."""
         ns, step = np.asarray(ns, dtype=int), max(1, _BLOCK // self.bases[0].size)
         for lo in range(0, len(ns), step):
-            yield ns[lo:lo + step], self.rebuild(ns[lo:lo + step])
+            yield ns[lo:lo + step], self.stack(ns[lo:lo + step])
 
     def __len__(self) -> int:
         return self.count
@@ -198,14 +195,14 @@ class _ScalingHistory(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             r = range(self.count)[i]
-            return self.rebuild(np.arange(r.start, r.stop, r.step))
-        n = range(self.count)[i]  # one iterate: no segment search
+            return np.moveaxis(self.stack(np.arange(r.start, r.stop, r.step)), -1, 0)
+        n = range(self.count)[i]  # one iterate, by its own formula
         base = self.bases[bisect_right(self.starts, n) - 1]
         return self.u[(n + 1) // 2, :, None] * base * self.v[n // 2]
 
     def __iter__(self):
-        for _, x in self.blocks(range(self.count)):
-            yield from x
+        for _, x in self.blocks(np.arange(self.count)):
+            yield from np.moveaxis(x, -1, 0)
 
 
 @dataclass
@@ -214,9 +211,9 @@ class IterationTrace:
 
     ``errors[n]`` covers every iterate ``X_0 .. X_N``; ``ratio_rows[n]`` and
     ``ratio_cols[n]`` do too, read off the scaling-vector history on access.
-    No iterate is stored: ``stored_matrices`` is a read-only sequence
-    rebuilding each ``X_n`` from that history on access; ``stored_indices``
-    is ``arange(N + 1)``.
+    No iterate is stored: ``stored_matrices`` is a read-only sequence that
+    rebuilds ``X_n`` from that history on access, several at a time in its
+    one ``(p, q, iterates)`` layout; ``stored_indices`` is ``arange(N + 1)``.
     """
 
     problem: FittingProblem
@@ -316,7 +313,7 @@ def run(problem: FittingProblem, rule: StoppingRule | None = None) -> IterationT
                                      np.abs(cols[2:] - cols[:-2]) @ b)
         near = np.flatnonzero(d < 2.0 * rule.tol_even_odd)
         d[near] = np.concatenate([np.empty(0)] + [
-            np.abs(x - hist.rebuild(n - 2)).sum(axis=(1, 2)) for n, x in hist.blocks(ns[near])])
+            np.abs(x - hist.stack(n - 2)).sum(axis=(0, 1)) for n, x in hist.blocks(ns[near])])
         last = np.maximum.accumulate(np.where(d < rule.tol_even_odd, last_bad, ns))
         converged, cauchy = errors < rule.tol_marginal, ns - last >= 2 * _CAUCHY_WINDOW
         hits = np.flatnonzero(converged | cauchy | (ns >= rule.max_iters))
@@ -371,9 +368,9 @@ def ratio_update_matrices(trace: IterationTrace, start: int = 2) -> list[np.ndar
     The backward product of the result, applied to ``rows(X_start)/a``, walks
     the row-ratio vectors down the even subsequence.
     """
-    evens = range(start + start % 2, trace.n_iters + 1, 2)
+    evens = np.arange(start + start % 2, trace.n_iters + 1, 2)
     return [m for _, x in trace.stored_matrices.blocks(evens)
-            for m in ratio_update_matrix(x, trace.problem.a, trace.problem.b)]
+            for m in ratio_update_matrix(np.moveaxis(x, -1, 0), trace.problem.a, trace.problem.b)]
 
 
 # ---------------------------------------------------------------------------
@@ -433,19 +430,19 @@ def rate_estimate(trace: IterationTrace, min_even: int = 10,
     lo, hi = 0.5 * n_last, 0.875 * n_last
     first = int(np.ceil(lo))
     for parity, limit in ((0, trace.even_limit), (1, trace.odd_limit)):
-        ns = range(first + (first - parity) % 2, int(hi) + 1, 2)
-        if not ns:
+        ns = np.arange(first + (first - parity) % 2, int(hi) + 1, 2)
+        if not ns.size:
             continue
-        # least squares of ln|X_n - L| on n, summed over rebuilt blocks, with
+        # least squares of ln|X_n - L| on n, summed over stacked blocks, with
         # n centred on the window so that the sums keep their precision
-        sums, mid, limit = [0.0] * 6, (ns[0] + ns[-1]) / 2.0, limit()
+        sums, mid, limit = [0.0] * 6, (ns[0] + ns[-1]) / 2.0, limit()[:, :, None]
         for n, xs in trace.stored_matrices.blocks(ns):
-            d = np.abs(xs - limit)
+            d = np.abs(np.subtract(xs, limit, out=xs), out=xs)
             w = d > noise_floor
-            x = np.where(w, n[:, None, None] - mid, 0.0)
-            y = np.log(np.where(w, d, 1.0))
-            block_sums = (w.sum(axis=0, dtype=float), x.sum(axis=0), y.sum(axis=0),
-                          (x * x).sum(axis=0), (x * y).sum(axis=0), (y * y).sum(axis=0))
+            y = np.log(np.where(w, d, 1.0))  # 0 where the point is left out
+            w, c = w.astype(float), n - mid
+            block_sums = (w.sum(axis=-1), w @ c, y.sum(axis=-1),
+                          w @ (c * c), y @ c, (y * y).sum(axis=-1))
             sums = [s + t for s, t in zip(sums, block_sums)]
         w, x, y, xx, xy, yy = sums
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -518,7 +515,7 @@ def cross_ratio_check(trace: IterationTrace, rel_tol: float = 1e-10) -> CrossRat
         m = min(step, n - n0)
         x = y[:, :, :m]
         if isinstance(mats, _ScalingHistory):
-            mats.stack(n0, n0 + m, x)
+            mats.stack(np.arange(n0, n0 + m), x)
         else:
             x[...] = np.moveaxis(np.asarray(mats[n0:n0 + m], dtype=float), 0, -1)
         low = np.less(x, floor, out=under[:, :, :m])

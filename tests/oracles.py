@@ -36,6 +36,8 @@ trace with a cumulative sum; ``engine.escape_diagnostic`` reads the
 telescoped sum from the scalings instead.
 :func:`reference_cross_ratio_check` lists every supported 2x2 minor;
 ``engine.cross_ratio_check`` takes one max/min spread per row pair instead.
+:func:`reference_rate_estimate` fits each cell's line with ``np.polyfit``;
+``engine.rate_estimate`` sums the least-squares terms of all cells at once.
 
 Backward-product reference loop
 -------------------------------
@@ -200,7 +202,10 @@ def reference_scaling_run(problem: FittingProblem, rule) -> SimpleNamespace:
         hist.advance(n1 // 2, a, b)
         ns = np.arange(n0, n1)
         rows, cols = np.empty((len(ns), a.size)), np.empty((len(ns), b.size))
-        for at, base, u, v in hist.segments(ns):
+        seg = np.searchsorted(hist.starts, ns, side="right") - 1
+        for j, base in enumerate(hist.bases):
+            at = seg == j
+            u, v = hist.u[(ns[at] + 1) // 2], hist.v[ns[at] // 2]
             rows[at], cols[at] = u * (v @ base.T), v * (u @ base)
         errors = np.abs(rows - a).sum(axis=1) + np.abs(cols - b).sum(axis=1)
         r2, c2 = np.concatenate([tail_r, rows]), np.concatenate([tail_c, cols])
@@ -208,7 +213,7 @@ def reference_scaling_run(problem: FittingProblem, rule) -> SimpleNamespace:
                        np.abs(c2[2:] - c2[:-2]).sum(axis=1))
         near = np.flatnonzero(d < 2.0 * rule.tol_even_odd)
         d[near] = np.concatenate([np.empty(0)] + [
-            np.abs(x - hist.rebuild(n - 2)).sum(axis=(1, 2)) for n, x in hist.blocks(ns[near])])
+            np.abs(x - hist.stack(n - 2)).sum(axis=(0, 1)) for n, x in hist.blocks(ns[near])])
         last = np.maximum.accumulate(np.where(d < rule.tol_even_odd, last_bad, ns))
         converged, cauchy = errors < rule.tol_marginal, ns - last >= 2 * engine._CAUCHY_WINDOW
         hits = np.flatnonzero(converged | cauchy | (ns >= rule.max_iters))
@@ -272,6 +277,37 @@ def reference_cross_ratio_check(trace, rel_tol: float = 1e-10) -> engine.CrossRa
         rel -= 1.0
         dev = float(np.fmax(dev, np.fmax.reduce(np.abs(rel, out=rel), axis=None)))
     return engine.CrossRatioReport(dev <= rel_tol, dev, n_minors, full.size - n_minors)
+
+
+def reference_rate_estimate(trace, noise_floor: float = 1e-15) -> engine.RateReport:
+    """Per-cell rates fitted one cell at a time with ``np.polyfit``.
+
+    Same window ``[0.5 N, 0.875 N]`` (N the final even index), same points
+    ``(n, ln |X_n(i,j) - L(i,j)|)`` with the differences at or below
+    ``noise_floor`` left out, and the same fallback: the even subsequence
+    against the final even iterate, then the odd one against the final odd
+    iterate, for cells with fewer than three points.  Iterates are read one
+    by one, ``r_squared`` is one minus the residual over the total sum of
+    squares (1 for a flat line).
+    """
+    n_last, p, q = trace.n_iters - trace.n_iters % 2, *trace.problem.shape
+    rates, r2s = np.full((p, q), -np.inf), np.full((p, q), np.nan)
+    source, undecided = np.full((p, q), -1, dtype=np.int8), np.ones((p, q), dtype=bool)
+    first, last = int(np.ceil(0.5 * n_last)), int(0.875 * n_last)
+    for parity, limit in ((0, trace.even_limit()), (1, trace.odd_limit())):
+        ns = np.arange(first + (first - parity) % 2, last + 1, 2)
+        d = np.abs(np.array([trace.iterate(int(n)) for n in ns]).reshape(-1, p, q) - limit)
+        for i, j in zip(*np.nonzero(undecided)):
+            w = d[:, i, j] > noise_floor
+            if w.sum() < 3:
+                continue
+            x, y = ns[w], np.log(d[w, i, j])
+            slope, icept = np.polyfit(x, y, 1)
+            ss = ((y - y.mean()) ** 2).sum()
+            r2s[i, j] = 1.0 if ss == 0.0 else 1.0 - ((y - (slope * x + icept)) ** 2).sum() / ss
+            rates[i, j], source[i, j], undecided[i, j] = slope, parity, False
+    return engine.RateReport(rates=rates, r_squared=r2s, converged=undecided,
+                             source=source, window=(first, last))
 
 
 # ---------------------------------------------------------------------------

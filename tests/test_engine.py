@@ -86,6 +86,12 @@ def test_stopping_rule_validation():
         StoppingRule(tol_even_odd=-1.0)
     with pytest.raises(ValueError):
         StoppingRule(max_iters=-1)
+    # a NaN tolerance would never fire, and a float cap would fail mid-run
+    for bad in ({"tol_marginal": math.nan}, {"tol_even_odd": math.nan}, {"max_iters": 2.5},
+                {"max_iters": 100.0}, {"max_iters": True}, {"max_iters": "10"}):
+        with pytest.raises(ValueError):
+            StoppingRule(**bad)
+    assert StoppingRule(max_iters=np.int64(7)).max_iters == 7
 
 
 def test_converged_immediately_on_fitted_seed():
@@ -132,10 +138,9 @@ def test_slow_instance_oscillation_detected_late(slow_problem):
 # scaling form: iterates rebuilt on demand, checked against the matrix form
 
 
-def test_decimation_keeps_arithmetic_indices(slow_problem):
-    # No trace is decimated: a run of 20k iterates, twice the length at
-    # which matrix storage used to thin out, keeps stride 1, and every one
-    # of its iterates is rebuilt from the scaling history.
+def test_long_trace_rebuilds_every_iterate(slow_problem):
+    # a run of 20k iterates keeps stride 1, and every one of its iterates
+    # is rebuilt from the scaling history
     trace = run_capped(slow_problem, 20_001)
     n = trace.n_iters
     np.testing.assert_array_equal(trace.stored_indices, np.arange(n + 1))
@@ -221,15 +226,29 @@ def test_scalings_fold_instead_of_overflowing():
                                    np.log(xs[n][i, j] / problem.x0[i, j]), rtol=0, atol=1e-12)
 
 
-def test_stack_puts_the_rebuilt_iterates_on_the_last_axis():
+def test_slices_and_iteration_equal_single_iterate_reads():
+    # hist[n] rebuilds one iterate by its own formula; every stacked read,
+    # in any order and across fold points, must give the same bits
     rule = StoppingRule(tol_marginal=1e-300, tol_even_odd=1e-300, max_iters=2000)
     hist = run(_fold_problem(), rule).stored_matrices
     starts = hist.starts[1:4]
     assert len(starts) == 3
-    for n0, n1 in [(0, 7)] + [(s - 3, s + 4) for s in starts] + [(starts[0] - 1, starts[2] + 2)]:
-        out = np.empty((4, 4, n1 - n0))
-        hist.stack(n0, n1, out)
-        np.testing.assert_array_equal(np.moveaxis(out, -1, 0), hist.rebuild(np.arange(n0, n1)))
+    one = np.stack([hist[n] for n in range(len(hist))])
+    s0, s2 = starts[0], starts[2]
+    slices = [slice(0, 7), slice(None), slice(None, None, -1), slice(None, None, 3),
+              slice(s0 - 1, s2 + 2), slice(s2 + 2, s0 - 2, -1), slice(s0 - 5, s2 + 5, 4),
+              slice(s2 + 5, s0 - 5, -3), slice(-3, None), slice(5, 5)]
+    slices += [slice(s - 3, s + 4) for s in starts] + [slice(s + 3, s - 4, -1) for s in starts]
+    for sl in slices:
+        got = hist[sl]
+        assert got.shape == one[sl].shape, sl
+        assert got.tobytes() == one[sl].tobytes(), sl
+    assert np.stack(list(hist)).tobytes() == one.tobytes()
+    # any index sequence, written into a given buffer
+    ns = [s2 + 1, 0, s0, s0 - 1, len(hist) - 1, s0, 2]
+    out = np.empty((4, 4, len(ns)))
+    assert hist.stack(ns, out) is out
+    assert np.moveaxis(out, -1, 0).tobytes() == one[ns].tobytes()
 
 
 @pytest.mark.parametrize("cap", [19_999, 20_000])
@@ -343,9 +362,9 @@ def test_ratio_update_matrices_walk_the_even_subsequence(divergence_problem):
     np.testing.assert_allclose(prod @ r2, r30, atol=1e-12)
 
 
-def test_ratio_update_matrices_refuse_decimated_trace(slow_problem):
-    # No trace is decimated any more, so none is refused: a 20k-iterate
-    # trace yields P(X_n) for every even n >= 2, each row-stochastic.
+def test_ratio_update_matrices_cover_every_even_iterate(slow_problem):
+    # a 20k-iterate trace yields P(X_n) for every even n >= 2, each
+    # row-stochastic and equal to the one of the single rebuilt iterate
     trace = run_capped(slow_problem, 20_000)
     ps = ratio_update_matrices(trace)
     assert len(ps) == 10_000
@@ -387,6 +406,29 @@ def test_rate_estimate_slow_is_subgeometric(slow_problem):
     assert finite.any()
     # 1/n decay: fitted log-slopes hug zero, nowhere near geometric
     assert np.abs(report.rates[finite]).max() < 0.05
+
+
+def test_rate_estimate_matches_per_cell_polyfit(fast_problem, slow_problem, rng):
+    cases = [
+        run(fast_problem, StoppingRule(tol_marginal=1e-13, tol_even_odd=1e-16, max_iters=200)),
+        run_capped(slow_problem, 400),
+        run_capped(slow_problem, 4001),
+        # a positive seed is always feasible; the mixed support adds empty cells
+        run_capped(FittingProblem(rng.random((5, 6)) + 0.1, oracles.random_marginals(rng, 5),
+                                  oracles.random_marginals(rng, 6)), 60),
+        run_capped(oracles.random_problem(rng, 5, 6), 600),
+        run_capped(_fold_problem(), 20_000),  # folds inside the window
+    ]
+    assert any(10_000 < s < 17_500 for s in cases[-1].stored_matrices.starts)
+    # a raised noise floor leaves out the tail of a geometric cell's points
+    for trace, floor in [(t, 1e-15) for t in cases] + [(cases[0], 1e-9), (cases[3], 1e-9)]:
+        got = rate_estimate(trace, noise_floor=floor)
+        want = oracles.reference_rate_estimate(trace, noise_floor=floor)
+        assert got.window == want.window
+        np.testing.assert_array_equal(got.converged, want.converged)
+        np.testing.assert_array_equal(got.source, want.source)
+        np.testing.assert_allclose(got.rates, want.rates, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(got.r_squared, want.r_squared, rtol=1e-9, atol=1e-12)
 
 
 def test_rate_estimate_needs_enough_iterates(fast_problem):

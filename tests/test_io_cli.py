@@ -835,6 +835,12 @@ def test_cli_usage_errors(capsys):
     assert cli.main(["classify", "x.json", "--no-such-flag"]) == 1
     assert "usage error" in capsys.readouterr().err
 
+    # NaN compares false with every error: the run would go on to the cap
+    for command in ("fit", "analyze"):
+        assert cli.main([command, str(io.data_path("slow-2x2.json")), "--tol", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage error" in captured.err
+
 
 def test_cli_input_errors(tmp_path, capsys):
     assert cli.main(["classify", str(tmp_path / "missing.json")]) == 2
