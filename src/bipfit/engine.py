@@ -106,30 +106,37 @@ class _ScalingHistory(Sequence):
         self.u, self.v = (np.ones((_FOLD_EVERY + 1, m)) for m in x0.shape)
         self.k = 0  # double steps taken
         self.count = 1  # iterates readable as a sequence, set by the run
+        # row i of the block is [u | v] of a fold group's step i; bound `dot`s skip dispatch
+        block = self._block = np.ones((_FOLD_EVERY + 1, sum(x0.shape)))
+        self._steps = list(zip(block[:, :len(x0)], block[:, len(x0):]))
+        self._dots = x0.dot, x0.T.dot
 
     def advance(self, k_end: int, a: np.ndarray, b: np.ndarray) -> None:
         """Take allocation-free double steps up to ``k_end``; test for a fold per group."""
-        row, col = np.empty(a.size), np.empty(b.size)
+        block, steps, p = self._block, self._steps, a.size
         while self.k < k_end:
             k0, k1 = self.k + 1, min(self.k + 1 + _FOLD_EVERY, k_end + 1)
             if k1 > len(self.u):
                 self.u = _doubled(self.u)
                 self.v = _doubled(self.v)
-            base, vs = self.bases[-1], list(self.v[k0 - 1:k1])
-            # bound methods call BLAS without numpy's __array_function__ dispatch
-            row_dot, col_dot = base.dot, base.T.dot
-            for u, v_in, v in zip(list(self.u[k0:k1]), vs, vs[1:]):
-                row_dot(v_in, row)
-                np.divide(a, row, u)
-                col_dot(u, col)
-                np.divide(b, col, v)
-            for n, vec in ((2 * k1 - 3, u), (2 * k1 - 2, v)):  # odd n: a row scaling
-                if not 1 / _FOLD_AT < np.minimum.reduce(vec) <= np.maximum.reduce(vec) < _FOLD_AT:
-                    base = base * (vec[:, None] if n % 2 else vec)
-                    self.starts.append(n)
-                    self.bases.append(base)
-                    self.folds.append(vec.copy())
-                    vec[:] = 1.0
+            (row_dot, col_dot), g = self._dots, k1 - self.k  # g rows: carried v, the steps
+            block[0, p:] = self.v[self.k]  # from the history, where a fold resets it
+            for (_, v_in), (u, v) in zip(steps, steps[1:g]):
+                row_dot(v_in, u)
+                np.divide(a, u, u)
+                col_dot(u, v)
+                np.divide(b, v, v)
+            self.u[k0:k1], self.v[k0:k1] = block[1:g, :p], block[1:g, p:]
+            last = block[g - 1]  # one joint test; the per-vector one only if it fails
+            if not 1 / _FOLD_AT < np.minimum.reduce(last) <= np.maximum.reduce(last) < _FOLD_AT:
+                for n, vec in ((2 * k1 - 3, self.u[k1 - 1]), (2 * k1 - 2, self.v[k1 - 1])):
+                    if not 1 / _FOLD_AT < vec.min() <= vec.max() < _FOLD_AT:
+                        base = self.bases[-1] * (vec[:, None] if n % 2 else vec)  # odd n: rows
+                        self.starts.append(n)
+                        self.bases.append(base)
+                        self.folds.append(vec.copy())
+                        vec[:] = 1.0
+                        self._dots = base.dot, base.T.dot
             self.k = k1 - 1
 
     def ratios(self, n0: int, n1: int, a: np.ndarray, b: np.ndarray):
@@ -173,8 +180,11 @@ class _ScalingHistory(Sequence):
         ns = np.asarray(ns, dtype=int)
         if out is None:
             out = np.empty(self.bases[0].shape + ns.shape)
-        seg = np.searchsorted(self.starts, ns, side="right") - 1
-        cut = [0, *np.flatnonzero(seg[1:] != seg[:-1]) + 1, ns.size] if ns.size else []
+        if len(self.bases) == 1:  # the common case: one run, nothing to search
+            seg, cut = [0], [0, ns.size]
+        else:
+            seg = np.searchsorted(self.starts, ns, side="right") - 1
+            cut = [0, *np.flatnonzero(seg[1:] != seg[:-1]) + 1, ns.size] if ns.size else []
         for lo, hi in zip(cut, cut[1:]):
             m, x = ns[lo:hi], out[:, :, lo:hi]
             # contiguous copies of u and v keep numpy's inner loops on the iterate axis

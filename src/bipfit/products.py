@@ -282,8 +282,10 @@ def product_run(ms, tracked_vectors=()) -> ProductTrace:
     partials = np.empty((n, d, d))
     partials[0] = stack[0]
     # bound `dot` over views calls BLAS without numpy's dispatch per factor
-    for m, prev, out in zip(list(stack[1:]), list(partials[:-1]), list(partials[1:])):
+    prev = partials[0]
+    for m, out in zip(list(stack[1:]), list(partials[1:])):
         m.dot(prev, out)
+        prev = out
     variations = np.empty(n - 1)
     disp = np.empty((n, len(tracked)))
     for blk in _blocks(n, d * d):

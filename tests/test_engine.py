@@ -197,14 +197,15 @@ def test_engine_matches_matrix_form_reference(
     assert set(reasons) == set(StopReason)
 
 
-def _fold_problem():
+def _fold_problem(skew: float = 1.0):
     # On its own divergence-2x2 stops near n=1078 under any positive
     # tolerance: its dying cell underflows to an exact zero and the even/odd
     # test fires.  Beside a slow-2x2 block (block-diagonal seed, half the mass
     # each, so the blocks iterate independently) it keeps dying for 20k steps
-    # while the slow block keeps both rules from firing.
+    # while the slow block keeps both rules from firing.  Unskewed, u and v
+    # leave the fold range in the same group; a skewed seed cell parts them.
     x0 = np.zeros((4, 4))
-    x0[:2, :2], x0[2:, 2:] = oracles.DIV_X0, oracles.SLOW_X0
+    x0[:2, :2], x0[2:, 2:] = oracles.DIV_X0 * [[1.0, skew], [1.0, 1.0]], oracles.SLOW_X0
     a = np.concatenate([oracles.DIV_A, oracles.SLOW_A]) / 2
     return FittingProblem(x0, a, a)
 
@@ -298,14 +299,21 @@ def test_scaling_loop_matches_reference_bitwise(slow_problem, fast_problem,
     fortran.x0 = np.asfortranarray(critical.x0)
     assert not fortran.x0.flags.c_contiguous
     capped = StoppingRule(tol_marginal=1e-300, tol_even_odd=1e-300, max_iters=20_000)
+    # caps ending mid fold group and mid chunk, so the last group is short; at 382
+    # the fold problem's first fold falls due in that short group
+    odd = [StoppingRule(tol_marginal=1e-300, tol_even_odd=1e-300, max_iters=n)
+           for n in (1, 37, 382, 19_999)]
     cases = [(slow_problem, capped), (critical, capped), (fortran, capped),
-             (_fold_problem(), capped), (fast_problem, StoppingRule()),
-             (divergence_problem, StoppingRule())]
+             (_fold_problem(), capped), (_fold_problem(skew=1e-25), capped),
+             *[(problem, rule) for rule in odd for problem in (slow_problem, _fold_problem())],
+             (fast_problem, StoppingRule()), (divergence_problem, StoppingRule())]
     traces = [run(problem, rule) for problem, rule in cases]
     for trace, (problem, rule) in zip(traces, cases):
         _assert_bitwise_equal(trace, oracles.reference_scaling_run(problem, rule))
-    folded = traces[3].stored_matrices
+    folded, skewed = traces[3].stored_matrices, traces[4].stored_matrices
     assert len(folded.starts) > 1 and len(folded.folds) == len(folded.starts) - 1
+    s1, s2 = skewed.starts[1:3]
+    assert s1 % 2 != s2 % 2 and s2 - s1 > 1  # u and v each fold alone, in their own group
     assert traces[-1].stop_reason is StopReason.EVEN_ODD_CONVERGED  # mid-chunk
 
 
