@@ -89,13 +89,10 @@ def _resolve_seed(flag_value: int | None) -> int:
 
 
 def _emit(payload: dict, out_path) -> None:
-    text = io.dumps(payload)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
+        io.save_report(payload, out_path)
     else:
-        print(text)
+        print(io.dumps(payload))
 
 
 def _load(args) -> tuple:
@@ -165,8 +162,8 @@ def _cmd_reduce(args) -> None:
     problem, meta = _load(args)
     lp = structure.limit_points(problem)
     payload = {
-        "a": lp.blocks.a_prime.tolist(),
-        "b": problem.b.tolist(),
+        "a": lp.blocks.a_prime,
+        "b": problem.b,
         "X0": lp.restricted.x0,
         "name": (meta.get("name", "problem") + " (reduced)") if meta else "reduced",
         "description": "seed restricted to the limit support; marginals adjusted "
@@ -193,8 +190,8 @@ def _cmd_products(args) -> None:
         "assumptions": trace.assumptions,
         "variation_sum": trace.variation_sum,
         "converged": converged,
-        "final_product": trace.final.tolist(),
-        "dispersion_final": trace.dispersion_history[-1].tolist() if tracked else [],
+        "final_product": trace.final,
+        "dispersion_final": trace.dispersion_history[-1] if tracked else [],
         "offdiag_report": products.offdiag_convergence_report(trace) if converged else None,
     }
     _emit(payload, args.out)

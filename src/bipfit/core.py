@@ -206,12 +206,12 @@ def fit_cols(x, b) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     b = np.asarray(b, dtype=float)
-    cols = x.sum(axis=0)
+    cols = x.sum(axis=-2)
     if np.any(cols <= 0):
         raise ValueError(
-            f"column {int(np.argmax(cols <= 0))} has zero sum; cannot fit columns"
+            f"column {int(np.argmax(cols <= 0)) % b.size} has zero sum; cannot fit columns"
         )
-    return x * (b / cols)[None, :]
+    return x * (b / cols)[..., None, :]
 
 
 def marginal_ratios(x, a, b) -> MarginalRatios:

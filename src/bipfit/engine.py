@@ -19,7 +19,6 @@ support is fixed by the seed and preserved exactly.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Integral
@@ -87,7 +86,7 @@ def _doubled(h: np.ndarray) -> np.ndarray:
     return out
 
 
-class _ScalingHistory(Sequence):
+class _ScalingHistory:
     """Scaling vectors of one run, read as the sequence of iterates ``X_n``.
 
     ``X_n = diag(U[(n+1)//2]) K_j diag(V[n//2])``: double step ``k`` writes

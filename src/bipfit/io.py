@@ -60,12 +60,16 @@ def _as_number(value, where: str) -> float:
 
 
 def _as_vector(values, where: str) -> np.ndarray:
+    if isinstance(values, np.ndarray):  # a report built in memory
+        values = values.tolist()
     if not isinstance(values, (list, tuple)):
         raise InputError(f"{where}: expected a list of numbers")
     return np.array([_as_number(v, f"{where}[{k}]") for k, v in enumerate(values)])
 
 
 def _as_matrix(values, where: str) -> np.ndarray:
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
     if not isinstance(values, (list, tuple)) or not values:
         raise InputError(f"{where}: expected a non-empty list of rows")
     # plain numbers in equal rows convert in one call; anything else (decimal
@@ -267,21 +271,14 @@ def problem_from_dict(data, where: str = "problem") -> tuple[FittingProblem, dic
 
 
 def problem_to_dict(problem: FittingProblem, **meta) -> dict:
-    return _listed(_problem_fields(problem, meta))
+    return jsonify(_problem_fields(problem, meta))
 
 
 def _problem_fields(problem: FittingProblem, meta: dict) -> dict:
-    """A problem file's fields, the seed kept as an array for :func:`dumps`."""
-    out = {"a": problem.a.tolist(), "b": problem.b.tolist(), "X0": problem.x0}
+    """A problem file's fields, arrays kept as they are for :func:`dumps`."""
+    out = {"a": problem.a, "b": problem.b, "X0": problem.x0}
     out.update({k: v for k, v in meta.items() if v is not None})
     return out
-
-
-def _listed(fields: dict) -> dict:
-    """``fields`` with each array in it, or in a dict nested in it, as lists."""
-    return {k: _listed(v) if type(v) is dict
-            else v.tolist() if isinstance(v, np.ndarray) else v
-            for k, v in fields.items()}
 
 
 def load_problem(path, a=None, b=None) -> tuple[FittingProblem, dict]:
@@ -384,12 +381,14 @@ def _resolved_config(rule: StoppingRule) -> dict:
 
 def build_report(problem: FittingProblem, rule: StoppingRule | None = None,
                  meta: dict | None = None) -> dict:
-    """Full structural analysis of one problem, as a JSON-ready dict.
+    """Full structural analysis of one problem, arrays at its leaves.
 
     Contains the classification with certificates, the block structure and
     adjusted marginals, the limit support and both limit points, the engine
     run statistics, the agreement between predicted and iterated limits, and
     which incompatibility causes turn critical under the adjusted marginals.
+    :func:`dumps` or :func:`save_report` writes it; :func:`jsonify` turns it
+    into plain JSON types.
     """
     if rule is None:
         rule = StoppingRule()
@@ -405,9 +404,9 @@ def build_report(problem: FittingProblem, rule: StoppingRule | None = None,
             "r": bs.r,
             "row_blocks": [list(blk) for blk in bs.row_blocks],
             "col_blocks": [list(blk) for blk in bs.col_blocks],
-            "lambdas": bs.lambdas.tolist(),
-            "a_prime": bs.a_prime.tolist(),
-            "b_prime": bs.b_prime.tolist(),
+            "lambdas": bs.lambdas,
+            "a_prime": bs.a_prime,
+            "b_prime": bs.b_prime,
         },
         "sigma": lp.sigma,
         "limits": {
@@ -429,7 +428,7 @@ def build_report(problem: FittingProblem, rule: StoppingRule | None = None,
         "escaped_cells": engine.escape_diagnostic(
             trace, np.argwhere(problem.support & ~lp.sigma)),
     }
-    return _listed(report)
+    return report
 
 
 def _classification_fields(cls: structure.Classification) -> dict:
@@ -476,9 +475,8 @@ def _criticality_transfer(problem: FittingProblem, bs: structure.BlockStructure)
 
 
 def save_report(report: dict, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps(report))
-        fh.write("\n")
+    """Write ``dumps(report)`` and a newline to ``path``, opened once the text is made."""
+    Path(path).write_text(dumps(report) + "\n")
 
 
 def load_report(path, verify: bool = True) -> dict:
@@ -491,6 +489,7 @@ def load_report(path, verify: bool = True) -> dict:
 def verify_report(report: dict) -> None:
     """Re-verify the certificates embedded in an analysis report.
 
+    Takes a loaded report or one built in memory by :func:`build_report`.
     Rebuilds the problem from the embedded input and checks every cause
     (indices in range, zero block, mass comparison), the witness marginals,
     the monotone block scalings, that the blocks partition the rows and the
@@ -604,7 +603,8 @@ def _report_matrix(values, shape: tuple[int, int], where: str) -> np.ndarray:
 
 
 def _indices(values, size: int, where: str) -> np.ndarray:
-    """Row or column indices read from a report, each checked to be in range."""
-    if not isinstance(values, list) or not all(type(v) is int and 0 <= v < size for v in values):
-        raise InputError(f"{where}: expected indices in range(0, {size})")
+    """Row or column indices read from a report, each in range and none repeated."""
+    if (not isinstance(values, list) or not all(type(v) is int and 0 <= v < size for v in values)
+            or len(set(values)) < len(values)):
+        raise InputError(f"{where}: expected indices in range(0, {size}), none repeated")
     return np.array(values, dtype=int)

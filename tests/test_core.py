@@ -95,6 +95,14 @@ def test_fit_cols_hand_value():
     )
 
 
+def test_fit_rows_and_cols_fit_each_matrix_of_a_stack():
+    stack = np.random.default_rng(7).random((3, 2, 4))
+    a, b = np.array([0.25, 0.75]), np.full(4, 0.25)
+    for fit, target in ((fit_rows, a), (fit_cols, b)):
+        got = fit(stack, target)
+        np.testing.assert_array_equal(got, np.stack([fit(x, target) for x in stack]))
+
+
 def test_fitting_preserves_exact_zeros():
     x = np.array([[0.3, 0.0, 0.2], [0.0, 0.4, 0.1]])
     a = np.array([0.5, 0.5])

@@ -268,8 +268,10 @@ def test_sparse_300_rows_every_command_writes_the_reference_bytes(
         assert cli.main([argv[0], str(path), *argv[1:], "--out", str(out)]) == 0, argv
         assert out.read_text() == checked_dumps[-1] + "\n"
     assert json.loads(checked_dumps[0])["behavior"] == "SlowConvergence"
-    # X0, max_support and witness; X0; X0, even, odd and final
-    assert written == [(300, 300)] * 8
+    # classify: X0, max_support and witness; reduce: X0; fit: X0, even, odd
+    # and final; analyze: X0, max_support, witness, sigma, the even and odd
+    # limits and even_limit_estimate
+    assert written == [(300, 300)] * 15
 
 
 def test_python_m_bipfit_runs_the_cli():
@@ -470,6 +472,12 @@ def test_report_round_trip_and_verify(fast_problem, tmp_path):
         io.verify_report({"classification": {}})
 
 
+def test_reports_built_in_memory_verify():
+    for name in ("fast-2x2", "slow-2x2", "divergence-2x2", "example-5x6"):
+        problem, meta = io.load_problem(io.data_path(f"{name}.json"))
+        io.verify_report(io.build_report(problem, StoppingRule(max_iters=2000), meta=meta))
+
+
 def test_verify_report_rejects_corrupted_structure(divergence_problem):
     clean = json.loads(json.dumps(io.jsonify(io.build_report(divergence_problem))))
     io.verify_report(clean)
@@ -515,6 +523,7 @@ def _drop(path):
     [
         (_set(("classification", "causes", 0, "rows"), [7]), "cause 0 rows: expected indices"),
         (_set(("classification", "causes", 0, "cols"), [-1]), "cause 0 cols: expected indices"),
+        (_set(("classification", "causes", 0, "rows"), [1, 1]), "cause 0 rows: .* none repeated"),
         (_set(("block_structure", "row_blocks", 0), [7]), "row block 0: expected indices"),
         (_set(("block_structure", "col_blocks", 1), [0.5]), "column block 1: expected indices"),
         (_set(("block_structure", "row_blocks"), [[1], [1]]), "row blocks do not partition"),
