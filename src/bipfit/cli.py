@@ -19,6 +19,7 @@ variable, then 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -36,6 +37,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # built at the first main() call, reused by every later one
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bipfit", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -142,14 +144,13 @@ def _cmd_fit(args) -> None:
     _emit(payload, args.out)
     if args.trace_out:
         rows, cols = trace._ratios(0, trace.n_iters + 1)  # both from one pass
-        with open(args.trace_out, "w") as fh:
-            fh.write(io.dumps({
-                "stored_indices": trace.stored_indices,
-                "errors": trace.errors,
-                "ratio_rows": rows,
-                "ratio_cols": cols,
-                "stop_reason": trace.stop_reason.value,
-            }))
+        io.save_report({
+            "stored_indices": trace.stored_indices,
+            "errors": trace.errors,
+            "ratio_rows": rows,
+            "ratio_cols": cols,
+            "stop_reason": trace.stop_reason.value,
+        }, args.trace_out)
 
 
 def _cmd_analyze(args) -> None:

@@ -16,11 +16,13 @@ certificates from scratch.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from enum import Enum
 from importlib import resources
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -122,20 +124,34 @@ def jsonify(obj):
     return obj
 
 
-#: Types the C encoder writes exactly as ``json.dumps(jsonify(x), indent=2)``
-#: does, apart from non-finite floats (refused there by ``allow_nan=False``).
-_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+#: How ``json.dumps`` writes a scalar of each exact type that :func:`jsonify`
+#: leaves (its floats are finite).  The C encoder writes a list of these
+#: types the same way, apart from non-finite floats, which ``allow_nan=False``
+#: refuses there.
+_LEAVES = {
+    str: _quote,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+@functools.cache
+def _row_encoder(inner: str):
+    """The C encoder's ``encode``, a row's items separated by ``"," + inner``."""
+    return json.JSONEncoder(separators=("," + inner, ": "), allow_nan=False).encode
 
 
 def dumps(obj) -> str:
     """``json.dumps(jsonify(obj), indent=2)``, byte for byte, but faster.
 
-    Dicts and lists are walked here; a list of plain JSON scalars (a matrix
-    row, a vector) is written by the C encoder in one call, its separators
-    carrying the newline and indentation.  A sparse 2-D float or bool array
-    is written from its nonzero cells (:func:`_write_sparse`).  Everything
-    else, and any list holding a non-finite float, goes through
-    :func:`jsonify`.
+    Dicts and lists are walked here and scalars written from :data:`_LEAVES`;
+    a list of plain JSON scalars (a matrix row, a vector) is written by the
+    C encoder in one call, its separators carrying the newline and
+    indentation.  A sparse 2-D float or bool array is written from its
+    nonzero cells (:func:`_write_sparse`).  Everything else, and any list
+    holding a non-finite float, goes through :func:`jsonify`.
     """
     parts: list[str] = []
     _write(obj, "\n", parts)
@@ -199,7 +215,9 @@ def _write(obj, newline: str, parts: list[str]) -> None:
         obj = jsonify(obj)
         kind = type(obj)
         if kind not in (dict, list):
-            parts.append(json.dumps(obj))
+            leaf = _LEAVES.get(kind)
+            # any other type goes to json.dumps, which raises on what it cannot write
+            parts.append(leaf(obj) if leaf else json.dumps(obj))
             return
     if not obj:
         parts.append("{}" if kind is dict else "[]")
@@ -209,14 +227,14 @@ def _write(obj, newline: str, parts: list[str]) -> None:
         sep = "{" + inner
         # keys as jsonify makes them: str(key), the last of equal keys wins
         for key, value in {str(k): v for k, v in obj.items()}.items():
-            parts.append(sep + json.dumps(key) + ": ")
+            parts.append(sep + _quote(key) + ": ")
             _write(value, inner, parts)
             sep = "," + inner
         parts.append(newline + "}")
         return
-    if set(map(type, obj)) <= _JSON_SCALARS:
+    if set(map(type, obj)) <= _LEAVES.keys():
         try:
-            body = json.dumps(obj, separators=("," + inner, ": "), allow_nan=False)
+            body = _row_encoder(inner)(obj)
         except ValueError:  # a non-finite float: write item by item below
             pass
         else:

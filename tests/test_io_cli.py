@@ -165,6 +165,22 @@ _SPARSE[0, 1], _SPARSE[0, 4], _SPARSE[1, 2], _SPARSE[2, 0], _SPARSE[2, 3] = (
     -0.0, 5e-324, 1e308, 0.1, -2.5)
 
 
+# scalars where the leaf writer takes them: dict values, and items of a list
+# written item by item (one holding a dict or a non-finite float)
+_LEAF_PAYLOAD = {
+    "naïve ключ": "café ☕ 日本",
+    'a "quoted"\x01 key\n': 'tab\t "quote" \x1f\\ bell\x07 \u2028',
+    "true": True, "false": False, "none": None,
+    "above 2**63": 2**63 + 12345, "below -2**64": -(2**64) - 1,
+    "negative zero": -0.0, "1e300": 1e300, "5e-324": 5e-324, "0.1": 0.1,
+    "float32": np.float32(0.1), "int64": np.int64(-(2**63)), "bool_": np.bool_(False),
+    "empty dict": {}, "empty list": [],
+    "mixed": [True, None, 2**70, -0.0, np.float32(3.5), "é", {"k": np.bool_(True)}],
+    "inf among numbers": [1.0, float("inf"), 2, -0.0],  # the item-by-item path
+    "row": [2**63 + 1, 5e-324, 1e300, -0.0, True, None, "ü"],  # one C-encoder call
+}
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -190,10 +206,19 @@ _SPARSE[0, 1], _SPARSE[0, 4], _SPARSE[1, 2], _SPARSE[2, 0], _SPARSE[2, 3] = (
         np.where(np.eye(4) > 0, np.nan, 0.0), np.where(np.eye(4) > 0, np.inf, 0.0),
         np.diag([1.0, -np.inf, 0.0]), np.arange(12.0).reshape(3, 4) / 7,
         np.eye(3)[:, [0, 1, 1]], np.zeros((0, 3)), np.zeros((3, 0)),
+        False, 2**64, _LEAF_PAYLOAD,
     ],
 )
 def test_dumps_matches_reference_on_edge_payloads(obj):
     assert io.dumps(obj) == oracles.reference_dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [object(), {"k": object()}, [1, {"k": [object()]}]])
+def test_dumps_refuses_what_json_dumps_refuses(obj):
+    with pytest.raises(TypeError):
+        oracles.reference_dumps(obj)
+    with pytest.raises(TypeError):
+        io.dumps(obj)
 
 
 @pytest.fixture
@@ -290,13 +315,13 @@ def test_trace_out_and_saved_report_bytes(tmp_path):
                      "--trace-out", str(trace_out)]) == 0
     problem, meta = io.load_problem(path)
     trace = engine.run(problem, StoppingRule(max_iters=500))
-    assert trace_out.read_text() == oracles.reference_dumps({  # no trailing newline
+    assert trace_out.read_text() == oracles.reference_dumps({
         "stored_indices": trace.stored_indices,
         "errors": trace.errors,
         "ratio_rows": trace.ratio_rows,
         "ratio_cols": trace.ratio_cols,
         "stop_reason": trace.stop_reason.value,
-    })
+    }) + "\n"
 
     for name in ("divergence-2x2.json", "example-5x6.json"):
         problem, meta = io.load_problem(io.data_path(name))
@@ -894,6 +919,43 @@ def test_cli_internal_failure_maps_to_exit_3(capsys, monkeypatch):
     code = cli.main(["classify", str(io.data_path("fast-2x2.json"))])
     assert code == 3
     assert "internal check failed" in capsys.readouterr().err
+
+
+def test_reused_parser_leaks_nothing_between_calls(capsys, monkeypatch):
+    built = []  # prog of every parser constructed
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    monkeypatch.delenv("BIPFIT_SEED", raising=False)
+    cli._build_parser.cache_clear()
+    fast = str(io.data_path("fast-2x2.json"))
+    spec = str(io.data_path("birkhoff-40.json"))
+
+    code, capped = run_cli(capsys, "fit", fast, "--max-iters", "3")
+    assert code == 0 and capped["iterations"] == 3 and capped["config"]["max_iters"] == 3
+    code, plain = run_cli(capsys, "fit", fast)
+    assert code == 0 and plain["config"]["max_iters"] == StoppingRule().max_iters
+    assert plain["iterations"] == engine.run(io.load_problem(fast)[0]).n_iters
+    assert plain["stop_reason"] == "Converged" and plain["iterations"] > 3
+
+    assert run_cli(capsys, "products", spec, "--seed", "5")[1]["config"]["seed"] == 5
+    assert run_cli(capsys, "products", spec)[1]["config"]["seed"] == io.DEFAULT_SEED
+
+    assert cli.main(["fit", fast, "--max-iters", "x"]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert cli.main(["classify", fast]) == 0
+    assert cli.main(["--help"]) == 0
+    assert "products" in capsys.readouterr().out
+    code, payload = run_cli(capsys, "classify", fast)
+    assert code == 0 and payload["behavior"] == "FastConvergence"
+
+    # one top-level parser and one per subcommand, each built once
+    assert built.count("bipfit") == 1
+    assert sorted(built) == sorted(["bipfit"] + [f"bipfit {name}" for name in cli._COMMANDS])
 
 
 def test_cli_version_and_help(capsys):
