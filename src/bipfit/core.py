@@ -65,7 +65,7 @@ def as_marginals(values, sum_tol: float = SUM_TOL, min_size: int = 2) -> np.ndar
     if np.any(v <= 0):
         bad = int(np.argmax(v <= 0))
         raise ValueError(
-            f"marginal entry {bad} is {v[bad]!r}; every entry must be > 0"
+            f"marginal entry {bad} is {float(v[bad])!r}; every entry must be > 0"
         )
     total = float(v.sum())
     if abs(total - 1.0) > sum_tol:
@@ -92,7 +92,7 @@ def check_matrix(x) -> np.ndarray:
         raise ValueError("matrix contains non-finite entries")
     if np.any(x < 0):
         i, j = np.unravel_index(int(np.argmin(x)), x.shape)
-        raise ValueError(f"matrix entry ({i},{j}) is negative: {x[i, j]!r}")
+        raise ValueError(f"matrix entry ({i},{j}) is negative: {float(x[i, j])!r}")
     positive = x > 0  # a sum could overflow; a positive entry cannot
     if not positive.any(axis=1).all():
         raise ValueError(

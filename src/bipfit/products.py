@@ -47,7 +47,7 @@ def _first_violation(ms: np.ndarray, tol: float):
     k = int(bad[0])
     if neg[k]:
         i, j = np.unravel_index(int(np.argmin(ms[k])), ms[k].shape)
-        return k, f"entry ({i},{j}) is negative: {ms[k, i, j]!r}"
+        return k, f"entry ({i},{j}) is negative: {float(ms[k, i, j])!r}"
     return k, f"row sums deviate from 1 by {dev[k]:g} (tol {tol:g})"
 
 

@@ -171,60 +171,153 @@ def _max_flow(a, c, supp):
     saturates a source, sink or backward edge exactly, so float capacities
     terminate cleanly.
 
+    The sets are Python ints used as bitsets: each row's support columns,
+    the columns with spare sink capacity, the rows with spare source
+    capacity, and for each column the rows carrying flow there.  A BFS
+    level costs one big-int operation per frontier node; a node reached
+    from several goes to the lowest-numbered one.  Capacities and flows are
+    Python floats.  A greedy row's takes are cut from a running sum of its
+    columns' capacities, and its total is summed in numpy's order
+    (sequentially below 8 terms, by ``np.add.reduce`` from 8 on), so every
+    augmentation is bitwise that of the dense formulation kept as
+    ``reference_max_flow`` in ``tests/oracles.py``.
+
     Returns ``(f, flow_value, reach_rows, reach_cols)`` where ``f`` is the
     flow on support cells and the reach masks describe residual reachability
     from the source on termination (i.e. the minimal min cut).
     """
     p, q = supp.shape
-    f = np.zeros((p, q))
-    ra = a.astype(float)  # spare source capacity
-    rc = c.astype(float)  # spare sink capacity
+    packed = np.packbits(supp, axis=1, bitorder="little")
+    width = packed.shape[1]
+    packed = packed.tobytes()
+    row_bits = [int.from_bytes(packed[k:k + width], "little")
+                for k in range(0, p * width, width)]
+    ra = a.astype(float).tolist()  # spare source capacity
+    rc = c.astype(float).tolist()  # spare sink capacity
+    spare = 0  # columns with rc > _EPS_FLOW
+    for j, cap in enumerate(rc):
+        if cap > _EPS_FLOW:
+            spare |= 1 << j
+    flows: list[dict[int, float]] = [{} for _ in range(p)]  # row -> {col: f}
+    carry = [0] * q  # column -> rows with f > _EPS_FLOW there
+    sources = 0  # rows with ra > _EPS_FLOW
     for i in range(p):
-        cols = (supp[i] & (rc > _EPS_FLOW)).nonzero()[0]
-        caps = rc[cols]
-        take = np.minimum(caps, np.maximum(ra[i] - (caps.cumsum() - caps), 0.0))
-        f[i, cols] = take
-        rc[cols] -= take
-        ra[i] = max(ra[i] - take.sum(), 0.0)
-    while True:
-        row_par = np.full(p, -2)  # -2 unvisited, -1 source, else parent col
-        col_par = np.full(q, -2)  # parent row
-        rows = (ra > _EPS_FLOW).nonzero()[0]
-        row_par[rows] = -1
-        goals = rows[:0]
-        while rows.size:
-            step = supp[rows] & (col_par == -2)
-            cols = step.any(axis=0).nonzero()[0]
-            col_par[cols] = rows[step[:, cols].argmax(axis=0)]
-            goals = cols[rc[cols] > _EPS_FLOW]
-            if goals.size or not cols.size:
+        eligible = row_bits[i] & spare
+        r, acc, takes = ra[i], 0.0, []
+        flow_i, bit_i = flows[i], 1 << i
+        bits = eligible
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            j = low.bit_length() - 1
+            cap = rc[j]
+            acc += cap
+            take = min(cap, max(r - (acc - cap), 0.0))
+            if take == 0.0:  # so is every later take
                 break
-            back = (f[:, cols] > _EPS_FLOW) & (row_par == -2)[:, None]
-            rows = back.any(axis=1).nonzero()[0]
-            row_par[rows] = cols[back[rows].argmax(axis=1)]
-        if not goals.size:
-            return f, float((a - ra).sum()), row_par != -2, col_par != -2
-        for goal in goals.tolist():
+            takes.append(take)
+            flow_i[j] = take
+            rc[j] = cap - take
+            if rc[j] <= _EPS_FLOW:
+                spare ^= low
+            if take > _EPS_FLOW:
+                carry[j] |= bit_i
+        n = eligible.bit_count()
+        if n < 8:
+            total = 0.0
+            for take in takes:
+                total += take
+        else:
+            total = float(np.add.reduce(np.array(takes + [0.0] * (n - len(takes)))))
+        ra[i] = max(r - total, 0.0)
+        if ra[i] > _EPS_FLOW:
+            sources |= bit_i
+    row_par = [-1] * p  # -1 source, else parent col (read on visited rows)
+    col_par = [0] * q  # parent row (read on visited cols)
+    while True:
+        rows = _bit_list(sources)
+        seen_rows, seen_cols, goals = sources, 0, 0
+        for i in rows:
+            row_par[i] = -1
+        while rows:
+            level = 0
+            for i in rows:
+                new = row_bits[i] & ~seen_cols
+                if new:
+                    seen_cols |= new
+                    level |= new
+                    # inlined, as below: a _bit_list call per node costs
+                    # ~10 % on a 400-row seed
+                    while new:
+                        low = new & -new
+                        new ^= low
+                        col_par[low.bit_length() - 1] = i
+            goals = level & spare
+            if goals or not level:
+                break
+            found = 0
+            for j in _bit_list(level):
+                new = carry[j] & ~seen_rows
+                if new:
+                    seen_rows |= new
+                    found |= new
+                    while new:
+                        low = new & -new
+                        new ^= low
+                        row_par[low.bit_length() - 1] = j
+            rows = _bit_list(found)
+        if not goals:
+            break
+        for goal in _bit_list(goals):
             # walk the tree back: forward middle edges are unbounded,
             # backward ones carry f
             path = []
             j, delta = goal, rc[goal]
             while True:
-                i = int(col_par[j])
+                i = col_par[j]
                 path.append((i, j))
                 if row_par[i] == -1:
                     delta = min(delta, ra[i])
                     break
-                j = int(row_par[i])
-                delta = min(delta, f[i, j])
+                j = row_par[i]
+                delta = min(delta, flows[i][j])
             if delta <= _EPS_FLOW:  # a bottleneck shared with an earlier goal
                 continue
             rc[goal] -= delta
+            if rc[goal] <= _EPS_FLOW:
+                spare &= ~(1 << goal)
             ra[i] -= delta
+            if ra[i] <= _EPS_FLOW:
+                sources &= ~(1 << i)
             for i, j in path:
-                f[i, j] += delta
+                flows[i][j] = flows[i].get(j, 0.0) + delta
+                if flows[i][j] > _EPS_FLOW:
+                    carry[j] |= 1 << i
             for (i, _), (_, j) in zip(path[:-1], path[1:]):
-                f[i, j] -= delta
+                flows[i][j] -= delta
+                if flows[i][j] <= _EPS_FLOW:
+                    carry[j] &= ~(1 << i)
+    f = np.zeros(p * q)
+    f[[i * q + j for i, flow_i in enumerate(flows) for j in flow_i]] = [
+        v for flow_i in flows for v in flow_i.values()]
+    return (f.reshape(p, q), float((a - np.array(ra)).sum()),
+            _bit_mask(seen_rows, p), _bit_mask(seen_cols, q))
+
+
+def _bit_list(bits: int) -> list[int]:
+    """The set bits of ``bits``, lowest first."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def _bit_mask(bits: int, n: int) -> np.ndarray:
+    """The boolean mask of length ``n`` whose ``True`` entries are the set bits."""
+    packed = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little").astype(bool)
 
 
 def _cause_from_cut(a, b, reach_rows, reach_cols) -> Cause:
@@ -654,8 +747,17 @@ def partition_from_ratios(values, gap: float = CLUSTER_GAP) -> tuple[tuple[int, 
     the limiting ratios concentrate at the block scaling factors, so sorting
     and splitting at gaps larger than ``gap`` recovers ``I_1, ..., I_r`` in
     ascending order.
+
+    Raises
+    ------
+    ValueError
+        If ``values`` is empty or holds a NaN or an infinity.
     """
     v = np.asarray(values, dtype=float).ravel()
+    if not v.size:
+        raise ValueError("partition_from_ratios needs at least one ratio")
+    if not np.isfinite(v).all():
+        raise ValueError("partition_from_ratios needs finite ratios")
     order = np.argsort(v, kind="stable")
     blocks: list[list[int]] = [[int(order[0])]]
     for prev, cur in zip(order[:-1], order[1:]):

@@ -53,6 +53,14 @@ Indented JSON
 pure-Python indent-2 encoder run over ``io.jsonify``'s output.  Every
 JSON file and every stdout payload must come out byte for byte the same.
 
+Dense max-flow reference
+------------------------
+:func:`reference_max_flow` is the max-flow as it was before it ran on row
+bitsets: the same greedy allocation and breadth-first rounds on dense numpy
+masks, one level at a time.  ``structure._max_flow`` must return the same
+flow, flow value and reach masks bitwise, in both orientations the library
+solves.
+
 Brute-force oracles
 -------------------
 The structural verdicts (feasibility, strongest cause, critical blocks,
@@ -72,7 +80,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from bipfit import FittingProblem, StopReason, engine, io
-from bipfit.structure import Cause, CauseKind
+from bipfit.structure import _EPS_FLOW, Cause, CauseKind
 
 # ---------------------------------------------------------------------------
 # the three 2x2 reference instances
@@ -566,6 +574,78 @@ def maximal_support_by_enumeration(a, b, supp, crit_tol: float = 1e-12):
             dead_rows = [i for i in range(p) if i not in rows]
             out[np.ix_(dead_rows, comp)] = False
     return out
+
+
+# ---------------------------------------------------------------------------
+# dense max-flow reference
+
+
+def reference_max_flow(a, c, supp):
+    """Max flow on source -> rows -> cols -> sink with supports as free edges.
+
+    Source edges carry ``a``, sink edges ``c``, support edges are unbounded.
+    A greedy row-by-row allocation comes first.  Each round then grows a
+    breadth-first tree from the rows with spare source capacity, one level
+    at a time (to columns along support cells, back to rows along cells
+    carrying flow), until a level reaches columns with spare sink capacity,
+    and augments along the tree to every such column.  Each augmentation
+    saturates a source, sink or backward edge exactly, so float capacities
+    terminate cleanly.
+
+    Returns ``(f, flow_value, reach_rows, reach_cols)`` where ``f`` is the
+    flow on support cells and the reach masks describe residual reachability
+    from the source on termination (i.e. the minimal min cut).
+    """
+    p, q = supp.shape
+    f = np.zeros((p, q))
+    ra = a.astype(float)  # spare source capacity
+    rc = c.astype(float)  # spare sink capacity
+    for i in range(p):
+        cols = (supp[i] & (rc > _EPS_FLOW)).nonzero()[0]
+        caps = rc[cols]
+        take = np.minimum(caps, np.maximum(ra[i] - (caps.cumsum() - caps), 0.0))
+        f[i, cols] = take
+        rc[cols] -= take
+        ra[i] = max(ra[i] - take.sum(), 0.0)
+    while True:
+        row_par = np.full(p, -2)  # -2 unvisited, -1 source, else parent col
+        col_par = np.full(q, -2)  # parent row
+        rows = (ra > _EPS_FLOW).nonzero()[0]
+        row_par[rows] = -1
+        goals = rows[:0]
+        while rows.size:
+            step = supp[rows] & (col_par == -2)
+            cols = step.any(axis=0).nonzero()[0]
+            col_par[cols] = rows[step[:, cols].argmax(axis=0)]
+            goals = cols[rc[cols] > _EPS_FLOW]
+            if goals.size or not cols.size:
+                break
+            back = (f[:, cols] > _EPS_FLOW) & (row_par == -2)[:, None]
+            rows = back.any(axis=1).nonzero()[0]
+            row_par[rows] = cols[back[rows].argmax(axis=1)]
+        if not goals.size:
+            return f, float((a - ra).sum()), row_par != -2, col_par != -2
+        for goal in goals.tolist():
+            # walk the tree back: forward middle edges are unbounded,
+            # backward ones carry f
+            path = []
+            j, delta = goal, rc[goal]
+            while True:
+                i = int(col_par[j])
+                path.append((i, j))
+                if row_par[i] == -1:
+                    delta = min(delta, ra[i])
+                    break
+                j = int(row_par[i])
+                delta = min(delta, f[i, j])
+            if delta <= _EPS_FLOW:  # a bottleneck shared with an earlier goal
+                continue
+            rc[goal] -= delta
+            ra[i] -= delta
+            for i, j in path:
+                f[i, j] += delta
+            for (i, _), (_, j) in zip(path[:-1], path[1:]):
+                f[i, j] -= delta
 
 
 # ---------------------------------------------------------------------------

@@ -876,6 +876,25 @@ def test_cli_usage_errors(capsys):
         assert captured.out == "" and "usage error" in captured.err
 
 
+@pytest.mark.parametrize("command, data, message", [
+    ("classify", {"X0": [[1, -1], [1, 1]], "a": [0.5, 0.5], "b": [0.5, 0.5]},
+     "matrix entry (0,1) is negative: -1.0\n"),
+    ("classify", {"X0": [[1, 1], [1, 1]], "a": [1.1, -0.1], "b": [0.5, 0.5]},
+     "marginal entry 1 is -0.1; every entry must be > 0\n"),
+    ("products", [[[1.5, -0.5], [0.5, 0.5]]],
+     "factor 0: entry (0,1) is negative: -0.5\n"),
+])
+def test_cli_input_errors_print_plain_numbers(tmp_path, capsys, command, data, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert cli.main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert captured.err.endswith(message)
+    assert "np." not in captured.err
+
+
 def test_cli_input_errors(tmp_path, capsys):
     assert cli.main(["classify", str(tmp_path / "missing.json")]) == 2
 

@@ -17,7 +17,7 @@ from bipfit import (
     rate_estimate,
     run,
 )
-from bipfit import io
+from bipfit import io, structure
 from bipfit.structure import CauseKind
 
 import oracles
@@ -34,6 +34,49 @@ def assert_valid_witness(w, a, b, supp, tol=1e-9):
     assert not w[~np.asarray(supp, bool)].any()
     np.testing.assert_allclose(w.sum(axis=1), a, atol=tol)
     np.testing.assert_allclose(w.sum(axis=0), b, atol=tol)
+
+
+# ---------------------------------------------------------------------------
+# max flow on row bitsets against the dense reference
+
+
+def _max_flow_inputs():
+    for name in ("fast-2x2", "slow-2x2", "divergence-2x2", "example-5x6"):
+        problem = io.load_problem(io.data_path(f"{name}.json"))[0]
+        yield pytest.param(problem.a, problem.b, problem.support, id=name)
+    rng = np.random.default_rng(15)
+    for k in range(24):
+        p, q = int(rng.integers(9, 33)), int(rng.integers(18, 41))
+        supp = oracles.random_support(rng, p, q, density=float(rng.uniform(0.1, 0.95)))
+        if k % 2:  # integer marginals: exact ties; otherwise: rounding everywhere
+            a, b = oracles.random_marginals(rng, p), oracles.random_marginals(rng, q)
+        else:
+            a, b = rng.random(p) + 0.01, rng.random(q) + 0.01
+        # the first greedy row fills half the columns and keeps spare mass,
+        # so its total is a sum of 9 or more takes, which numpy adds pairwise
+        supp[0] = rng.permutation(q) < q // 2
+        a[0] = 2.0 * a.sum()
+        a, b = a / a.sum(), b / b.sum()
+        yield pytest.param(a, b, supp, id=f"random-{k}")
+    for rows in (30, 100):
+        problem = oracles.planted_blocks(np.random.default_rng(rows), rows, rows)[0]
+        yield pytest.param(problem.a, problem.b, problem.support, id=f"planted-{rows}")
+    problem = oracles.sparse_critical(np.random.default_rng(3), 300, 0.03)
+    yield pytest.param(problem.a, problem.b, problem.support, id="sparse-300")
+
+
+@pytest.mark.parametrize("a, b, supp", list(_max_flow_inputs()))
+def test_max_flow_equals_its_dense_reference_bit_for_bit(a, b, supp):
+    # both orientations the library solves: feasibility, and the Dinkelbach
+    # cuts on the reversed network at ratios below, at and above the optimum
+    cause = structure._best_cause(a, b, supp)
+    best = 1.0 if cause is None else cause.ratio
+    supp_t = np.ascontiguousarray(supp.T)
+    cases = [(a, b, supp)] + [(lam * b, a, supp_t) for lam in (0.9 * best, best, 1.1 * best)]
+    for args in cases:
+        got, want = structure._max_flow(*args), oracles.reference_max_flow(*args)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +395,12 @@ def test_partition_from_ratios_recovers_row_blocks(divergence_problem, grid_prob
     trace = run(grid_problem, StoppingRule(tol_marginal=1e-300, max_iters=4000))
     ratios = trace.ratios(trace.last_even[0]).rows
     assert partition_from_ratios(ratios, gap=0.05) == oracles.GRID_ROW_BLOCKS
+
+
+@pytest.mark.parametrize("values", [[], [math.nan, 1.0, 2.0], [1.0, math.inf]])
+def test_partition_from_ratios_rejects_empty_or_non_finite_input(values):
+    with pytest.raises(ValueError, match="partition_from_ratios needs"):
+        partition_from_ratios(values)
 
 
 def test_cross_block_cell_decays_at_scaling_gap_rate(divergence_problem):
