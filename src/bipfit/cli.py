@@ -10,8 +10,9 @@ Subcommands::
 
 Problems are JSON files (or CSV matrices with ``--a``/``--b``); sequences
 are JSON arrays of matrices or generator specs.  Exit codes: 0 success,
-1 usage error, 2 malformed input, 3 a violated internal invariant (a bug or
-a numerically ill-conditioned instance).  The random seed for generator
+1 usage error or an output pipe closed early, 2 malformed input, 3 a
+violated internal invariant (a bug or a numerically ill-conditioned
+instance).  The random seed for generator
 specs resolves as ``--seed`` flag, then the BIPFIT_SEED environment
 variable, then 0.
 """
@@ -214,9 +215,15 @@ def main(argv=None) -> int:
         if args.command is None:
             raise UsageError("a subcommand is required (see --help)")
         _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return 0
     except SystemExit as exc:  # argparse --help / --version
         return int(exc.code or 0)
+    except BrokenPipeError:  # the reader went away (`| head`): no traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)  # the exit flush writes here
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

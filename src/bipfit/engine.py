@@ -77,20 +77,16 @@ _BLOCK = 1 << 15
 #: MB-sized temporaries can page-fault on every block of a long trace.
 _PAIR_BLOCK = 1 << 17
 
-
-def _doubled(h: np.ndarray) -> np.ndarray:
-    """``h`` followed by as many rows of ones, written in place."""
-    out = np.empty((2 * len(h), h.shape[1]))
-    out[:len(h)] = h
-    out[len(h):] = 1.0
-    return out
+#: Floats the scaling history keeps of its rows ``[u | v]`` before the window
+#: of the newest chunk (2 MB): every ``K``-th row, ``K`` doubling as needed.
+_KEEP = 1 << 18
 
 
 class _ScalingHistory:
     """Scaling vectors of one run, read as the sequence of iterates ``X_n``.
 
-    ``X_n = diag(U[(n+1)//2]) K_j diag(V[n//2])``: double step ``k`` writes
-    ``U[k]`` (row fit, first read by ``X_{2k-1}``) and ``V[k]`` (column fit,
+    ``X_n = diag(u_{(n+1)//2}) K_j diag(v_{n//2})``: double step ``k`` writes
+    ``u_k`` (row fit, first read by ``X_{2k-1}``) and ``v_k`` (column fit,
     first read by ``X_{2k}``).  ``K_0`` is the seed.  A fold multiplies an
     overgrown newest vector into a new base and resets it to ones (Schmitzer's
     absorption step); iterates from fold point ``starts[j]`` on read ``K_j``.
@@ -98,6 +94,19 @@ class _ScalingHistory:
     is a :meth:`stack`, iterate axis last and contiguous, taken in
     :meth:`blocks` or, by slices and iteration, as ``(p, q)`` views.
     :meth:`ratios` reads marginal ratios off the vectors.
+
+    Memory is bounded.  The rows ``u_k``, ``v_k`` of the chunk being advanced
+    and the two before it stay whole, in a window ``u``/``v`` whose row 0 is
+    double step ``w0``; the store keeps ``u_k``, ``v_k`` for every ``k`` that
+    is a multiple of a stride ``K``, in at most :data:`_KEEP` floats.  The
+    store grows by doubling; once full it drops every other kept row and
+    ``K`` doubles.  While ``K`` is 1 and everything fits (every trace under
+    2 MB), the window is the store itself, ``w0`` is 0 and every read is
+    direct.  Any other row is rebuilt by :meth:`_gather`, which replays the
+    double steps from the kept row before it with the run's own calls, bases
+    and fold resets, so the rebuilt values are the run's values bit for bit.
+    A full read of a thinned trace costs about one more engine run; the last
+    chunk, and so the final iterates, is always read directly.
     """
 
     def __init__(self, x0: np.ndarray):
@@ -109,26 +118,29 @@ class _ScalingHistory:
         block = self._block = np.ones((_FOLD_EVERY + 1, sum(x0.shape)))
         self._steps = list(zip(block[:, :len(x0)], block[:, len(x0):]))
         self._dots = x0.dot, x0.T.dot
+        # window's first double step, stride K, the store once apart from the window, its rows
+        self._w0, self._stride, self._store, self._held = 0, 1, None, 0
+        self._cap = max(len(self.u), _KEEP // sum(x0.shape))  # rows of the store
+        self._ab = self._cursor = None  # the marginals, and the replay's (k, u, v, next fold)
 
     def advance(self, k_end: int, a: np.ndarray, b: np.ndarray) -> None:
         """Take allocation-free double steps up to ``k_end``; test for a fold per group."""
-        block, steps, p = self._block, self._steps, a.size
+        self._ab = a, b
+        self._make_room(k_end)
+        block, steps, p, w0 = self._block, self._steps, a.size, self._w0
         while self.k < k_end:
             k0, k1 = self.k + 1, min(self.k + 1 + _FOLD_EVERY, k_end + 1)
-            if k1 > len(self.u):
-                self.u = _doubled(self.u)
-                self.v = _doubled(self.v)
             (row_dot, col_dot), g = self._dots, k1 - self.k  # g rows: carried v, the steps
-            block[0, p:] = self.v[self.k]  # from the history, where a fold resets it
+            block[0, p:] = self.v[self.k - w0]  # from the history, where a fold resets it
             for (_, v_in), (u, v) in zip(steps, steps[1:g]):
                 row_dot(v_in, u)
                 np.divide(a, u, u)
                 col_dot(u, v)
                 np.divide(b, v, v)
-            self.u[k0:k1], self.v[k0:k1] = block[1:g, :p], block[1:g, p:]
+            self.u[k0 - w0:k1 - w0], self.v[k0 - w0:k1 - w0] = block[1:g, :p], block[1:g, p:]
             last = block[g - 1]  # one joint test; the per-vector one only if it fails
             if not 1 / _FOLD_AT < np.minimum.reduce(last) <= np.maximum.reduce(last) < _FOLD_AT:
-                for n, vec in ((2 * k1 - 3, self.u[k1 - 1]), (2 * k1 - 2, self.v[k1 - 1])):
+                for n, vec in ((2 * k1 - 3, self.u[k1 - 1 - w0]), (2 * k1 - 2, self.v[k1 - 1 - w0])):
                     if not 1 / _FOLD_AT < vec.min() <= vec.max() < _FOLD_AT:
                         base = self.bases[-1] * (vec[:, None] if n % 2 else vec)  # odd n: rows
                         self.starts.append(n)
@@ -137,6 +149,101 @@ class _ScalingHistory:
                         vec[:] = 1.0
                         self._dots = base.dot, base.T.dot
             self.k = k1 - 1
+        if self._store is not None:
+            self._keep_strided()
+
+    def _make_room(self, k_end: int) -> None:
+        """Make the window hold double steps ``k - 1 .. k_end``, ``k`` the last one taken."""
+        need, cap = k_end + 1, self._cap
+        if self._store is None:
+            if need <= len(self.u):
+                return
+            if need <= cap:  # direct: the store doubles, up to its cap
+                size = len(self.u)
+                while size < need:
+                    size *= 2
+                self.u, self.v = (_grown(h, min(size, cap), self.k + 1) for h in (self.u, self.v))
+                return
+            # from here on the window is apart from the store, one [u | v] array
+            self._store, self._held = np.empty((cap, self._block.shape[1])), self.k + 1
+            su, sv = self._split(self._store[:self._held])
+            su[:], sv[:] = self.u[:self._held], self.v[:self._held]
+        lo = max(self.k - 1, 0)
+        rows = slice(lo - self._w0, self.k + 1 - self._w0)
+        if len(self.u) < need - lo:
+            self.u, self.v = (_grown(h[rows], need - lo, self.k + 1 - lo) for h in (self.u, self.v))
+        else:
+            self.u[:self.k + 1 - lo], self.v[:self.k + 1 - lo] = self.u[rows], self.v[rows]
+        self._w0 = lo
+
+    def _split(self, rows: np.ndarray):
+        """``(u, v)`` views of ``[u | v]`` rows."""
+        return rows[..., :self.u.shape[1]], rows[..., self.u.shape[1]:]
+
+    def _keep_strided(self) -> None:
+        """Store the window's new rows at multiples of the stride, thinning the store if full."""
+        store = self._store
+        while self.k // self._stride >= len(store):  # full: every other kept row goes
+            h = (self._held + 1) // 2
+            store[:h] = store[:self._held:2]
+            self._held, self._stride = h, 2 * self._stride
+        ks = np.arange(self._held * self._stride, self.k + 1, self._stride) - self._w0
+        su, sv = self._split(store[self._held:self._held + ks.size])
+        su[:], sv[:] = self.u[ks], self.v[ks]
+        self._held += ks.size
+
+    def _scalings(self, ns):
+        """``u_{(n+1)//2}`` and ``v_{n//2}``, the scalings of ``X_n``, for ``n`` in ``ns``."""
+        w0 = self._w0
+        m = np.subtract(ns, 2 * w0) if w0 else ns  # iterate indices relative to the window
+        if not w0 or m.min(initial=0) >= 0:
+            return self.u[(m + 1) // 2], self.v[m // 2]
+        return self._gather(np.add(ns, 1) // 2, np.floor_divide(ns, 2))
+
+    def _gather(self, ku, kv):
+        """``u_k`` for ``k`` in ``ku`` and ``v_k`` for ``k`` in ``kv``, rebuilt where not held.
+
+        Rows before the window are read from the store at multiples of the
+        stride and otherwise replayed from the kept row before them, each
+        segment once and in forward order; the replay goes on from where the
+        last one stopped when that lies in the segment, so reads in blocks of
+        increasing indices replay every segment once in all.
+        """
+        ku, kv = np.asarray(ku), np.asarray(kv)
+        rows, at = np.unique(np.concatenate([ku.ravel(), kv.ravel()]), return_inverse=True)
+        us, vs = np.empty((rows.size, self.u.shape[1])), np.empty((rows.size, self.v.shape[1]))
+        win = rows >= self._w0
+        us[win], vs[win] = self.u[rows[win] - self._w0], self.v[rows[win] - self._w0]
+        if not win.all():
+            stride = self._stride
+            kept = ~win & (rows % stride == 0)
+            us[kept], vs[kept] = self._split(self._store[rows[kept] // stride])
+            for i in np.flatnonzero(~win & ~kept):
+                us[i], vs[i] = self._replay(int(rows[i]))
+        return (us[at[:ku.size]].reshape(ku.shape + us.shape[1:]),
+                vs[at[ku.size:]].reshape(kv.shape + vs.shape[1:]))
+
+    def _replay(self, k: int):
+        """``(u_k, v_k)`` by the run's double steps from the kept row before ``k``."""
+        c = k - k % self._stride
+        if self._cursor is None or not c <= self._cursor[0] <= k:
+            u, v = self._split(self._store[c // self._stride])
+            self._cursor = [c, u.copy(), v.copy(), bisect_right(self.starts, 2 * c)]
+        j, u, v, f = self._cursor
+        (a, b), starts, base = self._ab, self.starts, self.bases[f - 1]
+        row_dot, col_dot = base.dot, base.T.dot
+        while j < k:
+            j += 1
+            row_dot(v, u)
+            np.divide(a, u, u)
+            col_dot(u, v)
+            np.divide(b, v, v)
+            while f < len(starts) and starts[f] <= 2 * j:  # the fold resets of step j
+                (u if starts[f] % 2 else v)[:] = 1.0
+                base, f = self.bases[f], f + 1
+                row_dot, col_dot = base.dot, base.T.dot
+        self._cursor = [j, u, v, f]
+        return u, v
 
     def ratios(self, n0: int, n1: int, a: np.ndarray, b: np.ndarray):
         """``rows(X_n)/a`` and ``cols(X_n)/b`` for ``n0 <= n < n1``, from the scalings.
@@ -150,17 +257,23 @@ class _ScalingHistory:
         rows, cols = np.ones((n1 - n0, a.size)), np.ones((n1 - n0, b.size))
         k0, k1 = (n0 + 1) // 2, (n1 + 1) // 2  # even n = 2k
         kt = min(k1, self.k)
+        o = n0 // 2  # u[k - o], v[k - o] hold u_k, v_k
+        if o >= self._w0:
+            u, v, o = self.u, self.v, self._w0
+        else:
+            ks = np.arange(o, max(kt, n1 // 2) + 1)
+            u, v = self._gather(ks, ks)
         evens = rows[n0 % 2::2]
-        np.divide(self.u[k0:kt], self.u[k0 + 1:kt + 1], out=evens[:kt - k0])
+        np.divide(u[k0 - o:kt - o], u[k0 + 1 - o:kt + 1 - o], out=evens[:kt - k0])
         if kt < k1:
             base = self.bases[bisect_right(self.starts, 2 * kt) - 1]
-            np.divide(self.u[kt] * base.dot(self.v[kt]), a, out=evens[-1])
-        np.divide(self.v[n0 // 2:n1 // 2], self.v[n0 // 2 + 1:n1 // 2 + 1],
+            np.divide(u[kt - o] * base.dot(v[kt - o]), a, out=evens[-1])
+        np.divide(v[n0 // 2 - o:n1 // 2 - o], v[n0 // 2 + 1 - o:n1 // 2 + 1 - o],
                   out=cols[1 - n0 % 2::2])
         for s, f in zip(self.starts[1:], self.folds):
             if n0 < s <= n1:  # iterate s - 1 reads the folded vector's pre-fold value
-                side, h = (rows, self.u) if s % 2 else (cols, self.v)
-                np.divide(h[(s - 1) // 2], f, out=side[s - 1 - n0])
+                side, h = (rows, u) if s % 2 else (cols, v)
+                np.divide(h[(s - 1) // 2 - o], f, out=side[s - 1 - n0])
         if n0 == 0 < n1:
             np.divide(self.bases[0].sum(axis=0), b, out=cols[0])
         return rows, cols
@@ -168,7 +281,8 @@ class _ScalingHistory:
     def log_scaling(self, n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """``ln X_n(i,j) - ln X_0(i,j)`` from the logs of the scalings; no entry is read."""
         fs = [f[i] if s % 2 else f[j] for s, f in zip(self.starts[1:], self.folds) if s <= n]
-        return np.log(self.u[(n + 1) // 2, i]) + np.log(self.v[n // 2, j]) + sum(map(np.log, fs))
+        u, v = self._scalings(n)
+        return np.log(u[i]) + np.log(v[j]) + sum(map(np.log, fs))
 
     def stack(self, ns, out: np.ndarray | None = None) -> np.ndarray:
         """Iterates ``X_n`` for ``n`` in ``ns``, shape ``(p, q, len(ns))``, into ``out`` if given.
@@ -184,10 +298,11 @@ class _ScalingHistory:
         else:
             seg = np.searchsorted(self.starts, ns, side="right") - 1
             cut = [0, *np.flatnonzero(seg[1:] != seg[:-1]) + 1, ns.size] if ns.size else []
+        us, vs = self._scalings(ns)
         for lo, hi in zip(cut, cut[1:]):
-            m, x = ns[lo:hi], out[:, :, lo:hi]
+            x = out[:, :, lo:hi]
             # contiguous copies of u and v keep numpy's inner loops on the iterate axis
-            u, v = self.u[(m + 1) // 2].T.copy(), self.v[m // 2].T.copy()
+            u, v = us[lo:hi].T.copy(), vs[lo:hi].T.copy()
             np.multiply(self.bases[seg[lo]][:, :, None], u[:, None], out=x)
             x *= v
         return out
@@ -207,11 +322,19 @@ class _ScalingHistory:
             return np.moveaxis(self.stack(np.arange(r.start, r.stop, r.step)), -1, 0)
         n = range(self.count)[i]  # one iterate, by its own formula
         base = self.bases[bisect_right(self.starts, n) - 1]
-        return self.u[(n + 1) // 2, :, None] * base * self.v[n // 2]
+        u, v = self._scalings(n)
+        return u[:, None] * base * v
 
     def __iter__(self):
         for _, x in self.blocks(np.arange(self.count)):
             yield from np.moveaxis(x, -1, 0)
+
+
+def _grown(h: np.ndarray, size: int, used: int) -> np.ndarray:
+    """``size`` rows: the first ``used`` rows of ``h``, then rows left unset."""
+    out = np.empty((size, h.shape[1]))
+    out[:used] = h[:used]
+    return out
 
 
 @dataclass

@@ -30,7 +30,11 @@ matrix-vector products (``np.divide(a, base @ v, out=u)``), and the rules
 read the marginals of every iterate from two more matrix-vector products,
 divided into ratios once, after the run.  The engine must reproduce its
 history, stop index and reason bitwise; it reads ratios and errors off the
-scalings instead, so those agree to rounding.
+scalings instead, so those agree to rounding.  Its :class:`ReferenceHistory`
+keeps every double step's ``u_k``, ``v_k`` in arrays that double without
+limit, with the read methods the engine had before its history kept only
+strided rows and replayed the rest: every read of a thinned engine trace
+must give the same bits as the same read on it.
 :func:`reference_escape_diagnostic` sums the log-ratios along the whole
 trace with a cumulative sum; ``engine.escape_diagnostic`` reads the
 telescoped sum from the scalings instead.
@@ -75,6 +79,7 @@ instances are checked through their certificates instead.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from types import SimpleNamespace
 
 import numpy as np
@@ -172,7 +177,15 @@ def reference_run(problem: FittingProblem, rule):
         return np.array(xs), np.array(rr), np.array(cc), np.array(ee), reason
 
 
-class _ReferenceHistory(engine._ScalingHistory):
+class ReferenceHistory:
+    """The scaling history with every double step's ``u_k``, ``v_k`` kept whole."""
+
+    def __init__(self, x0: np.ndarray):
+        self.bases, self.starts, self.folds = [x0], [0], []  # folds: the folded vectors
+        self.u, self.v = (np.ones((engine._FOLD_EVERY + 1, m)) for m in x0.shape)
+        self.k = 0  # double steps taken
+        self.count = 1  # iterates readable as a sequence, set by the run
+
     def advance(self, k_end, a, b):
         while self.k < k_end:
             k0, k1 = self.k + 1, min(self.k + 1 + engine._FOLD_EVERY, k_end + 1)
@@ -189,8 +202,84 @@ class _ReferenceHistory(engine._ScalingHistory):
                     base = base * (vec[:, None] if n % 2 else vec)
                     self.starts.append(n)
                     self.bases.append(base)
+                    self.folds.append(vec.copy())
                     vec[:] = 1.0
             self.k = k
+
+    def ratios(self, n0: int, n1: int, a: np.ndarray, b: np.ndarray):
+        """``rows(X_n)/a`` and ``cols(X_n)/b`` for ``n0 <= n < n1``, from the scalings.
+
+        The next scaling divides the marginal it fits, so
+        ``rows(X_2k)/a = u_k/u_{k+1}`` and ``cols(X_2k+1)/b = v_k/v_{k+1}``; at
+        a fold point the next vector is the recorded pre-fold one.  The fitted
+        side of an iterate reads 1; ``X_0``'s columns are summed from the seed.
+        ``u_{k+1}`` of an even final iterate is not taken: one matvec gives it.
+        """
+        rows, cols = np.ones((n1 - n0, a.size)), np.ones((n1 - n0, b.size))
+        k0, k1 = (n0 + 1) // 2, (n1 + 1) // 2  # even n = 2k
+        kt = min(k1, self.k)
+        evens = rows[n0 % 2::2]
+        np.divide(self.u[k0:kt], self.u[k0 + 1:kt + 1], out=evens[:kt - k0])
+        if kt < k1:
+            base = self.bases[bisect_right(self.starts, 2 * kt) - 1]
+            np.divide(self.u[kt] * base.dot(self.v[kt]), a, out=evens[-1])
+        np.divide(self.v[n0 // 2:n1 // 2], self.v[n0 // 2 + 1:n1 // 2 + 1],
+                  out=cols[1 - n0 % 2::2])
+        for s, f in zip(self.starts[1:], self.folds):
+            if n0 < s <= n1:  # iterate s - 1 reads the folded vector's pre-fold value
+                side, h = (rows, self.u) if s % 2 else (cols, self.v)
+                np.divide(h[(s - 1) // 2], f, out=side[s - 1 - n0])
+        if n0 == 0 < n1:
+            np.divide(self.bases[0].sum(axis=0), b, out=cols[0])
+        return rows, cols
+
+    def log_scaling(self, n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """``ln X_n(i,j) - ln X_0(i,j)`` from the logs of the scalings; no entry is read."""
+        fs = [f[i] if s % 2 else f[j] for s, f in zip(self.starts[1:], self.folds) if s <= n]
+        return np.log(self.u[(n + 1) // 2, i]) + np.log(self.v[n // 2, j]) + sum(map(np.log, fs))
+
+    def stack(self, ns, out: np.ndarray | None = None) -> np.ndarray:
+        """Iterates ``X_n`` for ``n`` in ``ns``, shape ``(p, q, len(ns))``, into ``out`` if given.
+
+        The iterates lie on the last, contiguous axis, in the order of ``ns``.
+        Each run of indices reading one base is written in one pass.
+        """
+        ns = np.asarray(ns, dtype=int)
+        if out is None:
+            out = np.empty(self.bases[0].shape + ns.shape)
+        if len(self.bases) == 1:  # the common case: one run, nothing to search
+            seg, cut = [0], [0, ns.size]
+        else:
+            seg = np.searchsorted(self.starts, ns, side="right") - 1
+            cut = [0, *np.flatnonzero(seg[1:] != seg[:-1]) + 1, ns.size] if ns.size else []
+        for lo, hi in zip(cut, cut[1:]):
+            m, x = ns[lo:hi], out[:, :, lo:hi]
+            # contiguous copies of u and v keep numpy's inner loops on the iterate axis
+            u, v = self.u[(m + 1) // 2].T.copy(), self.v[m // 2].T.copy()
+            np.multiply(self.bases[seg[lo]][:, :, None], u[:, None], out=x)
+            x *= v
+        return out
+
+    def blocks(self, ns):
+        """``(indices, stacked iterates)`` for the index sequence ``ns``, in blocks."""
+        ns, step = np.asarray(ns, dtype=int), max(1, engine._BLOCK // self.bases[0].size)
+        for lo in range(0, len(ns), step):
+            yield ns[lo:lo + step], self.stack(ns[lo:lo + step])
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            r = range(self.count)[i]
+            return np.moveaxis(self.stack(np.arange(r.start, r.stop, r.step)), -1, 0)
+        n = range(self.count)[i]  # one iterate, by its own formula
+        base = self.bases[bisect_right(self.starts, n) - 1]
+        return self.u[(n + 1) // 2, :, None] * base * self.v[n // 2]
+
+    def __iter__(self):
+        for _, x in self.blocks(np.arange(self.count)):
+            yield from np.moveaxis(x, -1, 0)
 
 
 def reference_scaling_run(problem: FittingProblem, rule) -> SimpleNamespace:
@@ -200,7 +289,7 @@ def reference_scaling_run(problem: FittingProblem, rule) -> SimpleNamespace:
     ``ratio_rows``, ``ratio_cols`` and the history as ``stored_matrices``.
     """
     a, b = problem.a, problem.b
-    hist = _ReferenceHistory(problem.x0)
+    hist = ReferenceHistory(problem.x0)
     parts = []
     tail_r, tail_c = np.full((2, a.size), np.inf), np.full((2, b.size), np.inf)
     last_bad = 1

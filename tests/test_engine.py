@@ -1,5 +1,6 @@
 import copy
 import math
+import pickle
 import time
 import tracemalloc
 import warnings
@@ -13,6 +14,7 @@ from bipfit import (
     StoppingRule,
     StopReason,
     cross_ratio_check,
+    engine,
     io,
     marginal_ratios,
     nested_ratio_intervals,
@@ -285,9 +287,12 @@ def _assert_bitwise_equal(trace, ref):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13, err_msg=name)
     hist, ref_hist = trace.stored_matrices, ref.stored_matrices
     assert hist.k == ref_hist.k and hist.starts == ref_hist.starts
-    for got, want in zip([hist.u, hist.v, *hist.bases], [ref_hist.u, ref_hist.v, *ref_hist.bases]):
+    ks = np.arange(hist.k + 1)  # every double step, rebuilt where the history thinned it
+    pairs = [*zip(hist._gather(ks, ks), (ref_hist.u[ks], ref_hist.v[ks])),
+             *zip(hist.bases, ref_hist.bases), *zip(hist.folds, ref_hist.folds)]
+    for got, want in pairs:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert len(hist.bases) == len(ref_hist.bases)
+    assert len(hist.bases) == len(ref_hist.bases) and len(hist.folds) == len(ref_hist.folds)
 
 
 def test_scaling_loop_matches_reference_bitwise(slow_problem, fast_problem,
@@ -317,19 +322,54 @@ def test_scaling_loop_matches_reference_bitwise(slow_problem, fast_problem,
     assert traces[-1].stop_reason is StopReason.EVEN_ODD_CONVERGED  # mid-chunk
 
 
-def test_run_peak_memory_within_twice_the_trace():
-    problem = oracles.planted_critical(np.random.default_rng(7), 40, 40)
-    rule = StoppingRule(tol_marginal=1e-300, tol_even_odd=1e-300, max_iters=20_000)
-    tracemalloc.start()
-    try:
-        trace = run(problem, rule)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+@pytest.mark.parametrize("cap", [19_999, 20_000])  # 19_999 ends mid fold group
+def test_thinned_trace_reads_equal_the_whole_history_bitwise(monkeypatch, cap):
+    # a 256-float store keeps 32 rows of the 4x4 fold problem, so by 20k
+    # iterates its stride has doubled at least three times
+    monkeypatch.setattr(engine, "_KEEP", 1 << 8)
+    problem = _fold_problem()
+    rule = StoppingRule(tol_marginal=1e-300, tol_even_odd=1e-300, max_iters=cap)
+    trace, ref = run(problem, rule), oracles.reference_scaling_run(problem, rule)
     hist = trace.stored_matrices
-    held = sum(x.nbytes for x in (trace.errors, hist.u, hist.v))
-    assert trace.n_iters == 20_000
-    assert peak <= 2 * held, (peak, held)
+    assert trace.n_iters == cap and hist._stride >= 8
+    # some fold's step lies in a segment that is neither kept nor in the window
+    assert any((s + 1) // 2 % hist._stride and (s + 1) // 2 < hist._w0 for s in hist.starts[1:])
+    _assert_bitwise_equal(trace, ref)
+    # every public read gives the bits of the same read on the whole history
+    whole = engine.IterationTrace(problem, trace.errors, trace.stop_reason, ref.stored_matrices)
+    edge = 2 * hist._w0  # the first iterate read wholly from the window
+    ns = sorted({0, 1, 2, cap - 1, cap, edge - 2, edge - 1, edge}
+                | {s + d for s in hist.starts[1:] for d in (-1, 0, 1)})
+    s0, cells = hist.starts[1], np.argwhere(problem.support)
+    shuffled = np.random.default_rng(3).permutation(cap + 1)[:3000]
+    reads = [lambda t: [(t.iterate(n), t.ratios(n)) for n in ns if n <= cap],
+             lambda t: (t.ratio_rows, t.ratio_cols),
+             lambda t: [t.stored_matrices[sl] for sl in (
+                 slice(None, None, 7), slice(s0 + 40, s0 - 40, -3), slice(cap - 50, None),
+                 slice(edge - 5, edge + 5), slice(-1, None, -997), slice(5, 5))],
+             lambda t: t.stored_matrices.stack(shuffled),
+             lambda t: escape_diagnostic(t, cells), rate_estimate, cross_ratio_check,
+             ratio_update_matrices, nested_ratio_intervals]
+    for read in reads:
+        assert pickle.dumps(read(trace)) == pickle.dumps(read(whole))
+
+
+def test_run_peak_memory_bounded_in_bytes():
+    # the history keeps 2 MB of strided rows and the newest chunk, so the
+    # peak barely grows with the run
+    problem = oracles.planted_critical(np.random.default_rng(7), 40, 40)
+    peaks = {}
+    for cap in (20_000, 80_000):
+        rule = StoppingRule(tol_marginal=1e-300, tol_even_odd=1e-300, max_iters=cap)
+        tracemalloc.start()
+        try:
+            trace = run(problem, rule)
+            peaks[cap] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.n_iters == cap
+    assert peaks[20_000] < 10e6, peaks
+    assert peaks[80_000] <= 1.2 * peaks[20_000], peaks
 
 
 # ---------------------------------------------------------------------------

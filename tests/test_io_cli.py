@@ -1,8 +1,9 @@
 """File formats, analysis reports, and the command-line interface.
 
 CLI tests drive :func:`bipfit.cli.main` in-process and assert on exit codes,
-stdout JSON, and written artifacts; only the test of ``python -m bipfit``
-spawns a subprocess.
+stdout JSON, and written artifacts; only the tests of ``python -m bipfit``,
+of a closed output pipe and of a whole process's peak memory spawn a
+subprocess.
 """
 
 import json
@@ -299,13 +300,57 @@ def test_sparse_300_rows_every_command_writes_the_reference_bytes(
     assert written == [(300, 300)] * 15
 
 
-def test_python_m_bipfit_runs_the_cli():
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def _child_env():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(io.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-m", "bipfit", "--version"], env=env,
+
+
+def test_python_m_bipfit_runs_the_cli():
+    done = subprocess.run([sys.executable, "-m", "bipfit", "--version"], env=_child_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
     assert done.stdout.strip() == f"bipfit {bipfit.__version__}"
+
+
+def test_output_pipe_closed_early_exits_1_without_a_traceback(tmp_path):
+    # as `bipfit classify ... | head -c 100`: the payload, 200x200 matrices,
+    # is far larger than a pipe's buffer, so the write fails once it closes
+    problem = oracles.sparse_critical(np.random.default_rng(200), 200, 0.05)
+    path = tmp_path / "sparse-200.json"
+    path.write_text(json.dumps(io.problem_to_dict(problem)))
+    child = subprocess.Popen([sys.executable, "-m", "bipfit", "classify", str(path)],
+                             env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 1
+    finally:
+        child.kill()
+        child.wait()
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def test_analyze_at_the_default_cap_peaks_under_100_mb(tmp_path):
+    # a 120x120 seed crawls to the 100 000-iterate cap: every row of its
+    # scaling history would be 96 MB
+    problem = oracles.sparse_critical(np.random.default_rng(5), 120, 0.3)
+    path, out = tmp_path / "critical-120.json", tmp_path / "report.json"
+    path.write_text(json.dumps(io.problem_to_dict(problem)))
+    # the child reads its own peak: RUSAGE_CHILDREN would take the largest of
+    # every child this test process has waited for.  Linux carries the peak
+    # of the spawning process into a child's RUSAGE_SELF at exec, so a bare
+    # interpreter, not this large one, starts the child
+    child = ("import resource, sys\nfrom bipfit.cli import main\ncode = main(sys.argv[1:])\n"
+             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    launch = "import subprocess, sys\nsys.exit(subprocess.call(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", child,
+                           "analyze", str(path), "--out", str(out)],
+                          env=_child_env(), capture_output=True, text=True, timeout=300)
+    code, peak_kb = done.stdout.split()
+    assert code == "0", done.stderr
+    assert json.loads(out.read_text())["engine"]["iterations"] == 100_000
+    assert int(peak_kb) < 100 * 1024, peak_kb
 
 
 def test_trace_out_and_saved_report_bytes(tmp_path):
