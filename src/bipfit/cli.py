@@ -10,11 +10,11 @@ Subcommands::
 
 Problems are JSON files (or CSV matrices with ``--a``/``--b``); sequences
 are JSON arrays of matrices or generator specs.  Exit codes: 0 success,
-1 usage error or an output pipe closed early, 2 malformed input, 3 a
-violated internal invariant (a bug or a numerically ill-conditioned
-instance).  The random seed for generator
-specs resolves as ``--seed`` flag, then the BIPFIT_SEED environment
-variable, then 0.
+1 usage error or an output pipe closed early, 2 malformed input or an
+input or output file that cannot be read or written, 3 a violated
+internal invariant (a bug or a numerically ill-conditioned instance).
+The random seed for generator specs resolves as ``--seed`` flag, then
+the BIPFIT_SEED environment variable, then 0.
 """
 
 from __future__ import annotations

@@ -95,52 +95,55 @@ class _ScalingHistory:
     :meth:`blocks` or, by slices and iteration, as ``(p, q)`` views.
     :meth:`ratios` reads marginal ratios off the vectors.
 
-    Memory is bounded.  The rows ``u_k``, ``v_k`` of the chunk being advanced
-    and the two before it stay whole, in a window ``u``/``v`` whose row 0 is
-    double step ``w0``; the store keeps ``u_k``, ``v_k`` for every ``k`` that
-    is a multiple of a stride ``K``, in at most :data:`_KEEP` floats.  The
-    store grows by doubling; once full it drops every other kept row and
-    ``K`` doubles.  While ``K`` is 1 and everything fits (every trace under
-    2 MB), the window is the store itself, ``w0`` is 0 and every read is
-    direct.  Any other row is rebuilt by :meth:`_gather`, which replays the
-    double steps from the kept row before it with the run's own calls, bases
-    and fold resets, so the rebuilt values are the run's values bit for bit.
-    A full read of a thinned trace costs about one more engine run; the last
-    chunk, and so the final iterates, is always read directly.
+    Memory is bounded.  One array of ``[u | v]`` rows, ``u`` and ``v`` its
+    column views, holds the kept rows, double steps ``0, K, 2K, ...`` below
+    ``w0`` in at most :data:`_KEEP` floats, then the window, steps ``w0 ..
+    k``, step ``k`` in row ``k + held - w0`` for ``held = ceil(w0 / K)``
+    kept rows.  At stride ``K = 1`` and ``w0 = 0``, every trace under 2 MB,
+    row ``k`` holds step ``k``: nothing moves and every read is direct.
+    After that :meth:`_make_room` moves rows and halves the kept ones.  Any
+    other row is rebuilt by :meth:`_gather`, which replays the double steps
+    from the kept row before it with the run's own calls, bases and fold
+    resets, so the rebuilt values are the run's values bit for bit.  A full
+    read of a thinned trace costs about one more engine run; the last chunk,
+    and so the final iterates, is always read directly.
     """
 
     def __init__(self, x0: np.ndarray):
         self.bases, self.starts, self.folds = [x0], [0], []  # folds: the folded vectors
-        self.u, self.v = (np.ones((_FOLD_EVERY + 1, m)) for m in x0.shape)
+        self._rows = np.ones((_FOLD_EVERY + 1, sum(x0.shape)))  # [u | v]: kept rows, window
+        self.u, self.v = np.split(self._rows, [len(x0)], axis=1)
         self.k = 0  # double steps taken
         self.count = 1  # iterates readable as a sequence, set by the run
         # row i of the block is [u | v] of a fold group's step i; bound `dot`s skip dispatch
         block = self._block = np.ones((_FOLD_EVERY + 1, sum(x0.shape)))
         self._steps = list(zip(block[:, :len(x0)], block[:, len(x0):]))
         self._dots = x0.dot, x0.T.dot
-        # window's first double step, stride K, the store once apart from the window, its rows
-        self._w0, self._stride, self._store, self._held = 0, 1, None, 0
-        self._cap = max(len(self.u), _KEEP // sum(x0.shape))  # rows of the store
-        self._ab = self._cursor = None  # the marginals, and the replay's (k, u, v, next fold)
+        # window's first double step, stride K, kept rows and their limit
+        self._w0, self._stride, self._held = 0, 1, 0
+        self._cap = max(1, _KEEP // sum(x0.shape))
+        self._ab = self._cursor = None  # the marginals, and the replay's (k, [u | v], next fold)
 
     def advance(self, k_end: int, a: np.ndarray, b: np.ndarray) -> None:
         """Take allocation-free double steps up to ``k_end``; test for a fold per group."""
         self._ab = a, b
         self._make_room(k_end)
-        block, steps, p, w0 = self._block, self._steps, a.size, self._w0
+        block, steps, p = self._block, self._steps, a.size
+        off = self._held - self._w0  # step k lies in row k + off
         while self.k < k_end:
             k0, k1 = self.k + 1, min(self.k + 1 + _FOLD_EVERY, k_end + 1)
             (row_dot, col_dot), g = self._dots, k1 - self.k  # g rows: carried v, the steps
-            block[0, p:] = self.v[self.k - w0]  # from the history, where a fold resets it
+            block[0, p:] = self.v[self.k + off]  # from the history, where a fold resets it
             for (_, v_in), (u, v) in zip(steps, steps[1:g]):
                 row_dot(v_in, u)
                 np.divide(a, u, u)
                 col_dot(u, v)
                 np.divide(b, v, v)
-            self.u[k0 - w0:k1 - w0], self.v[k0 - w0:k1 - w0] = block[1:g, :p], block[1:g, p:]
+            self._rows[k0 + off:k1 + off] = block[1:g]
             last = block[g - 1]  # one joint test; the per-vector one only if it fails
             if not 1 / _FOLD_AT < np.minimum.reduce(last) <= np.maximum.reduce(last) < _FOLD_AT:
-                for n, vec in ((2 * k1 - 3, self.u[k1 - 1 - w0]), (2 * k1 - 2, self.v[k1 - 1 - w0])):
+                r = k1 - 1 + off  # the group's last row
+                for n, vec in ((2 * k1 - 3, self.u[r]), (2 * k1 - 2, self.v[r])):
                     if not 1 / _FOLD_AT < vec.min() <= vec.max() < _FOLD_AT:
                         base = self.bases[-1] * (vec[:, None] if n % 2 else vec)  # odd n: rows
                         self.starts.append(n)
@@ -149,88 +152,67 @@ class _ScalingHistory:
                         vec[:] = 1.0
                         self._dots = base.dot, base.T.dot
             self.k = k1 - 1
-        if self._store is not None:
-            self._keep_strided()
 
     def _make_room(self, k_end: int) -> None:
         """Make the window hold double steps ``k - 1 .. k_end``, ``k`` the last one taken."""
-        need, cap = k_end + 1, self._cap
-        if self._store is None:
-            if need <= len(self.u):
-                return
-            if need <= cap:  # direct: the store doubles, up to its cap
-                size = len(self.u)
-                while size < need:
-                    size *= 2
-                self.u, self.v = (_grown(h, min(size, cap), self.k + 1) for h in (self.u, self.v))
-                return
-            # from here on the window is apart from the store, one [u | v] array
-            self._store, self._held = np.empty((cap, self._block.shape[1])), self.k + 1
-            su, sv = self._split(self._store[:self._held])
-            su[:], sv[:] = self.u[:self._held], self.v[:self._held]
-        lo = max(self.k - 1, 0)
-        rows = slice(lo - self._w0, self.k + 1 - self._w0)
-        if len(self.u) < need - lo:
-            self.u, self.v = (_grown(h[rows], need - lo, self.k + 1 - lo) for h in (self.u, self.v))
-        else:
-            self.u[:self.k + 1 - lo], self.v[:self.k + 1 - lo] = self.u[rows], self.v[rows]
-        self._w0 = lo
-
-    def _split(self, rows: np.ndarray):
-        """``(u, v)`` views of ``[u | v]`` rows."""
-        return rows[..., :self.u.shape[1]], rows[..., self.u.shape[1]:]
-
-    def _keep_strided(self) -> None:
-        """Store the window's new rows at multiples of the stride, thinning the store if full."""
-        store = self._store
-        while self.k // self._stride >= len(store):  # full: every other kept row goes
-            h = (self._held + 1) // 2
-            store[:h] = store[:self._held:2]
-            self._held, self._stride = h, 2 * self._stride
-        ks = np.arange(self._held * self._stride, self.k + 1, self._stride) - self._w0
-        su, sv = self._split(store[self._held:self._held + ks.size])
-        su[:], sv[:] = self.u[ks], self.v[ks]
-        self._held += ks.size
+        h, stride, held, w0, k = self._rows, self._stride, self._held, self._w0, self.k
+        lo = max(k - 1, 0)
+        if stride > 1 or lo > self._cap:  # else every row stays at its own index
+            kept = -(-lo // stride)  # the multiples of the stride below lo
+            h[held:kept] = h[held * stride + held - w0:lo + held - w0:stride]
+            while kept > self._cap:  # full: every other kept row goes
+                kept, stride = (kept + 1) // 2, 2 * stride
+                h[:kept] = h[:2 * kept:2]
+            h[kept:kept + k + 1 - lo] = h[lo + held - w0:k + 1 + held - w0]  # k - 1, k
+            self._held, self._w0, self._stride = kept, lo, stride
+        off = self._held - self._w0  # step k lies in row k + off
+        if k_end + off >= len(h):
+            size = len(h)
+            while size <= k_end + off:
+                size *= 2
+            # the kept rows and the largest window: 2050 rows of a 4096-iterate chunk
+            self._rows = np.empty((min(size, self._cap + _CHUNKS[1] // 2 + 2), h.shape[1]))
+            self._rows[:k + 1 + off] = h[:k + 1 + off]
+            self.u, self.v = np.split(self._rows, [self.u.shape[1]], axis=1)
 
     def _scalings(self, ns):
         """``u_{(n+1)//2}`` and ``v_{n//2}``, the scalings of ``X_n``, for ``n`` in ``ns``."""
-        w0 = self._w0
-        m = np.subtract(ns, 2 * w0) if w0 else ns  # iterate indices relative to the window
-        if not w0 or m.min(initial=0) >= 0:
-            return self.u[(m + 1) // 2], self.v[m // 2]
-        return self._gather(np.add(ns, 1) // 2, np.floor_divide(ns, 2))
+        return self._gather((ns + 1) // 2, ns // 2)
 
     def _gather(self, ku, kv):
         """``u_k`` for ``k`` in ``ku`` and ``v_k`` for ``k`` in ``kv``, rebuilt where not held.
 
-        Rows before the window are read from the store at multiples of the
-        stride and otherwise replayed from the kept row before them, each
-        segment once and in forward order; the replay goes on from where the
-        last one stopped when that lies in the segment, so reads in blocks of
-        increasing indices replay every segment once in all.
+        Rows of the window are read directly.  Rows before it are read from
+        the kept rows at multiples of the stride and otherwise replayed from
+        the kept row before them, each segment once and in forward order; the
+        replay goes on from where the last one stopped when that lies in the
+        segment, so reads in blocks of increasing indices replay every
+        segment once in all.
         """
+        w0, off = self._w0, self._held - self._w0
+        if not w0 or min(np.min(ku, initial=w0), np.min(kv, initial=w0)) >= w0:
+            return (self.u[ku + off], self.v[kv + off]) if off else (self.u[ku], self.v[kv])
         ku, kv = np.asarray(ku), np.asarray(kv)
         rows, at = np.unique(np.concatenate([ku.ravel(), kv.ravel()]), return_inverse=True)
-        us, vs = np.empty((rows.size, self.u.shape[1])), np.empty((rows.size, self.v.shape[1]))
-        win = rows >= self._w0
-        us[win], vs[win] = self.u[rows[win] - self._w0], self.v[rows[win] - self._w0]
-        if not win.all():
-            stride = self._stride
-            kept = ~win & (rows % stride == 0)
-            us[kept], vs[kept] = self._split(self._store[rows[kept] // stride])
-            for i in np.flatnonzero(~win & ~kept):
-                us[i], vs[i] = self._replay(int(rows[i]))
-        return (us[at[:ku.size]].reshape(ku.shape + us.shape[1:]),
-                vs[at[ku.size:]].reshape(kv.shape + vs.shape[1:]))
+        win, stride = rows >= w0, self._stride
+        kept = ~win & (rows % stride == 0)
+        hs = np.empty((rows.size, self._rows.shape[1]))
+        hs[win], hs[kept] = self._rows[rows[win] + off], self._rows[rows[kept] // stride]
+        for i in np.flatnonzero(~(win | kept)):
+            hs[i] = self._replay(int(rows[i]))
+        p = self.u.shape[1]
+        return (hs[at[:ku.size], :p].reshape(ku.shape + (p,)),
+                hs[at[ku.size:], p:].reshape(kv.shape + (hs.shape[1] - p,)))
 
-    def _replay(self, k: int):
-        """``(u_k, v_k)`` by the run's double steps from the kept row before ``k``."""
-        c = k - k % self._stride
+    def _replay(self, k: int) -> np.ndarray:
+        """``[u_k | v_k]`` by the run's double steps from the kept row before ``k``."""
+        stride = self._stride
+        c = k - k % stride
         if self._cursor is None or not c <= self._cursor[0] <= k:
-            u, v = self._split(self._store[c // self._stride])
-            self._cursor = [c, u.copy(), v.copy(), bisect_right(self.starts, 2 * c)]
-        j, u, v, f = self._cursor
+            self._cursor = [c, self._rows[k // stride].copy(), bisect_right(self.starts, 2 * c)]
+        j, w, f = self._cursor
         (a, b), starts, base = self._ab, self.starts, self.bases[f - 1]
+        u, v = w[:a.size], w[a.size:]
         row_dot, col_dot = base.dot, base.T.dot
         while j < k:
             j += 1
@@ -242,8 +224,8 @@ class _ScalingHistory:
                 (u if starts[f] % 2 else v)[:] = 1.0
                 base, f = self.bases[f], f + 1
                 row_dot, col_dot = base.dot, base.T.dot
-        self._cursor = [j, u, v, f]
-        return u, v
+        self._cursor = [j, w, f]
+        return w
 
     def ratios(self, n0: int, n1: int, a: np.ndarray, b: np.ndarray):
         """``rows(X_n)/a`` and ``cols(X_n)/b`` for ``n0 <= n < n1``, from the scalings.
@@ -259,7 +241,7 @@ class _ScalingHistory:
         kt = min(k1, self.k)
         o = n0 // 2  # u[k - o], v[k - o] hold u_k, v_k
         if o >= self._w0:
-            u, v, o = self.u, self.v, self._w0
+            u, v, o = self.u, self.v, self._w0 - self._held
         else:
             ks = np.arange(o, max(kt, n1 // 2) + 1)
             u, v = self._gather(ks, ks)
@@ -328,13 +310,6 @@ class _ScalingHistory:
     def __iter__(self):
         for _, x in self.blocks(np.arange(self.count)):
             yield from np.moveaxis(x, -1, 0)
-
-
-def _grown(h: np.ndarray, size: int, used: int) -> np.ndarray:
-    """``size`` rows: the first ``used`` rows of ``h``, then rows left unset."""
-    out = np.empty((size, h.shape[1]))
-    out[:used] = h[:used]
-    return out
 
 
 @dataclass

@@ -494,7 +494,10 @@ def _criticality_transfer(problem: FittingProblem, bs: structure.BlockStructure)
 
 def save_report(report: dict, path) -> None:
     """Write ``dumps(report)`` and a newline to ``path``, opened once the text is made."""
-    Path(path).write_text(dumps(report) + "\n")
+    try:
+        Path(path).write_text(dumps(report) + "\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def load_report(path, verify: bool = True) -> dict:
@@ -508,12 +511,14 @@ def verify_report(report: dict) -> None:
     """Re-verify the certificates embedded in an analysis report.
 
     Takes a loaded report or one built in memory by :func:`build_report`.
-    Rebuilds the problem from the embedded input and checks every cause
-    (indices in range, zero block, mass comparison), the witness marginals,
-    the monotone block scalings, that the blocks partition the rows and the
-    columns, ``a'`` and ``b'`` against the scalings, and the limit marginals.
-    Raises :class:`InputError` on any mismatch, and on a missing or
-    malformed field, naming it.
+    Rebuilds the problem from the embedded input and checks the verdict
+    against its certificates (a divergence needs an incompatibility cause,
+    a convergence a witness), every cause (indices in range, zero block,
+    over-demand or, if critical, tightness), the witness marginals, the
+    monotone block scalings, that the blocks partition the rows and the
+    columns, ``a'`` and ``b'`` against the scalings, and the limit marginals
+    against ``a'`` and ``b'``.  Raises :class:`InputError` on any mismatch,
+    and on a missing or malformed field, naming it.
     """
     if not isinstance(report, dict) or "problem" not in report:
         raise InputError("not an analysis report: missing 'problem'")
@@ -522,6 +527,9 @@ def verify_report(report: dict) -> None:
     p, q = supp.shape
 
     cls = _section(report, "classification")
+    behavior = _field(cls, "behavior", "report.classification")
+    if behavior not in [v.value for v in structure.Behavior]:
+        raise InputError(f"report.classification.behavior: unknown verdict {behavior!r}")
     causes = cls.get("causes", [])
     if not isinstance(causes, list):
         raise InputError("report.classification.causes: expected a list")
@@ -532,9 +540,19 @@ def verify_report(report: dict) -> None:
         if supp[np.ix_(rows, cols)].any():
             raise InputError("report cause block is not a zero block of the seed")
         gap = float(a[rows].sum() - np.delete(b, cols).sum())
-        if _field(cause, "kind", where) == "Incompatibility" and gap <= 0:
+        kind = _field(cause, "kind", where)
+        if kind not in [v.value for v in structure.CauseKind]:
+            raise InputError(f"{where} kind: unknown kind {kind!r}")
+        if kind == "Incompatibility" and gap <= 0:
             raise InputError("report incompatibility cause does not over-demand")
+        if kind == "Criticality" and abs(gap) > structure.CRIT_TOL * max(1.0, a[rows].sum()):
+            raise InputError("report criticality cause is not tight")
     witness = cls.get("witness")
+    if behavior == "Divergence":
+        if not any(cause["kind"] == "Incompatibility" for cause in causes):
+            raise InputError("report Divergence verdict has no incompatibility cause")
+    elif witness is None:
+        raise InputError(f"report {behavior} verdict has no witness")
     if witness is not None:
         w = _report_matrix(witness, supp.shape, "report.witness")
         if (np.abs(w.sum(axis=1) - a).max() > 1e-8
@@ -572,7 +590,9 @@ def verify_report(report: dict) -> None:
                 raise InputError("report b' is inconsistent with its lambdas")
 
     limits = _section(report, "limits")
-    if limits and bs:  # a_prime and b_prime were read above
+    if limits and not bs:
+        raise InputError("report.limits: no block_structure to check them against")
+    if limits:  # a_prime and b_prime were read above
         even, odd = (_report_matrix(_field(limits, key, "report.limits"), supp.shape,
                                     f"report.limits.{key}") for key in ("even", "odd"))
         checks = (

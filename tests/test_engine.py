@@ -322,16 +322,26 @@ def test_scaling_loop_matches_reference_bitwise(slow_problem, fast_problem,
     assert traces[-1].stop_reason is StopReason.EVEN_ODD_CONVERGED  # mid-chunk
 
 
-@pytest.mark.parametrize("cap", [19_999, 20_000])  # 19_999 ends mid fold group
-def test_thinned_trace_reads_equal_the_whole_history_bitwise(monkeypatch, cap):
-    # a 256-float store keeps 32 rows of the 4x4 fold problem, so by 20k
-    # iterates its stride has doubled at least three times
-    monkeypatch.setattr(engine, "_KEEP", 1 << 8)
+# caps 19_999 (ending mid fold group) and 20_000; kept rows of the 4x4 fold
+# problem limited to 31, 32 and 33 (248, 256 and 264 floats)
+_THINNED = [pytest.param(cap, rows, id=str(cap) if rows == 32 else f"{cap}-{rows}rows")
+            for rows in (31, 32, 33) for cap in (19_999, 20_000)]
+
+
+@pytest.mark.parametrize("cap, rows", _THINNED)
+def test_thinned_trace_reads_equal_the_whole_history_bitwise(monkeypatch, cap, rows):
+    # a few dozen kept rows of the 4x4 fold problem, so by 20k iterates the
+    # stride has doubled at least three times
+    monkeypatch.setattr(engine, "_KEEP", 8 * rows)
     problem = _fold_problem()
     rule = StoppingRule(tol_marginal=1e-300, tol_even_odd=1e-300, max_iters=cap)
     trace, ref = run(problem, rule), oracles.reference_scaling_run(problem, rule)
     hist = trace.stored_matrices
     assert trace.n_iters == cap and hist._stride >= 8
+    # the steps before the last chunk's window (w0 = 8187) take 32 kept rows at
+    # stride 256: 32 rows fill them exactly at that chunk end, 33 leave one
+    # free, and 31 are one short, so that they halve once more
+    assert hist._w0 == 8187 and hist._stride == (512 if rows == 31 else 256)
     # some fold's step lies in a segment that is neither kept nor in the window
     assert any((s + 1) // 2 % hist._stride and (s + 1) // 2 < hist._w0 for s in hist.starts[1:])
     _assert_bitwise_equal(trace, ref)

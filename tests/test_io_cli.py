@@ -2,8 +2,8 @@
 
 CLI tests drive :func:`bipfit.cli.main` in-process and assert on exit codes,
 stdout JSON, and written artifacts; only the tests of ``python -m bipfit``,
-of a closed output pipe and of a whole process's peak memory spawn a
-subprocess.
+of a closed output pipe, of the modules the commands import and of a whole
+process's peak memory spawn a subprocess.
 """
 
 import json
@@ -331,6 +331,28 @@ def test_output_pipe_closed_early_exits_1_without_a_traceback(tmp_path):
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
+def test_commands_import_numpy_and_the_standard_library_only(tmp_path):
+    # numpy loads modules of its own (cython_runtime) lazily: import it and
+    # numpy.random first, so that only what the commands bring in is counted
+    child = ("import sys, numpy, numpy.random\n"
+             "before = {m.partition('.')[0] for m in sys.modules}\n"
+             "from bipfit.cli import main\n"
+             "codes = [main(argv.split('|')) for argv in sys.argv[1:]]\n"
+             "new = {m.partition('.')[0] for m in sys.modules} - before\n"
+             "print(codes, sorted(new - set(sys.stdlib_module_names) - {'bipfit'}))")
+    data = {name: str(io.data_path(f"{name}.json")) for name in
+            ("example-5x6", "slow-2x2", "divergence-2x2", "birkhoff-40")}
+    runs = [["classify", data["example-5x6"]],
+            ["fit", data["slow-2x2"], "--max-iters", "2000", "--trace-out", tmp_path / "t.json"],
+            ["analyze", data["divergence-2x2"]], ["reduce", data["example-5x6"]],
+            ["products", data["birkhoff-40"]]]
+    argv = ["|".join(map(str, run + ["--out", tmp_path / f"{k}.json"]))
+            for k, run in enumerate(runs)]
+    done = subprocess.run([sys.executable, "-c", child, *argv], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.strip() == "[0, 0, 0, 0, 0] []", done.stdout + done.stderr
+
+
 def test_analyze_at_the_default_cap_peaks_under_100_mb(tmp_path):
     # a 120x120 seed crawls to the 100 000-iterate cap: every row of its
     # scaling history would be 96 MB
@@ -588,6 +610,14 @@ def _drop(path):
     return corrupt
 
 
+def _all(*corruptions):
+    """A corruption of a report: each of ``corruptions`` in turn."""
+    def corrupt(report):
+        for each in corruptions:
+            each(report)
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -610,6 +640,17 @@ def _drop(path):
         (_set(("block_structure", "a_prime"), lambda v: v[:1]), r"a_prime: expected 2 entries"),
         (_set(("limits", "even"), lambda v: [row + [0.0] for row in v]),
          r"limits\.even: expected a 2x2 matrix"),
+        # the verdict against its certificates
+        (_set(("classification", "behavior"), "FastConvergence"),
+         "FastConvergence verdict has no witness"),
+        (_set(("classification", "behavior"), "Bogus"), "unknown verdict 'Bogus'"),
+        (_drop(("classification", "behavior")), "classification: missing field 'behavior'"),
+        (_set(("classification", "causes"), []), "Divergence verdict has no incompatibility"),
+        (_set(("classification", "causes", 0, "kind"), "Bogus"), "cause 0 kind: unknown kind"),
+        (_set(("classification", "causes", 0, "kind"), "Criticality"),
+         "criticality cause is not tight"),
+        (_all(_drop(("block_structure",)), _set(("limits", "even", 0, 0), lambda v: v + 0.5)),
+         "limits: no block_structure"),
     ],
 )
 def test_verify_report_rejects_bad_blocks_and_indices(divergence_problem, corrupt, message):
@@ -626,6 +667,15 @@ def test_verify_report_rejects_a_witness_of_the_wrong_shape(fast_problem):
     broken["classification"]["witness"].append([0.0, 0.0])
     with pytest.raises(InputError, match=r"witness: expected a 2x2 matrix, got 3x2"):
         io.verify_report(broken)
+
+
+def test_verify_report_accepts_a_tight_criticality_cause(slow_problem):
+    report = json.loads(json.dumps(io.jsonify(io.build_report(slow_problem,
+                                                               StoppingRule(max_iters=2000)))))
+    # the zero cell (1, 1): a(rows) = b(other columns) = 1/2
+    report["classification"]["causes"] = [
+        {"rows": [1], "cols": [1], "kind": "Criticality", "ratio": 1.0}]
+    io.verify_report(report)
 
 
 @pytest.fixture
@@ -964,6 +1014,15 @@ def test_cli_input_errors(tmp_path, capsys):
                                     "n_perms": n_perms}))
         assert cli.main(["products", str(spec)]) == 2
         assert "input error" in capsys.readouterr().err
+
+
+def test_cli_unwritable_output_paths_exit_2_without_a_traceback(tmp_path, capsys):
+    problem, missing = str(io.data_path("slow-2x2.json")), tmp_path / "missing" / "x.json"
+    for argv in (["classify", problem, "--out", missing],
+                 ["fit", problem, "--max-iters", "20", "--trace-out", missing]):
+        assert cli.main(list(map(str, argv))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: cannot write {missing}: ") and "Traceback" not in err
 
 
 def test_cli_reduce_rejects_a_non_string_name(tmp_path, capsys):
