@@ -127,9 +127,23 @@ def _cmd_classify(args) -> None:
     )
 
 
+def _probe_writable(path) -> None:
+    """Raise the error a write to ``path`` would, with nothing written and no file left."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()  # appending truncates nothing
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_fit(args) -> None:
     problem, meta = _load(args)
     rule = _rule_from(args)
+    for path in (args.out, args.trace_out):  # two outputs: neither written if one fails
+        if path:
+            _probe_writable(path)
     trace = run(problem, rule)
     payload = {
         "tool": {"name": "bipfit", "version": __version__},

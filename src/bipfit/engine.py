@@ -68,7 +68,9 @@ _CHUNKS = (8, 4096)
 #: _FOLD_AT]`` is folded into a new base, with ~800 binary orders to spare.
 _FOLD_EVERY, _FOLD_AT = 16, 2.0 ** 192
 
-#: Floats per block of iterates rebuilt for a vectorized read.
+#: Floats per block of iterates rebuilt for a vectorized read, per ratio
+#: array of one slice of the stopping rules, and per block of the seed's
+#: nonzero cells read for the exact even/odd distance.
 _BLOCK = 1 << 15
 
 #: Floats per buffer of :func:`cross_ratio_check` (1 MB): a block of iterates
@@ -101,7 +103,9 @@ class _ScalingHistory:
     k``, step ``k`` in row ``k + held - w0`` for ``held = ceil(w0 / K)``
     kept rows.  At stride ``K = 1`` and ``w0 = 0``, every trace under 2 MB,
     row ``k`` holds step ``k``: nothing moves and every read is direct.
-    After that :meth:`_make_room` moves rows and halves the kept ones.  Any
+    After that :meth:`_make_room` moves rows and halves the kept ones.  The
+    array is allocated once at its final size, the first time a run
+    outgrows its start rows, so no step holds two copies of it.  Any
     other row is rebuilt by :meth:`_gather`, which replays the double steps
     from the kept row before it with the run's own calls, bases and fold
     resets, so the rebuilt values are the run's values bit for bit.  A full
@@ -109,7 +113,7 @@ class _ScalingHistory:
     and so the final iterates, is always read directly.
     """
 
-    def __init__(self, x0: np.ndarray):
+    def __init__(self, x0: np.ndarray, max_iters: int):
         self.bases, self.starts, self.folds = [x0], [0], []  # folds: the folded vectors
         self._rows = np.ones((_FOLD_EVERY + 1, sum(x0.shape)))  # [u | v]: kept rows, window
         self.u, self.v = np.split(self._rows, [len(x0)], axis=1)
@@ -122,6 +126,9 @@ class _ScalingHistory:
         # window's first double step, stride K, kept rows and their limit
         self._w0, self._stride, self._held = 0, 1, 0
         self._cap = max(1, _KEEP // sum(x0.shape))
+        # rows once the start rows are outgrown: the kept rows and the largest
+        # window, 2050 rows of a 4096-iterate chunk, or every step of the run
+        self._size = min(self._cap + _CHUNKS[1] // 2 + 2, max_iters // 2 + 2)
         self._ab = self._cursor = None  # the marginals, and the replay's (k, [u | v], next fold)
 
     def advance(self, k_end: int, a: np.ndarray, b: np.ndarray) -> None:
@@ -166,12 +173,8 @@ class _ScalingHistory:
             h[kept:kept + k + 1 - lo] = h[lo + held - w0:k + 1 + held - w0]  # k - 1, k
             self._held, self._w0, self._stride = kept, lo, stride
         off = self._held - self._w0  # step k lies in row k + off
-        if k_end + off >= len(h):
-            size = len(h)
-            while size <= k_end + off:
-                size *= 2
-            # the kept rows and the largest window: 2050 rows of a 4096-iterate chunk
-            self._rows = np.empty((min(size, self._cap + _CHUNKS[1] // 2 + 2), h.shape[1]))
+        if k_end + off >= len(h):  # once: no later step copies the rows again
+            self._rows = np.empty((self._size, h.shape[1]))
             self._rows[:k + 1 + off] = h[:k + 1 + off]
             self.u, self.v = np.split(self._rows, [self.u.shape[1]], axis=1)
 
@@ -289,6 +292,25 @@ class _ScalingHistory:
             x *= v
         return out
 
+    def cells(self, ns, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """``X_n[r, c]`` for ``n`` in ``ns``, shape ``(len(ns), len(r))``.
+
+        Each value is ``(K_j[r, c] u[r]) v[c]`` from the base of its own
+        iterate, the product :meth:`stack` forms, so the cells are bitwise
+        those of the stacked iterates.
+        """
+        ns = np.asarray(ns, dtype=int)
+        us, vs = self._scalings(ns)
+        if len(self.bases) == 1:
+            x = self.bases[0][r, c] * us[:, r]
+        else:  # the cells of each base read, one row per iterate
+            seg = np.searchsorted(self.starts, ns, side="right") - 1
+            js, at = np.unique(seg, return_inverse=True)
+            x = np.array([self.bases[j][r, c] for j in js]).reshape(js.size, r.size)[at]
+            x *= us[:, r]
+        x *= vs[:, c]
+        return x
+
     def blocks(self, ns):
         """``(indices, stacked iterates)`` for the index sequence ``ns``, in blocks."""
         ns, step = np.asarray(ns, dtype=int), max(1, _BLOCK // self.bases[0].size)
@@ -391,10 +413,13 @@ def run(problem: FittingProblem, rule: StoppingRule | None = None) -> IterationT
     ``X_{2k+2} = fit_cols(X_{2k+1}, b)``.  In scaling form these are
     ``u = a / (K @ v)`` and ``v = b / (K.T @ u)``.  The loop runs them in
     chunks, evaluates the rules on each chunk's iterates in vectorized code,
-    and cuts the history at the first index where one fires.  The rules read
-    marginals as ratios off the scalings, with no matrix product.  Per
-    iterate they are tested in the order converged, even/odd, cap, so stop
-    index and reason are those of a loop testing after every step.
+    slice by slice, and cuts the history at the first index where one fires.
+    The rules read marginals as ratios off the scalings, with no matrix
+    product, and an exact ``|X_n - X_{n-2}|_1`` off the seed's nonzero cells
+    alone.  Per iterate they are tested in the order converged, even/odd,
+    cap, so stop index and reason are those of a loop testing after every
+    step.  The working memory is bounded in bytes: the history's kept rows
+    and window, rule buffers of ``O(_BLOCK)`` floats, and the errors.
 
     Returns
     -------
@@ -402,15 +427,14 @@ def run(problem: FittingProblem, rule: StoppingRule | None = None) -> IterationT
     """
     rule = rule or StoppingRule()
     a, b = problem.a, problem.b
-    hist = _ScalingHistory(problem.x0)
+    hist = _ScalingHistory(problem.x0, rule.max_iters)
+    cells = np.nonzero(problem.x0)  # every other cell is 0 in every iterate
+    step = max(1, _BLOCK // cells[0].size)  # iterates per block of the exact d_n
     errs = []
     last_bad = 1  # newest index failing the Cauchy test; d_0, d_1 do not exist
-    n0, size = 0, _CHUNKS[0]
-    while True:
-        n1 = min(n0 + size, rule.max_iters + 1)
-        hist.advance(n1 // 2, a, b)
+    for n0, n1 in _slices(hist, rule.max_iters, a, b):
         ns = np.arange(n0, n1)
-        lo = max(n0 - 2, 0)  # the chunk and the two iterates before it, if any
+        lo = max(n0 - 2, 0)  # the slice and the two iterates before it, if any
         rows, cols = hist.ratios(lo, n1, a, b)
         errors = np.abs(rows[n0 - lo:] - 1.0) @ a + np.abs(cols[n0 - lo:] - 1.0) @ b
         # d_n = |X_n - X_{n-2}|_1 is at least the L1 change of either
@@ -419,8 +443,9 @@ def run(problem: FittingProblem, rule: StoppingRule | None = None) -> IterationT
         d[lo + 2 - n0:] = np.maximum(np.abs(rows[2:] - rows[:-2]) @ a,
                                      np.abs(cols[2:] - cols[:-2]) @ b)
         near = np.flatnonzero(d < 2.0 * rule.tol_even_odd)
-        d[near] = np.concatenate([np.empty(0)] + [
-            np.abs(x - hist.stack(n - 2)).sum(axis=(0, 1)) for n, x in hist.blocks(ns[near])])
+        for i in range(0, near.size, step):
+            n = ns[near[i:i + step]]
+            d[n - n0] = np.abs(hist.cells(n, *cells) - hist.cells(n - 2, *cells)).sum(axis=1)
         last = np.maximum.accumulate(np.where(d < rule.tol_even_odd, last_bad, ns))
         converged, cauchy = errors < rule.tol_marginal, ns - last >= 2 * _CAUCHY_WINDOW
         hits = np.flatnonzero(converged | cauchy | (ns >= rule.max_iters))
@@ -428,13 +453,32 @@ def run(problem: FittingProblem, rule: StoppingRule | None = None) -> IterationT
         if hits.size:
             break
         last_bad = int(last[-1])
-        n0, size = n1, min(2 * size, _CHUNKS[1])
 
     m = int(hits[0])
     reason = (StopReason.CONVERGED if converged[m] else StopReason.EVEN_ODD_CONVERGED
               if cauchy[m] else StopReason.ITERATION_CAP)
     hist.count = n0 + m + 1
     return IterationTrace(problem, np.concatenate(errs)[:hist.count], reason, hist)
+
+
+def _slices(hist: _ScalingHistory, max_iters: int, a: np.ndarray, b: np.ndarray):
+    """``(n0, n1)`` of each slice of iterates whose rules :func:`run` evaluates.
+
+    The history advances a chunk at a time; each chunk is cut into slices of
+    at most :data:`_BLOCK` floats per ratio array (or four iterates, if one
+    holds more), so the rules' buffers do not grow with the chunk.  A slice
+    holds a multiple of four iterates: BLAS's ``gemv`` sums the rows of one
+    call in groups of four, so each iterate's error keeps the bits it has
+    when its chunk is one call.  The last slice ends at the cap.
+    """
+    width = 4 * max(1, _BLOCK // (4 * (a.size + b.size)))
+    n0, size = 0, _CHUNKS[0]
+    while n0 <= max_iters:
+        n1 = min(n0 + size, max_iters + 1)
+        hist.advance(n1 // 2, a, b)
+        for s0 in range(n0, n1, width):
+            yield s0, min(s0 + width, n1)
+        n0, size = n1, min(2 * size, _CHUNKS[1])
 
 
 # ---------------------------------------------------------------------------

@@ -516,9 +516,11 @@ def verify_report(report: dict) -> None:
     a convergence a witness), every cause (indices in range, zero block,
     over-demand or, if critical, tightness), the witness marginals, the
     monotone block scalings, that the blocks partition the rows and the
-    columns, ``a'`` and ``b'`` against the scalings, and the limit marginals
-    against ``a'`` and ``b'``.  Raises :class:`InputError` on any mismatch,
-    and on a missing or malformed field, naming it.
+    columns, ``a'`` and ``b'`` against the scalings, ``sigma`` (inside the
+    seed support, no empty row or column), the limits against ``sigma``
+    (exactly 0 outside it, the even limit's support equal to it), and the
+    limit marginals against ``a'`` and ``b'``.  Raises :class:`InputError`
+    on any mismatch, and on a missing or malformed field, naming it.
     """
     if not isinstance(report, dict) or "problem" not in report:
         raise InputError("not an analysis report: missing 'problem'")
@@ -589,12 +591,26 @@ def verify_report(report: dict) -> None:
             if np.abs(b_prime[cols] - b[cols] / lam).max() > 1e-10:
                 raise InputError("report b' is inconsistent with its lambdas")
 
+    sigma = report.get("sigma")
+    if sigma is not None:
+        sigma = _report_mask(sigma, supp.shape, "report.sigma")
+        if np.any(sigma & ~supp):
+            raise InputError("report sigma lies outside the seed support")
+        if not (sigma.any(axis=1).all() and sigma.any(axis=0).all()):
+            raise InputError("report sigma has an empty row or column")
+
     limits = _section(report, "limits")
     if limits and not bs:
         raise InputError("report.limits: no block_structure to check them against")
+    if limits and sigma is None:
+        raise InputError("report.limits: no sigma to check them against")
     if limits:  # a_prime and b_prime were read above
         even, odd = (_report_matrix(_field(limits, key, "report.limits"), supp.shape,
                                     f"report.limits.{key}") for key in ("even", "odd"))
+        if np.any(even[~sigma]) or np.any(odd[~sigma]):
+            raise InputError("report limits put mass outside sigma")
+        if not np.array_equal(support_of(even), sigma):
+            raise InputError("report even limit's support is not sigma")
         checks = (
             (np.abs(even.sum(axis=1) - a_prime).max(), "even limit rows vs a'"),
             (np.abs(even.sum(axis=0) - b).max(), "even limit cols vs b"),
@@ -638,6 +654,17 @@ def _report_matrix(values, shape: tuple[int, int], where: str) -> np.ndarray:
         raise InputError(f"{where}: expected a {shape[0]}x{shape[1]} matrix, "
                          f"got {x.shape[0]}x{x.shape[1]}")
     return x
+
+
+def _report_mask(values, shape: tuple[int, int], where: str) -> np.ndarray:
+    """A ``p x q`` matrix of JSON booleans read from a report."""
+    if isinstance(values, np.ndarray):  # a report built in memory
+        values = values.tolist()
+    if not (isinstance(values, list) and len(values) == shape[0] and all(
+            isinstance(row, list) and len(row) == shape[1] and all(type(v) is bool for v in row)
+            for row in values)):
+        raise InputError(f"{where}: expected a {shape[0]}x{shape[1]} matrix of booleans")
+    return np.array(values, dtype=bool)
 
 
 def _indices(values, size: int, where: str) -> np.ndarray:

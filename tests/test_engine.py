@@ -295,8 +295,8 @@ def _assert_bitwise_equal(trace, ref):
     assert len(hist.bases) == len(ref_hist.bases) and len(hist.folds) == len(ref_hist.folds)
 
 
-def test_scaling_loop_matches_reference_bitwise(slow_problem, fast_problem,
-                                                divergence_problem):
+def _loop_cases(slow_problem, fast_problem, divergence_problem):
+    """``(problem, rule)`` pairs whose runs the scaling-loop tests compare bit for bit."""
     critical = oracles.planted_critical(np.random.default_rng(7), 40, 40)
     # FittingProblem stores its seed in C order; the loop's BLAS calls must
     # give the same bits on a Fortran-ordered base all the same
@@ -308,10 +308,15 @@ def test_scaling_loop_matches_reference_bitwise(slow_problem, fast_problem,
     # the fold problem's first fold falls due in that short group
     odd = [StoppingRule(tol_marginal=1e-300, tol_even_odd=1e-300, max_iters=n)
            for n in (1, 37, 382, 19_999)]
-    cases = [(slow_problem, capped), (critical, capped), (fortran, capped),
-             (_fold_problem(), capped), (_fold_problem(skew=1e-25), capped),
-             *[(problem, rule) for rule in odd for problem in (slow_problem, _fold_problem())],
-             (fast_problem, StoppingRule()), (divergence_problem, StoppingRule())]
+    return [(slow_problem, capped), (critical, capped), (fortran, capped),
+            (_fold_problem(), capped), (_fold_problem(skew=1e-25), capped),
+            *[(problem, rule) for rule in odd for problem in (slow_problem, _fold_problem())],
+            (fast_problem, StoppingRule()), (divergence_problem, StoppingRule())]
+
+
+def test_scaling_loop_matches_reference_bitwise(slow_problem, fast_problem,
+                                                divergence_problem):
+    cases = _loop_cases(slow_problem, fast_problem, divergence_problem)
     traces = [run(problem, rule) for problem, rule in cases]
     for trace, (problem, rule) in zip(traces, cases):
         _assert_bitwise_equal(trace, oracles.reference_scaling_run(problem, rule))
@@ -320,6 +325,57 @@ def test_scaling_loop_matches_reference_bitwise(slow_problem, fast_problem,
     s1, s2 = skewed.starts[1:3]
     assert s1 % 2 != s2 % 2 and s2 - s1 > 1  # u and v each fold alone, in their own group
     assert traces[-1].stop_reason is StopReason.EVEN_ODD_CONVERGED  # mid-chunk
+
+
+def test_rules_in_slices_of_four_to_twelve_iterates_change_nothing(
+        monkeypatch, slow_problem, fast_problem, divergence_problem):
+    # the rules' slices hold _BLOCK // (p + q) iterates, rounded down to a
+    # multiple of four (gemv sums rows in groups of four: slices of 7, 11 or
+    # 15 iterates change errors' last bits); at four to twelve a chunk is cut
+    # into hundreds of slices, and the run keeps every bit
+    cases = _loop_cases(slow_problem, fast_problem, divergence_problem)
+    default = [run(problem, rule) for problem, rule in cases]
+    for k, ((problem, rule), want) in enumerate(zip(cases, default)):
+        monkeypatch.setattr(engine, "_BLOCK", (4 * (1 + k % 3) + 3) * sum(problem.shape))
+        got = run(problem, rule)
+        monkeypatch.undo()
+        assert got.n_iters == want.n_iters and got.stop_reason is want.stop_reason, k
+        assert got.errors.tobytes() == want.errors.tobytes(), k
+        hist, ref_hist = got.stored_matrices, want.stored_matrices
+        assert hist.k == ref_hist.k and hist.starts == ref_hist.starts, k
+        ks = np.arange(hist.k + 1)
+        for x, y in [*zip(hist._gather(ks, ks), ref_hist._gather(ks, ks)),
+                     *zip(hist.bases, ref_hist.bases), *zip(hist.folds, ref_hist.folds)]:
+            assert x.tobytes() == y.tobytes(), k
+
+
+def test_exact_even_odd_distance_reads_the_seed_nonzeros():
+    # under a loose tol_even_odd the marginal bound leaves a quarter or more
+    # of the iterates to the exact |X_n - X_{n-2}|_1, read off the seed's
+    # nonzero cells: across fold points, on a sparse seed, and on seed cells
+    # of 1e-20 that the support pattern drops, which in the second seed carry
+    # most of the mass after one step
+    tiny = FittingProblem([[1.0, 1.0], [1e-20, 1.0]], [0.5, 0.5], [0.5, 0.5])
+    faint = FittingProblem([[1.0, 1e-20], [1e-20, 1e-20]], [0.5, 0.5], [0.5, 0.5])
+    assert not tiny.support[1, 0] and tiny.x0[1, 0] > 0 and faint.support.sum() == 1
+    sparse = oracles.sparse_critical(np.random.default_rng(5), 40, 0.05)
+    for problem, folded in ((_fold_problem(), True), (sparse, False), (tiny, False),
+                            (faint, False)):
+        rule = StoppingRule(tol_even_odd=1e-7)
+        trace, ref = run(problem, rule), oracles.reference_scaling_run(problem, rule)
+        assert trace.n_iters == ref.n_iters and trace.stop_reason is ref.stop_reason
+        assert trace.stop_reason is StopReason.EVEN_ODD_CONVERGED
+        hist, (a, b) = trace.stored_matrices, (problem.a, problem.b)
+        rows, cols = trace.ratio_rows, trace.ratio_cols
+        bound = np.maximum(np.abs(rows[2:] - rows[:-2]) @ a, np.abs(cols[2:] - cols[:-2]) @ b)
+        near = np.flatnonzero(bound < 2 * rule.tol_even_odd) + 2
+        assert near.size > trace.n_iters / 4
+        # the cells are the stacked iterates' own, each from its own base
+        r, c = np.nonzero(problem.x0)
+        for ns in (near, near - 2):
+            assert hist.cells(ns, r, c).tobytes() == hist.stack(ns)[r, c].T.tobytes()
+        if folded:  # some pair reads two bases
+            assert any(n - 2 < s <= n for s in hist.starts[1:] for n in near)
 
 
 # caps 19_999 (ending mid fold group) and 20_000; kept rows of the 4x4 fold
@@ -365,8 +421,8 @@ def test_thinned_trace_reads_equal_the_whole_history_bitwise(monkeypatch, cap, r
 
 
 def test_run_peak_memory_bounded_in_bytes():
-    # the history keeps 2 MB of strided rows and the newest chunk, so the
-    # peak barely grows with the run
+    # the history keeps 2 MB of strided rows and the newest chunk, and the
+    # rules run in slices of _BLOCK floats, so the peak barely grows with the run
     problem = oracles.planted_critical(np.random.default_rng(7), 40, 40)
     peaks = {}
     for cap in (20_000, 80_000):
@@ -378,7 +434,7 @@ def test_run_peak_memory_bounded_in_bytes():
         finally:
             tracemalloc.stop()
         assert trace.n_iters == cap
-    assert peaks[20_000] < 10e6, peaks
+    assert peaks[20_000] < 6e6, peaks
     assert peaks[80_000] <= 1.2 * peaks[20_000], peaks
 
 

@@ -353,10 +353,12 @@ def test_commands_import_numpy_and_the_standard_library_only(tmp_path):
     assert done.stdout.strip() == "[0, 0, 0, 0, 0] []", done.stdout + done.stderr
 
 
-def test_analyze_at_the_default_cap_peaks_under_100_mb(tmp_path):
+@pytest.mark.parametrize("density", [0.3, 0.05])
+def test_analyze_at_the_default_cap_peaks_under_50_mb(tmp_path, density):
     # a 120x120 seed crawls to the 100 000-iterate cap: every row of its
-    # scaling history would be 96 MB
-    problem = oracles.sparse_critical(np.random.default_rng(5), 120, 0.3)
+    # scaling history would be 96 MB.  At 5 % density the exact even/odd
+    # distance is taken on nearly every iterate
+    problem = oracles.sparse_critical(np.random.default_rng(5), 120, density)
     path, out = tmp_path / "critical-120.json", tmp_path / "report.json"
     path.write_text(json.dumps(io.problem_to_dict(problem)))
     # the child reads its own peak: RUSAGE_CHILDREN would take the largest of
@@ -372,7 +374,7 @@ def test_analyze_at_the_default_cap_peaks_under_100_mb(tmp_path):
     code, peak_kb = done.stdout.split()
     assert code == "0", done.stderr
     assert json.loads(out.read_text())["engine"]["iterations"] == 100_000
-    assert int(peak_kb) < 100 * 1024, peak_kb
+    assert int(peak_kb) < 50 * 1024, peak_kb
 
 
 def test_trace_out_and_saved_report_bytes(tmp_path):
@@ -651,6 +653,14 @@ def _all(*corruptions):
          "criticality cause is not tight"),
         (_all(_drop(("block_structure",)), _set(("limits", "even", 0, 0), lambda v: v + 0.5)),
          "limits: no block_structure"),
+        # sigma (the anti-diagonal) and the limits against it
+        (_set(("sigma", 0, 1), False), "sigma has an empty row or column"),
+        (_set(("sigma", 0, 0), True), "even limit's support is not sigma"),
+        (_set(("sigma", 1, 1), True), "sigma lies outside the seed support"),
+        (_all(_set(("limits", "odd", 0, 0), 1 / 3), _set(("limits", "odd", 0, 1), 0.0)),
+         "limits put mass outside sigma"),
+        (_set(("sigma",), [[0, 1], [1, 0]]), r"sigma: expected a 2x2 matrix of booleans"),
+        (_drop(("sigma",)), r"limits: no sigma"),
     ],
 )
 def test_verify_report_rejects_bad_blocks_and_indices(divergence_problem, corrupt, message):
@@ -1018,11 +1028,20 @@ def test_cli_input_errors(tmp_path, capsys):
 
 def test_cli_unwritable_output_paths_exit_2_without_a_traceback(tmp_path, capsys):
     problem, missing = str(io.data_path("slow-2x2.json")), tmp_path / "missing" / "x.json"
-    for argv in (["classify", problem, "--out", missing],
-                 ["fit", problem, "--max-iters", "20", "--trace-out", missing]):
+    out, trace = tmp_path / "fit.json", tmp_path / "trace.json"
+    fit = ["fit", problem, "--max-iters", "20"]
+    # fit has two outputs: neither is written when one of them cannot be
+    for argv in (["classify", problem, "--out", missing], fit + ["--trace-out", missing],
+                 fit + ["--out", out, "--trace-out", missing],
+                 fit + ["--out", missing, "--trace-out", trace]):
         assert cli.main(list(map(str, argv))) == 2
-        err = capsys.readouterr().err
+        stdout, err = capsys.readouterr()
         assert err.startswith(f"input error: cannot write {missing}: ") and "Traceback" not in err
+        assert stdout == "" and not out.exists() and not trace.exists()
+    # a file that is there keeps its bytes
+    out.write_text("kept")
+    assert cli.main(list(map(str, fit + ["--out", out, "--trace-out", missing]))) == 2
+    assert out.read_text() == "kept"
 
 
 def test_cli_reduce_rejects_a_non_string_name(tmp_path, capsys):
