@@ -442,7 +442,8 @@ def build_report(problem: FittingProblem, rule: StoppingRule | None = None,
                 if trace.last_odd is not None else None
             ),
         },
-        "criticality_under_adjusted": _criticality_transfer(problem, bs),
+        "criticality_under_adjusted": _criticality_transfer(
+            problem.a, problem.b, bs.row_blocks, bs.col_blocks, bs.a_prime),
         "escaped_cells": engine.escape_diagnostic(
             trace, np.argwhere(problem.support & ~lp.sigma)),
     }
@@ -459,28 +460,26 @@ def _classification_fields(cls: structure.Classification) -> dict:
     }
 
 
-def _criticality_transfer(problem: FittingProblem, bs: structure.BlockStructure) -> list[dict]:
+def _criticality_transfer(a, b, row_blocks, col_blocks, a_prime) -> list[dict]:
     """Original incompatibility causes that turn critical under ``(a', b)``.
 
     For each cut point k the union of the first k row blocks against the
     columns of the later blocks is a zero block; under the original
     marginals it over-demands (ratio > 1), under the adjusted ones it is
-    exactly tight.
+    exactly tight.  The blocks are sequences of indices, in block order.
     """
     out = []
-    b = problem.b
-    a = problem.a
-    for k in range(bs.r - 1):
-        rows = [i for blk in bs.row_blocks[: k + 1] for i in blk]
-        cols = [j for blk in bs.col_blocks[k + 1:] for j in blk]
-        comp = [j for blk in bs.col_blocks[: k + 1] for j in blk]
+    for k in range(len(row_blocks) - 1):
+        rows = [i for blk in row_blocks[: k + 1] for i in blk]
+        cols = [j for blk in col_blocks[k + 1:] for j in blk]
+        comp = [j for blk in col_blocks[: k + 1] for j in blk]
         a_rows = float(a[rows].sum())
-        ap_rows = float(bs.a_prime[rows].sum())
+        ap_rows = float(a_prime[rows].sum())
         b_comp = float(b[comp].sum())
         out.append(
             {
-                "rows": sorted(rows),
-                "cols": sorted(cols),
+                "rows": sorted(map(int, rows)),
+                "cols": sorted(map(int, cols)),
                 "original_ratio": a_rows / b_comp,
                 "adjusted_rows_mass": ap_rows,
                 "complement_cols_mass": b_comp,
@@ -518,9 +517,13 @@ def verify_report(report: dict) -> None:
     monotone block scalings, that the blocks partition the rows and the
     columns, ``a'`` and ``b'`` against the scalings, ``sigma`` (inside the
     seed support, no empty row or column), the limits against ``sigma``
-    (exactly 0 outside it, the even limit's support equal to it), and the
-    limit marginals against ``a'`` and ``b'``.  Raises :class:`InputError`
-    on any mismatch, and on a missing or malformed field, naming it.
+    (exactly 0 outside it, the even limit's support equal to it), the
+    limit marginals against ``a'`` and ``b'``, every
+    ``criticality_under_adjusted`` entry recomputed from the blocks and the
+    marginals, and the engine's even-limit estimate (inside the seed
+    support, column-fitted from iteration 2 on, ``agreement_even_l1`` its
+    L1 distance from the even limit).  Raises :class:`InputError` on any
+    mismatch, and on a missing or malformed field, naming it.
     """
     if not isinstance(report, dict) or "problem" not in report:
         raise InputError("not an analysis report: missing 'problem'")
@@ -620,6 +623,51 @@ def verify_report(report: dict) -> None:
         for dev, label in checks:
             if dev > 1e-7:
                 raise InputError(f"report {label} deviate by {dev:g}")
+
+    crit = report.get("criticality_under_adjusted")
+    if crit is not None:
+        where = "report.criticality_under_adjusted"
+        if not isinstance(crit, list):
+            raise InputError(f"{where}: expected a list")
+        if crit and not bs:
+            raise InputError(f"{where}: no block_structure to check it against")
+        want = _criticality_transfer(a, b, *partitions, a_prime) if bs else []
+        if len(crit) != len(want):
+            raise InputError(f"{where}: expected {len(want)} entries, one per cut, "
+                             f"got {len(crit)}")
+        for k, (entry, expected) in enumerate(zip(crit, want)):
+            for key, value in expected.items():
+                got = _field(entry, key, f"{where}[{k}]")
+                if isinstance(value, float):
+                    got = _as_number(got, f"{where}[{k}].{key}")
+                    same = abs(got - value) <= 1e-12 * max(1.0, abs(value))
+                else:
+                    same = type(got) is type(value) and got == value
+                if not same:
+                    raise InputError(f"report criticality entry {k}: {key} is {got!r}, "
+                                     f"recomputed {value!r}")
+
+    eng = _section(report, "engine")
+    if eng:
+        where = "report.engine"
+        iterations = _field(eng, "iterations", where)
+        if type(iterations) is not int or iterations < 0:
+            raise InputError(f"{where}.iterations: expected an integer >= 0")
+        estimate = _report_matrix(_field(eng, "even_limit_estimate", where), supp.shape,
+                                  f"{where}.even_limit_estimate")
+        if np.any(estimate[~supp]):
+            raise InputError("report even-limit estimate puts mass outside the seed support")
+        dev = np.abs(estimate.sum(axis=0) - b).max()
+        if iterations >= 2 and not dev <= 1e-8:
+            raise InputError(f"report even-limit estimate is not column-fitted: "
+                             f"columns vs b deviate by {dev:g}")
+        if not limits:
+            raise InputError(f"{where}: no limits to check agreement_even_l1 against")
+        agreement = _as_number(_field(eng, "agreement_even_l1", where),
+                               f"{where}.agreement_even_l1")
+        l1 = float(np.abs(estimate - even).sum())
+        if not abs(agreement - l1) <= 1e-12 * max(1.0, l1):
+            raise InputError(f"report agreement_even_l1 is {agreement!r}, recomputed {l1!r}")
 
 
 def _section(report: dict, key: str) -> dict:

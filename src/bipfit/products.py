@@ -19,6 +19,7 @@ drift beyond tolerance is an error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,14 @@ def dispersion(v) -> float:
     return float(np.abs(v[:, None] - v[None, :]).sum())
 
 
+def _operand(m: np.ndarray, v) -> np.ndarray:
+    """``v`` as a flat float vector, checked to have one entry per column of ``m``."""
+    v = np.asarray(v, dtype=float).ravel()
+    if m.shape[1] != v.size:
+        raise ValueError(f"shape mismatch: {m.shape} vs vector of {v.size}")
+    return v
+
+
 def check_diameter_contraction(m, v):
     """Slacks of the three min/max/diameter bounds for one application of ``m``.
 
@@ -95,9 +104,7 @@ def check_diameter_contraction(m, v):
     raises, reporting the offending pair.
     """
     m = _check_stochastic(m, square=False)
-    v = np.asarray(v, dtype=float).ravel()
-    if m.shape[1] != v.size:
-        raise ValueError(f"shape mismatch: {m.shape} vs vector of {v.size}")
+    v = _operand(m, v)
     mu = float(m.min())
     w = m @ v
     lo, hi = float(v.min()), float(v.max())
@@ -120,7 +127,7 @@ def check_dispersion_decrease(m, v, gamma: float) -> float:
     is the caller's to assert on.
     """
     m = _check_doubly_stochastic(m)
-    v = np.asarray(v, dtype=float).ravel()
+    v = _operand(m, v)
     if not 0 <= gamma <= 1:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
     if float(np.diag(m).min()) < gamma - 1e-15:
@@ -139,7 +146,7 @@ def check_sorted_partial_sums(m, v, k: int) -> float:
     ``v``; nonnegative for every ``1 <= k <= dim``.
     """
     m = _check_doubly_stochastic(m)
-    v = np.asarray(v, dtype=float).ravel()
+    v = _operand(m, v)
     if not 1 <= k <= v.size:
         raise ValueError(f"k must be in 1..{v.size}, got {k}")
     w = np.sort(m @ v)
@@ -259,6 +266,71 @@ class ProductTrace:
         return np.cumsum(self.factors, axis=0)
 
 
+#: Largest factor dimension, and fewest factors, whose backward products
+#: are formed in blocks.  The blocked order does two ``d x d`` products per
+#: factor where the chain does one, and about ``2 sqrt(n)`` ``matmul``
+#: calls of ~2.5 us each where the chain does ``n`` ``dot`` calls of
+#: ~0.8 us.  Forming 10 000 partials on a 2-core Xeon VM (OpenBLAS 0.3.31,
+#: one thread), best of 15, it was 3.5x faster than the chain at d = 3,
+#: 2.2x at d = 8 and 1.3-1.7x at d = 16; from d = 17 to 20 runs read
+#: 0.94-1.3x, and 0.87x at d = 24.  Against the number of factors it broke
+#: even near 100 for d <= 8 (0.83x at 60, 1.3x at 200) and near 200 for
+#: d = 16.
+_BLOCKED_MAX_DIM = 16
+_BLOCKED_MIN_FACTORS = 256
+
+
+def _block_length(n: int, d: int) -> int:
+    """Factors per block when :func:`product_run` multiplies ``n`` ``d x d`` factors.
+
+    ``ceil(sqrt(n))`` from :data:`_BLOCKED_MIN_FACTORS` factors and up to
+    dimension :data:`_BLOCKED_MAX_DIM`; otherwise 1, which is the
+    one-factor-at-a-time chain.
+    """
+    if n < _BLOCKED_MIN_FACTORS or d > _BLOCKED_MAX_DIM:
+        return 1
+    return math.isqrt(n - 1) + 1
+
+
+def _backward_partials(stack: np.ndarray) -> np.ndarray:
+    """The partial products ``P_t = M_t ... M_0`` of a factor stack, in blocks.
+
+    With ``s = _block_length(n, d)``, block ``b`` holds factors
+    ``b0 = b s`` to ``b0 + s - 1``.  The local prefixes ``M_t ... M_b0`` of
+    all blocks are formed first, ``s - 1`` batched ``matmul`` calls over the
+    block axis; then, block by block, ``P_t = (M_t ... M_b0) P_{b0-1}``, the
+    block's first factor by its bound ``dot`` and the rest by one ``matmul``
+    through an ``(s - 1, d, d)`` buffer.  That is about ``3 sqrt(n)`` numpy
+    calls in place of ``n - 1``; with ``s = 1`` it is the plain chain
+    ``P_t = M_t P_{t-1}``, bit for bit.  A batched ``matmul`` runs one BLAS
+    ``gemm`` per matrix, as ``dot`` does, so the result equals per-factor
+    ``dot`` calls in the same order.
+    """
+    n, d, _ = stack.shape
+    s = _block_length(n, d)
+    partials = np.empty((n, d, d))
+    partials[0] = stack[0]
+    for t in range(1, s):
+        out = partials[t::s]
+        prefix = stack[0::s] if t == 1 else partials[t - 1::s]
+        np.matmul(stack[t::s], prefix[:len(out)], out=out)
+    buf = np.empty((s - 1, d, d))
+    prev = partials[s - 1]
+    b0 = s
+    # bound `dot` over views calls BLAS without numpy's dispatch per factor
+    for m, out in zip(list(stack[s::s]), list(partials[s::s])):
+        m.dot(prev, out)
+        if s > 1:  # the block's other local prefixes, overwritten in place
+            local = partials[b0 + 1:b0 + s]
+            k = len(local)
+            np.copyto(buf[:k], local)
+            np.matmul(buf[:k], prev, out=local)
+            out = partials[b0 + k]
+            b0 += s
+        prev = out
+    return partials
+
+
 def product_run(ms, tracked_vectors=()) -> ProductTrace:
     """Multiply out a stochastic sequence, recording everything testable.
 
@@ -268,6 +340,18 @@ def product_run(ms, tracked_vectors=()) -> ProductTrace:
     partial product beyond :data:`DRIFT_TOL` raises — it would mean the
     products silently stopped being stochastic, which no downstream bound
     survives.
+
+    The partial products are associated in blocks of ``ceil(sqrt(n))``
+    factors, ``P_t = (M_t ... M_b0) P_{b0-1}`` (see
+    :func:`_backward_partials`), for ``d`` up to :data:`_BLOCKED_MAX_DIM`
+    and ``n`` from :data:`_BLOCKED_MIN_FACTORS`; otherwise they are formed
+    one factor at a time.  Only the rounding
+    differs between the two orders: each product of stochastic matrices
+    adds at most about ``d u`` (``u = 2**-53``) in the max-row-sum norm,
+    and stochastic factors do not amplify earlier errors, so either order
+    is within ``t d u`` of the exact ``P_t``.  Seen in practice: 1.2e-14
+    apart after 200 000 ratio-bounded 3x3 factors, 1.9e-14 after 10 000
+    Birkhoff 8x8 ones.
     """
     stack = _stack(ms)
     if not len(stack):
@@ -279,13 +363,7 @@ def product_run(ms, tracked_vectors=()) -> ProductTrace:
         if v.size != d:
             raise ValueError(f"tracked vector of size {v.size}, expected {d}")
 
-    partials = np.empty((n, d, d))
-    partials[0] = stack[0]
-    # bound `dot` over views calls BLAS without numpy's dispatch per factor
-    prev = partials[0]
-    for m, out in zip(list(stack[1:]), list(partials[1:])):
-        m.dot(prev, out)
-        prev = out
+    partials = _backward_partials(stack)
     variations = np.empty(n - 1)
     disp = np.empty((n, len(tracked)))
     for blk in _blocks(n, d * d):
@@ -352,13 +430,18 @@ def offdiag_convergence_report(trace: ProductTrace, limit=None,
     Raises
     ------
     ValueError
-        If the trace has not converged — the hypothesis is about limits.
+        If the trace has not converged — the hypothesis is about limits —
+        or ``limit`` is not a ``d x d`` matrix for the trace's ``d x d``
+        factors.
     """
     if not is_converged(trace):
         raise ValueError("product trace has not converged; report is undefined")
     if limit is None:
         limit = trace.final
     limit = np.asarray(limit, dtype=float)
+    if limit.shape != trace.final.shape:
+        raise ValueError(f"limit of shape {limit.shape} for products of shape "
+                         f"{trace.final.shape}")
     # offdiag_partial_sums[cut] and [-1], without the whole cumsum stack
     cut = 2 * len(trace.factors) // 3
     head = trace.factors[:cut + 1].sum(axis=0)

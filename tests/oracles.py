@@ -46,6 +46,10 @@ telescoped sum from the scalings instead.
 Backward-product reference loop
 -------------------------------
 :func:`reference_product_run` multiplies and measures one factor at a time,
+with a per-factor ``dot`` in the blocked order ``product_run`` uses: the
+local prefixes ``M_t ... M_b0`` of each block of ``block`` factors, each
+then multiplied by the partial product that ends the block before it.
+With ``block=1`` that is the plain chain ``P_t = M_t P_{t-1}``.
 :func:`reference_birkhoff_sequence` averages permutation matrices drawn
 one ``rng.permutation`` call at a time, and :func:`reference_ratio_bounded`
 draws one ratio-bounded factor per call: ``products.product_run`` and the
@@ -427,19 +431,26 @@ def reference_assumptions(ms):
     return float(gamma), rho, doubly
 
 
-def reference_product_run(ms, tracked_vectors=()):
+def reference_product_run(ms, tracked_vectors=(), block: int = 1):
     """The backward product ``M_n ... M_1`` multiplied and measured one factor at a time.
 
-    Returns the fields of a ``ProductTrace`` (partial products as a list,
-    running factor sums stored) plus ``assumptions`` as
+    Factor ``t`` of a block starting at ``b0`` (blocks of ``block``
+    factors) gives ``L = M_t L_prev`` with ``L = M_b0`` at the block's
+    start, and the partial product ``L P_{b0-1}`` (``L`` itself in the
+    first block).  Returns the fields of a ``ProductTrace`` (partial
+    products as a list, running factor sums stored) plus ``assumptions`` as
     :func:`reference_assumptions` gives them.
     """
     ms = [np.asarray(m, dtype=float) for m in ms]
     tracked = [np.asarray(v, dtype=float).ravel() for v in tracked_vectors]
     partials, variations, disp, sums = [], [], [], []
-    prod, running = None, 0.0
-    for m in ms:
-        prod = m.copy() if prod is None else m @ prod
+    running, local, head = 0.0, None, None
+    for t, m in enumerate(ms):
+        if t % block == 0:
+            local, head = m.copy(), (partials[-1] if partials else None)
+        else:
+            local = m.dot(local)
+        prod = local if head is None else local.dot(head)
         if partials:
             variations.append(float(np.abs(prod - partials[-1]).sum()))
         partials.append(prod)

@@ -6,6 +6,7 @@ of a closed output pipe, of the modules the commands import and of a whole
 process's peak memory spawn a subprocess.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -671,6 +672,56 @@ def test_verify_report_rejects_bad_blocks_and_indices(divergence_problem, corrup
         io.verify_report(broken)
 
 
+@functools.cache
+def _example_report_text() -> str:
+    problem, meta = io.load_problem(io.data_path("example-5x6.json"))
+    return json.dumps(io.jsonify(io.build_report(problem, StoppingRule(max_iters=2000), meta)))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        # criticality_under_adjusted, recomputed from the blocks and marginals
+        (_set(("criticality_under_adjusted", 0, "is_critical_under_adjusted"), False),
+         "entry 0: is_critical_under_adjusted is False, recomputed True"),
+        (_set(("criticality_under_adjusted", 1, "original_ratio"), 1.9),
+         "entry 1: original_ratio is 1.9, recomputed 1.875"),
+        (_set(("criticality_under_adjusted", 0, "complement_cols_mass"), 0.25),
+         "entry 0: complement_cols_mass is 0.25"),
+        (_set(("criticality_under_adjusted", 1, "rows"), [0, 1, 3]), "entry 1: rows is"),
+        (_set(("criticality_under_adjusted", 0, "cols"), [3, 4]), "entry 0: cols is"),
+        (_set(("criticality_under_adjusted", 1, "is_critical_under_adjusted"), 1),
+         "is_critical_under_adjusted is 1, recomputed True"),
+        (_set(("criticality_under_adjusted",), lambda v: v[:1]),
+         "expected 2 entries, one per cut"),
+        (_drop(("criticality_under_adjusted", 0, "adjusted_rows_mass")),
+         r"\[0\]: missing field 'adjusted_rows_mass'"),
+        (_all(_drop(("block_structure",)), _drop(("limits",))),
+         "criticality_under_adjusted: no block_structure"),
+        # the engine's even-limit estimate and its agreement with the even limit
+        (_all(_set(("engine", "agreement_even_l1"), 0.0),
+              _set(("engine", "even_limit_estimate", 0, 0), lambda v: v + 1)),
+         "even-limit estimate is not column-fitted"),
+        (_set(("engine", "agreement_even_l1"), 0.0), "agreement_even_l1 is 0.0, recomputed"),
+        (_all(_set(("engine", "even_limit_estimate", 0, 0), lambda v: v + 0.01),
+              _set(("engine", "even_limit_estimate", 3, 0), lambda v: v - 0.01)),
+         "agreement_even_l1 is .*, recomputed"),
+        (_all(_set(("engine", "even_limit_estimate", 0, 2), 0.01),
+              _set(("engine", "even_limit_estimate", 1, 2), lambda v: v - 0.01)),
+         "estimate puts mass outside the seed support"),
+        (_set(("engine", "iterations"), -1), r"engine\.iterations: expected an integer"),
+        (_drop(("engine", "agreement_even_l1")), "missing field 'agreement_even_l1'"),
+        (_drop(("limits",)), "engine: no limits"),
+    ],
+)
+def test_verify_report_recomputes_criticality_and_engine_agreement(corrupt, message):
+    broken = json.loads(_example_report_text())
+    io.verify_report(broken)
+    corrupt(broken)
+    with pytest.raises(InputError, match=message):
+        io.verify_report(broken)
+
+
 def test_verify_report_rejects_a_witness_of_the_wrong_shape(fast_problem):
     broken = json.loads(json.dumps(io.jsonify(io.build_report(fast_problem))))
     io.verify_report(broken)
@@ -952,7 +1003,8 @@ def test_cli_products_birkhoff_matches_reference_loop(capsys):
     code, payload = run_cli(capsys, "products", str(io.data_path("birkhoff-40.json")),
                             "--seed", "3")
     assert code == 0
-    ref = oracles.reference_product_run(oracles.reference_birkhoff_sequence(40, 4, 3, 0.2))
+    ms = oracles.reference_birkhoff_sequence(40, 4, 3, 0.2)
+    ref = oracles.reference_product_run(ms, block=products._block_length(40, 4))
     assert payload["final_product"] == ref.final.tolist()
     assert payload["converged"] is True
 

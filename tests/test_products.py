@@ -26,6 +26,7 @@ from bipfit import (
     t0t1_sequence,
 )
 from bipfit import io, products
+from bipfit.errors import InternalCheckError
 
 import oracles
 
@@ -64,6 +65,17 @@ def test_sorted_partial_sums_hand_values():
     assert check_sorted_partial_sums(m, [0.0, 1.0], k=2) == pytest.approx(0.0)
     with pytest.raises(ValueError, match="k must"):
         check_sorted_partial_sums(m, [0.0, 1.0], k=3)
+
+
+def test_checkers_reject_a_vector_of_the_wrong_size():
+    m = np.full((3, 3), 1 / 3)
+    for check in (lambda v: check_diameter_contraction(m, v),
+                  lambda v: check_dispersion_decrease(m, v, 0.1),
+                  lambda v: check_sorted_partial_sums(m, v, 1)):
+        for v in ([0.0, 1.0], [0.0, 1.0, 2.0, 3.0]):
+            message = f"shape mismatch: \\(3, 3\\) vs vector of {len(v)}"
+            with pytest.raises(ValueError, match=message):
+                check(v)
 
 
 @settings(max_examples=150)
@@ -131,6 +143,17 @@ def test_t0t1_alternation_diverges():
     assert trace.variations[-10:].min() > 1e-3
     with pytest.raises(ValueError, match="not converged"):
         offdiag_convergence_report(trace)
+
+
+def test_offdiag_report_rejects_a_limit_of_another_shape(rng):
+    trace = product_run(products._random_ratio_bounded_stack(300, 3, rng, 0.2, 5.0))
+    assert is_converged(trace)
+    assert len(offdiag_convergence_report(trace, limit=np.eye(3))) == 3
+    for d in (2, 4):
+        with pytest.raises(ValueError, match=f"limit of shape \\({d}, {d}\\)"):
+            offdiag_convergence_report(trace, limit=np.eye(d))
+    with pytest.raises(ValueError, match="limit of shape \\(9,\\)"):
+        offdiag_convergence_report(trace, limit=np.eye(3).ravel())
 
 
 def test_mr_values_validated():
@@ -220,7 +243,8 @@ def test_product_run_matches_reference_loop(name, n_tracked):
     ms = _reference_cases()[name]
     vectors = list(np.random.default_rng(n_tracked).normal(size=(n_tracked, len(ms[0]))))
     trace = product_run(ms, tracked_vectors=vectors)
-    ref = oracles.reference_product_run(ms, vectors)
+    block = products._block_length(len(ms), len(ms[0]))
+    ref = oracles.reference_product_run(ms, vectors, block)
     np.testing.assert_array_equal(trace.partial_products, ref.partial_products)
     np.testing.assert_array_equal(trace.final, ref.final)
     assert len(trace.partial_products) == len(ms)
@@ -237,6 +261,56 @@ def test_product_run_matches_reference_loop(name, n_tracked):
             sums = ref.offdiag_partial_sums
             assert abs(rep.sum_ij - sums[-1, rep.i, rep.j]) <= 1e-13
             assert abs(rep.sum_ji - sums[-1, rep.j, rep.i]) <= 1e-13
+
+
+def _drift(partials) -> np.ndarray:
+    """Row-sum drift ``max_i |sum_j P_t(i, j) - 1|`` of each partial product."""
+    return np.abs(np.sum(partials, axis=2) - 1.0).max(axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 288, 289, 290, 10_000])
+@pytest.mark.parametrize("d", [3, 8])
+def test_blocked_partials_stay_within_rounding_of_the_chain(d, n):
+    rng = np.random.default_rng(n)
+    for ms in (products._random_ratio_bounded_stack(n, d, rng, 0.2, 5.0),
+               products._random_doubly_stochastic_stack(n, d, rng, gamma=0.1)):
+        got = product_run(ms).partial_products
+        chain = np.array(oracles.reference_product_run(ms, block=1).partial_products)
+        assert np.abs(got - chain).max() <= 1e-13
+        # both orders lie within t d u (u = eps / 2) of the exact P_t in the
+        # max-row-sum norm, so their row sums differ by at most 2 t d u
+        bound = np.arange(1, n + 1) * d * np.finfo(float).eps
+        assert (_drift(got) <= _drift(chain) + bound).all()
+
+
+def test_block_length_is_the_square_root_inside_the_crossovers():
+    low, high = products._BLOCKED_MIN_FACTORS, products._BLOCKED_MAX_DIM
+    for n in (low, 289, 290, 10_000):
+        s = math.isqrt(n - 1) + 1
+        assert products._block_length(n, 3) == products._block_length(n, high) == s
+    assert products._block_length(low - 1, 3) == products._block_length(10_000, high + 1) == 1
+
+
+@pytest.mark.parametrize("n, d", [(400, products._BLOCKED_MAX_DIM + 1), (400, 24),
+                                  (products._BLOCKED_MIN_FACTORS - 1, 3)])
+def test_outside_the_crossovers_partials_are_the_chain_bitwise(n, d):
+    rng = np.random.default_rng(d)
+    ms = products._random_ratio_bounded_stack(n, d, rng, 0.2, 5.0)
+    ref = oracles.reference_product_run(ms, block=1)
+    assert product_run(ms).partial_products.tobytes() == np.array(ref.partial_products).tobytes()
+
+
+def test_drifting_partial_is_named_by_its_own_index():
+    # every factor's rows sum to 1 + 9e-13, within ROW_SUM_TOL; the
+    # products' drift grows by about that much per factor
+    r = np.linspace(0.2, 0.9, 400)
+    ms = np.array([mr_matrix(x) for x in r]) * (1 + 9e-13)
+    assert products._block_length(len(ms), 2) == 20
+    ref = oracles.reference_product_run(ms, block=20)
+    first = int(np.flatnonzero(_drift(ref.partial_products) > products.DRIFT_TOL)[0])
+    assert first % 20 not in (0, 19)  # inside a block, not at its ends
+    with pytest.raises(InternalCheckError, match=f"partial product {first + 1} drifted"):
+        product_run(ms)
 
 
 @pytest.mark.parametrize("defect, message",
