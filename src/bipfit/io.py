@@ -520,8 +520,8 @@ def verify_report(report: dict) -> None:
     (exactly 0 outside it, the even limit's support equal to it), the
     limit marginals against ``a'`` and ``b'``, every
     ``criticality_under_adjusted`` entry recomputed from the blocks and the
-    marginals, and the engine's even-limit estimate (inside the seed
-    support, column-fitted from iteration 2 on, ``agreement_even_l1`` its
+    marginals, and the engine's even-limit estimate (0 wherever the seed
+    is, column-fitted from iteration 2 on, ``agreement_even_l1`` its
     L1 distance from the even limit).  Raises :class:`InputError` on any
     mismatch, and on a missing or malformed field, naming it.
     """
@@ -655,7 +655,9 @@ def verify_report(report: dict) -> None:
             raise InputError(f"{where}.iterations: expected an integer >= 0")
         estimate = _report_matrix(_field(eng, "even_limit_estimate", where), supp.shape,
                                   f"{where}.even_limit_estimate")
-        if np.any(estimate[~supp]):
+        # every iterate is exactly 0 where the seed is; a seed cell below the
+        # support threshold still carries a (tiny) entry
+        if np.any(estimate[problem.x0 == 0]):
             raise InputError("report even-limit estimate puts mass outside the seed support")
         dev = np.abs(estimate.sum(axis=0) - b).max()
         if iterations >= 2 and not dev <= 1e-8:

@@ -300,11 +300,11 @@ def _backward_partials(stack: np.ndarray) -> np.ndarray:
     all blocks are formed first, ``s - 1`` batched ``matmul`` calls over the
     block axis; then, block by block, ``P_t = (M_t ... M_b0) P_{b0-1}``, the
     block's first factor by its bound ``dot`` and the rest by one ``matmul``
-    through an ``(s - 1, d, d)`` buffer.  That is about ``3 sqrt(n)`` numpy
-    calls in place of ``n - 1``; with ``s = 1`` it is the plain chain
-    ``P_t = M_t P_{t-1}``, bit for bit.  A batched ``matmul`` runs one BLAS
-    ``gemm`` per matrix, as ``dot`` does, so the result equals per-factor
-    ``dot`` calls in the same order.
+    in place.  That is about ``3 sqrt(n)`` numpy calls in place of
+    ``n - 1``; with ``s = 1`` it is the plain chain ``P_t = M_t P_{t-1}``,
+    bit for bit.  A batched ``matmul`` runs one BLAS ``gemm`` per matrix,
+    as ``dot`` does, so the result equals per-factor ``dot`` calls in the
+    same order.
     """
     n, d, _ = stack.shape
     s = _block_length(n, d)
@@ -314,7 +314,6 @@ def _backward_partials(stack: np.ndarray) -> np.ndarray:
         out = partials[t::s]
         prefix = stack[0::s] if t == 1 else partials[t - 1::s]
         np.matmul(stack[t::s], prefix[:len(out)], out=out)
-    buf = np.empty((s - 1, d, d))
     prev = partials[s - 1]
     b0 = s
     # bound `dot` over views calls BLAS without numpy's dispatch per factor
@@ -322,10 +321,9 @@ def _backward_partials(stack: np.ndarray) -> np.ndarray:
         m.dot(prev, out)
         if s > 1:  # the block's other local prefixes, overwritten in place
             local = partials[b0 + 1:b0 + s]
-            k = len(local)
-            np.copyto(buf[:k], local)
-            np.matmul(buf[:k], prev, out=local)
-            out = partials[b0 + k]
+            # `matmul` buffers an input that overlaps `out` itself
+            np.matmul(local, prev, out=local)
+            out = partials[b0 + len(local)]
             b0 += s
         prev = out
     return partials

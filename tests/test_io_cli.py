@@ -567,6 +567,18 @@ def test_report_round_trip_and_verify(fast_problem, tmp_path):
         io.verify_report({"classification": {}})
 
 
+def test_report_with_a_seed_cell_below_the_support_threshold_verifies(tmp_path):
+    # the 1e-20 seed cell is outside `support`, but every iterate keeps a
+    # tiny entry there, and so does the engine's even-limit estimate
+    problem = FittingProblem([[1.0, 1.0], [1e-20, 1.0]], [0.5, 0.5], [0.5, 0.5])
+    assert not problem.support[1, 0] and problem.x0[1, 0] > 0
+    report = io.build_report(problem, StoppingRule(max_iters=2000), meta={"name": "faint"})
+    assert report["engine"]["even_limit_estimate"][1, 0] > 0
+    path = tmp_path / "report.json"
+    io.save_report(report, path)
+    io.load_report(path, verify=True)
+
+
 def test_reports_built_in_memory_verify():
     for name in ("fast-2x2", "slow-2x2", "divergence-2x2", "example-5x6"):
         problem, meta = io.load_problem(io.data_path(f"{name}.json"))

@@ -278,7 +278,9 @@ def test_blocked_partials_stay_within_rounding_of_the_chain(d, n):
         chain = np.array(oracles.reference_product_run(ms, block=1).partial_products)
         assert np.abs(got - chain).max() <= 1e-13
         # both orders lie within t d u (u = eps / 2) of the exact P_t in the
-        # max-row-sum norm, so their row sums differ by at most 2 t d u
+        # max-row-sum norm, so their row sums differ by at most 2 t d u.  The
+        # blocked drift is not bounded by the chain's alone: on the doubly
+        # stochastic 8x8 factors at 10 000 it reads 1.5e-13 against 1.8e-15
         bound = np.arange(1, n + 1) * d * np.finfo(float).eps
         assert (_drift(got) <= _drift(chain) + bound).all()
 
