@@ -19,6 +19,7 @@ drift beyond tolerance is an error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,8 +31,21 @@ from .errors import InternalCheckError
 #: Row sums of an input stochastic matrix may deviate from 1 by this much.
 ROW_SUM_TOL = 1e-12
 
-#: Row-sum drift tolerance for partial products along a run.
+#: Row-sum drift tolerance for partial products along a run, on top of the
+#: drift that the factors' own row sums and rounding explain (see
+#: :func:`product_run`).
 DRIFT_TOL = 1e-10
+
+#: Unit roundoff of float64.
+_U = 2.0 ** -53
+
+#: Guard band of the whole-block screens, in units of ``d u``.  The screens
+#: take row sums from one BLAS ``gemv`` with a ones vector and column sums
+#: from ``einsum``, not in the order of numpy's ``sum`` (which adds a row
+#: pairwise from 8 entries on).  Over nonnegative entries any order lies
+#: within ``(d - 1) u`` times the exact sum, so a block that passes its
+#: screen this far inside the tolerance passes numpy's per-row test too.
+_GUARD = 4
 
 
 def _first_violation(ms: np.ndarray, tol: float):
@@ -189,6 +203,8 @@ def _stack(ms) -> np.ndarray:
             if len({np.shape(m) for m in ms}) > 1:
                 raise ValueError("matrix sequence mixes dimensions") from None
             raise
+    elif ms.ndim != 3:
+        raise ValueError(f"expected an (n, d, d) stack of factors, got shape {ms.shape}")
     stack = np.asarray(ms, dtype=float)
     if stack.ndim != 3:
         raise ValueError("stochastic matrix must be 2-D")
@@ -203,6 +219,60 @@ def _blocks(n: int, per_item: int):
     return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
+def _deviation(sums: np.ndarray) -> float:
+    """``max |s - 1|`` over ``sums``, computed in place (NaN when a sum is NaN)."""
+    sums -= 1.0
+    return float(np.abs(sums, out=sums).max())
+
+
+@functools.cache
+def _pair_cells(d: int) -> np.ndarray:
+    """Flat cells ``(i, j)`` then ``(j, i)`` of every pair ``i < j`` of a ``d x d`` matrix."""
+    i, j = np.triu_indices(d, 1)
+    cells = np.concatenate([i * d + j, j * d + i])
+    cells.flags.writeable = False
+    return cells
+
+
+def _check_factors(stack: np.ndarray) -> tuple[AssumptionCheck, list[float]]:
+    """:func:`assumption_check` of a stack, and each block's largest row-sum deviation.
+
+    Every block of :func:`_blocks` is screened whole: one ``gemv`` for its
+    row sums and one ``min`` over its entries.  Only a block whose
+    screen fails, or falls within ``_GUARD d u`` of :data:`ROW_SUM_TOL`, is
+    scanned factor by factor with :func:`_first_violation`, so verdicts and
+    messages are those of the per-factor test.  ``rho`` is taken over the
+    off-diagonal pairs of :func:`_pair_cells`; column sums decide
+    ``doubly_stochastic`` the same way, numpy's own ``sum`` settling a
+    block near the tolerance.
+    """
+    n, d, _ = stack.shape
+    guard, ones = _GUARD * d * _U, np.ones(d)
+    gamma, rho, doubly = np.inf, 1.0, True
+    deltas = []
+    for blk in _blocks(n, d * d):
+        m = stack[blk]
+        delta = _deviation(m.reshape(len(m) * d, d) @ ones)
+        if not (delta <= ROW_SUM_TOL - guard and m.min() >= 0):
+            bad = _first_violation(m, ROW_SUM_TOL)
+            if bad:
+                raise ValueError(f"factor {blk.start + bad[0]}: {bad[1]}")
+        deltas.append(delta)
+        gamma = min(gamma, float(np.diagonal(m, axis1=1, axis2=2).min()))
+        if rho < np.inf and d > 1:
+            # |.| turns -0.0 into a zero that divides to +inf like any other
+            pairs = np.abs(m.reshape(len(m), d * d)[:, _pair_cells(d)])
+            x, y = pairs[:, :d * (d - 1) // 2], pairs[:, d * (d - 1) // 2:]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ratios = np.fmax(x / y, y / x)  # NaN only at a 0/0 pair
+            top = np.fmax.reduce(ratios, axis=None)
+            if top > rho:
+                rho = float(top)
+        if doubly and _deviation(np.einsum("kij->kj", m)) > ROW_SUM_TOL - guard:
+            doubly = float(np.abs(m.sum(axis=1) - 1.0).max()) <= ROW_SUM_TOL
+    return AssumptionCheck(gamma=float(gamma), rho=rho, doubly_stochastic=doubly), deltas
+
+
 def assumption_check(ms) -> AssumptionCheck:
     """Validate every factor and summarize the sequence-wide assumptions.
 
@@ -212,27 +282,7 @@ def assumption_check(ms) -> AssumptionCheck:
     An empty sequence gives ``gamma = inf``, ``rho = 1`` and
     ``doubly_stochastic = True``.
     """
-    stack = _stack(ms)
-    gamma = np.inf
-    rho = 1.0
-    doubly = True
-    for blk in _blocks(len(stack), stack.shape[1] ** 2):
-        m = stack[blk]
-        bad = _first_violation(m, ROW_SUM_TOL)
-        if bad:
-            raise ValueError(f"factor {blk.start + bad[0]}: {bad[1]}")
-        gamma = min(gamma, float(np.diagonal(m, axis1=1, axis2=2).min()))
-        bwd = np.swapaxes(m, 1, 2)
-        pos = m > 0
-        if np.any(pos & (bwd == 0)):
-            rho = float("inf")
-        else:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratios = np.where(pos, m / np.where(bwd > 0, bwd, 1.0), 1.0)
-            rho = max(rho, float(ratios.max()))
-        if float(np.abs(m.sum(axis=1) - 1.0).max()) > ROW_SUM_TOL:
-            doubly = False
-    return AssumptionCheck(gamma=float(gamma), rho=rho, doubly_stochastic=doubly)
+    return _check_factors(_stack(ms))[0]
 
 
 @dataclass
@@ -334,10 +384,16 @@ def product_run(ms, tracked_vectors=()) -> ProductTrace:
 
     ``ms[0]`` is the first factor applied; each new factor multiplies from
     the left.  ``ms`` is any iterable of square matrices or an ``(n, d, d)``
-    array; a float64 array is used without a copy.  Row-sum drift of any
-    partial product beyond :data:`DRIFT_TOL` raises — it would mean the
-    products silently stopped being stochastic, which no downstream bound
-    survives.
+    array; a float64 array is used without a copy.  Row-sum drift of a
+    partial product ``P_t`` beyond what its factors and rounding explain
+    raises — it would mean the products silently stopped being stochastic,
+    which no downstream bound survives.  The allowance is
+    ``DRIFT_TOL + (prod_{s <= t} (1 + delta_s) - 1) + t d u``, where
+    ``delta_s`` is the largest row-sum deviation in factor ``s``'s block of
+    :func:`_blocks` (each accepted factor may be off by up to
+    :data:`ROW_SUM_TOL`).  Each block of partials is screened with one
+    ``gemv`` against the allowance of its first partial; only a block that
+    fails the screen is scanned partial by partial.
 
     The partial products are associated in blocks of ``ceil(sqrt(n))``
     factors, ``P_t = (M_t ... M_b0) P_{b0-1}`` (see
@@ -354,7 +410,7 @@ def product_run(ms, tracked_vectors=()) -> ProductTrace:
     stack = _stack(ms)
     if not len(stack):
         raise ValueError("empty matrix sequence")
-    assumptions = assumption_check(stack)
+    assumptions, deltas = _check_factors(stack)
     n, d, _ = stack.shape
     tracked = [np.asarray(v, dtype=float).ravel() for v in tracked_vectors]
     for v in tracked:
@@ -364,23 +420,31 @@ def product_run(ms, tracked_vectors=()) -> ProductTrace:
     partials = _backward_partials(stack)
     variations = np.empty(n - 1)
     disp = np.empty((n, len(tracked)))
-    for blk in _blocks(n, d * d):
+    guard, ones = _GUARD * d * _U, np.ones(d)
+    growth = 0.0  # log of prod (1 + delta_s) over the factors of earlier blocks
+    for blk, delta in zip(_blocks(n, d * d), deltas):
         prods = partials[blk]
-        drift = np.abs(prods.sum(axis=2) - 1.0).max(axis=1)
-        bad = np.flatnonzero(drift > DRIFT_TOL)
-        if bad.size:
-            k = int(bad[0])
-            raise InternalCheckError(
-                f"partial product {blk.start + k + 1} drifted off stochasticity "
-                f"by {drift[k]:g}"
-            )
+        t = np.arange(blk.start + 1, blk.stop + 1)
+        g = math.log1p(delta)
+        allowed = DRIFT_TOL + np.expm1(growth + (t - blk.start) * g) + t * (d * _U)
+        growth += len(t) * g
+        if not _deviation(prods.reshape(len(prods) * d, d) @ ones) <= allowed[0] - guard:
+            drift = np.abs(prods.sum(axis=2) - 1.0).max(axis=1)
+            bad = np.flatnonzero(drift > allowed)
+            if bad.size:
+                k = int(bad[0])
+                raise InternalCheckError(
+                    f"partial product {blk.start + k + 1} drifted off stochasticity "
+                    f"by {drift[k]:g}"
+                )
         lo = max(blk.start, 1)
         steps = partials[lo:blk.stop] - partials[lo - 1:blk.stop - 1]
-        variations[lo - 1:blk.stop - 1] = np.abs(steps).reshape(-1, d * d).sum(axis=1)
-        for t, v in enumerate(tracked):
+        variations[lo - 1:blk.stop - 1] = np.abs(steps, out=steps).reshape(-1, d * d).sum(axis=1)
+        for j, v in enumerate(tracked):
             # `dispersion` of each `P_n v`, summed the same way: bitwise equal
             w = prods @ v
-            disp[blk, t] = np.abs(w[:, :, None] - w[:, None, :]).reshape(-1, d * d).sum(axis=1)
+            gaps = w[:, :, None] - w[:, None, :]
+            disp[blk, j] = np.abs(gaps, out=gaps).reshape(-1, d * d).sum(axis=1)
     return ProductTrace(
         partial_products=partials,
         variations=variations,

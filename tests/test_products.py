@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from bipfit import (
     run,
     t0t1_sequence,
 )
-from bipfit import io, products
+from bipfit import cli, io, products
 from bipfit.errors import InternalCheckError
 
 import oracles
@@ -252,7 +254,7 @@ def test_product_run_matches_reference_loop(name, n_tracked):
                       (trace.dispersion_history, ref.dispersion_history),
                       (trace.offdiag_partial_sums, ref.offdiag_partial_sums)):
         assert got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(got, want)
     assert trace.dispersion_history.shape == (len(ms), n_tracked)
     assert (trace.assumptions.gamma, trace.assumptions.rho,
             trace.assumptions.doubly_stochastic) == ref.assumptions
@@ -302,17 +304,68 @@ def test_outside_the_crossovers_partials_are_the_chain_bitwise(n, d):
     assert product_run(ms).partial_products.tobytes() == np.array(ref.partial_products).tobytes()
 
 
-def test_drifting_partial_is_named_by_its_own_index():
-    # every factor's rows sum to 1 + 9e-13, within ROW_SUM_TOL; the
-    # products' drift grows by about that much per factor
-    r = np.linspace(0.2, 0.9, 400)
-    ms = np.array([mr_matrix(x) for x in r]) * (1 + 9e-13)
-    assert products._block_length(len(ms), 2) == 20
-    ref = oracles.reference_product_run(ms, block=20)
-    first = int(np.flatnonzero(_drift(ref.partial_products) > products.DRIFT_TOL)[0])
-    assert first % 20 not in (0, 19)  # inside a block, not at its ends
-    with pytest.raises(InternalCheckError, match=f"partial product {first + 1} drifted"):
-        product_run(ms)
+def test_drifting_partial_is_named_by_its_own_index(monkeypatch):
+    # 3640 3x3 factors per block of the summary loop: 217 lies inside the
+    # first block, 4000 inside the second
+    ms = products._random_ratio_bounded_stack(5000, 3, np.random.default_rng(5), 0.2, 5.0)
+    partials = products._backward_partials(ms)
+    real = products._backward_partials
+    for index in (217, 4000):
+        def corrupted(stack, scale, index=index):
+            out = real(stack)
+            out[index] *= scale
+            out[index + 5] *= 1 + 1e-6  # a later drift is not the one named
+            return out
+
+        monkeypatch.setattr(products, "_backward_partials",
+                            lambda stack: corrupted(stack, 1 + 3e-10))
+        drift = _drift((partials[index] * (1 + 3e-10))[None])[0]
+        with pytest.raises(InternalCheckError,
+                           match=f"partial product {index + 1} drifted off stochasticity "
+                                 f"by {drift:g}$"):
+            product_run(ms)
+        # half the tolerance is within it; only the later partial is named
+        monkeypatch.setattr(products, "_backward_partials",
+                            lambda stack: corrupted(stack, 1 + 5e-11))
+        with pytest.raises(InternalCheckError, match=f"partial product {index + 6} drifted"):
+            product_run(ms)
+
+
+@pytest.mark.parametrize("excess, raises", [(-2e-13, False), (2e-13, True)])
+def test_drift_allowance_is_that_of_the_partials_own_index(monkeypatch, excess, raises):
+    # exact factors (J/4, an idempotent) leave only the rounding allowance,
+    # t d u past DRIFT_TOL; the first partial of the second block of 2048
+    # 4x4 factors gets its own allowance, not the block's last one
+    ms = np.full((5000, 4, 4), 0.25)
+    t = 2049
+    allowed = products.DRIFT_TOL + t * 4 * 2.0 ** -53
+    real = products._backward_partials
+
+    def corrupted(stack):
+        out = real(stack)
+        out[t - 1] *= 1 + allowed + excess
+        return out
+
+    monkeypatch.setattr(products, "_backward_partials", corrupted)
+    drift = _drift(corrupted(ms)[t - 1:t])[0]
+    assert (drift > allowed) == raises
+    if raises:
+        with pytest.raises(InternalCheckError, match=f"partial product {t} drifted"):
+            product_run(ms)
+    else:
+        assert product_run(ms).variations[t - 2] > 0
+
+
+def test_factors_accepted_with_biased_row_sums_multiply_out(tmp_path, capsys):
+    # each row sums to 1 + 9e-13, within ROW_SUM_TOL; the products drift by
+    # about t 9e-13, past DRIFT_TOL from t = 112, which those factors explain
+    ms = np.array([np.eye(3) * (1 + 9e-13)] * 200)
+    trace = product_run(ms)
+    assert _drift(trace.partial_products)[-1] > 1.5 * products.DRIFT_TOL
+    seq = tmp_path / "biased.json"
+    seq.write_text(json.dumps(ms.tolist()))
+    assert cli.main(["products", str(seq)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["n_factors"] == 200
 
 
 @pytest.mark.parametrize("defect, message",
@@ -330,6 +383,130 @@ def test_errors_name_the_offending_factor(rng, defect, message):
     for check in (product_run, assumption_check):
         with pytest.raises(ValueError, match=f"factor 317\\b.*{message}"):
             check(ms)
+
+
+def _expected_check(ms):
+    """The per-factor verdict on ``ms``: the first violation's message, or the oracle's summary."""
+    for k, m in enumerate(ms):
+        bad = products._first_violation(np.asarray(m, dtype=float)[None], products.ROW_SUM_TOL)
+        if bad:
+            return f"factor {k}: {bad[1]}"
+    return AssumptionCheck(*oracles.reference_assumptions(ms))
+
+
+def _screened(ms):
+    """``assumption_check(ms)``, or the message of the ``ValueError`` it raises."""
+    try:
+        return assumption_check(ms)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _summing_to(m, cells, total, target):
+    """``m`` with one of ``cells`` moved until numpy's own sum ``total(m)`` is ``target``.
+
+    The largest cell moves first, by the gap and then ulp by ulp; should a
+    step jump over ``target``, the next largest cell walks back.
+    """
+    cells = sorted(cells, key=lambda cell: -m[cell])
+    m[cells[0]] += target - total(m)
+    for cell in cells:
+        side = np.sign(target - total(m))
+        for _ in range(100):
+            if total(m) == target:
+                return m
+            if np.sign(target - total(m)) != side:
+                break
+            m[cell] = np.nextafter(m[cell], side * np.inf)
+    raise AssertionError(f"no entry of {cells} gives the sum {target!r}")
+
+
+def _border_cases(base, rng):
+    """``base`` with one row sum, or one column sum, at the tolerance or one ulp off it."""
+    d = len(base)
+    tol = products.ROW_SUM_TOL
+    targets = [t for edge in (1 + tol, 1 - tol)
+               for t in (edge, np.nextafter(edge, 2.0), np.nextafter(edge, 0.0))]
+    for target in targets:
+        i, j = (int(x) for x in rng.permutation(d)[:2]) if d > 1 else (0, 0)
+        row = [(i, c) for c in (i, *(c for c in range(d) if c != i))]
+        yield _summing_to(base.copy(), row, lambda m: np.sum(m[None], axis=2)[0, i], target)
+        m = base.copy()
+        if d > 1:  # column j gains, the rest of row i pays: row i stays near 1
+            m[i, j] += target - 1.0
+            m[i, np.arange(d) != j] -= (target - 1.0) / (d - 1)
+        col = [(i, j), *((r, j) for r in range(d) if r != i)]
+        yield _summing_to(m, col, lambda m: np.sum(m[None], axis=1)[0, j], target)
+
+
+def _special_cases(base, rng):
+    """``base`` with NaN, infinite, negative or signed-zero entries, or zeroed pairs."""
+    d = len(base)
+    i, j = (int(x) for x in rng.permutation(d)[:2]) if d > 1 else (0, 0)
+    for value in (np.nan, np.inf, -np.inf, -1e-300, -0.0):
+        m = base.copy()
+        m[i, j] = value
+        yield m
+    m = base.copy()
+    m[i, i], m[i, j] = m[i, i] + m[i, j] + 0.25, -0.25  # row sum kept, one entry negative
+    yield m
+    if d > 1:
+        for zeros in ((0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (-0.0, None), (0.0, None)):
+            m = base.copy()  # a 0/0 pair, or a zero facing a positive entry
+            for (r, c), z in zip(((i, j), (j, i)), zeros):
+                if z is not None:
+                    m[r, r] += m[r, c]
+                    m[r, c] = z
+            yield m
+
+
+@pytest.mark.parametrize("d", range(1, 21))
+def test_block_screen_agrees_with_the_per_factor_checks(monkeypatch, d):
+    rng = np.random.default_rng(d)
+    bounded = products._random_ratio_bounded_stack(10, d, rng, 0.2, 5.0)
+    doubly = (products._random_doubly_stochastic_stack(10, d, rng, gamma=0.2) if d > 1
+              else np.ones((10, 1, 1)))
+    # three factors per block: factor 7 sits inside the third block, and in
+    # the ratio-bounded stack it follows two blocks of finite rho
+    monkeypatch.setattr(products, "_BLOCK", 3 * d * d)
+    for stack in (bounded, doubly):
+        cases = [*_border_cases(stack[7], rng), *_special_cases(stack[7], rng)]
+        for case in cases:
+            ms = stack.copy()
+            ms[7] = case
+            want = _expected_check(list(ms))
+            assert _screened(ms) == want
+            assert _screened(case[None]) == _expected_check([case])
+            if isinstance(want, str):
+                with pytest.raises(ValueError, match=re.escape(want)):
+                    product_run(ms)
+            else:
+                assert product_run(ms).assumptions == want
+        assert _screened(m for m in stack) == _expected_check(list(stack))
+
+
+def test_block_screen_meets_both_verdicts_at_the_border():
+    # the border cases must land on both sides of each tolerance
+    rng = np.random.default_rng(0)
+    for d in (3, 8, 13):
+        base = products._random_doubly_stochastic_stack(1, d, rng, gamma=0.2)[0]
+        verdicts = [_expected_check([m]) for m in _border_cases(base, rng)]
+        rows, cols = verdicts[0::2], verdicts[1::2]
+        assert any(isinstance(v, str) for v in rows)
+        assert any(isinstance(v, AssumptionCheck) for v in rows)
+        flags = [v.doubly_stochastic for v in cols if isinstance(v, AssumptionCheck)]
+        assert True in flags and False in flags
+
+
+def test_a_lone_matrix_is_not_a_stack():
+    for check in (product_run, assumption_check):
+        with pytest.raises(ValueError, match=re.escape(
+                "expected an (n, d, d) stack of factors, got shape (3, 3)")):
+            check(np.eye(3))
+    with pytest.raises(ValueError, match=re.escape("got shape (2, 2, 2, 2)")):
+        product_run(np.ones((2, 2, 2, 2)) / 2)
+    with pytest.raises(ValueError, match="stochastic matrix must be 2-D"):
+        product_run([np.ones(3) / 3])  # a list of rows, not of matrices
 
 
 def test_assumption_check_edge_inputs(divergence_problem):
