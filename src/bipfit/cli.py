@@ -145,6 +145,7 @@ def _cmd_fit(args) -> None:
         if path:
             _probe_writable(path)
     trace = run(problem, rule)
+    (n_even, even), last_odd = trace.last_even, trace.last_odd
     payload = {
         "tool": {"name": "bipfit", "version": __version__},
         "config": io._resolved_config(rule),
@@ -152,9 +153,9 @@ def _cmd_fit(args) -> None:
         "stop_reason": trace.stop_reason.value,
         "iterations": trace.n_iters,
         "final_marginal_error": float(trace.errors[-1]),
-        "even": trace.even_limit(),
-        "odd": trace.odd_limit() if trace.last_odd is not None else None,
-        "final": trace.iterate(trace.n_iters),
+        "even": even,
+        "odd": last_odd[1] if last_odd is not None else None,
+        "final": even if n_even == trace.n_iters else last_odd[1],
     }
     _emit(payload, args.out)
     if args.trace_out:
@@ -176,11 +177,11 @@ def _cmd_analyze(args) -> None:
 
 def _cmd_reduce(args) -> None:
     problem, meta = _load(args)
-    lp = structure.limit_points(problem)
+    _, bs, _, restricted = structure._limit_structure(problem)  # no iteration
     payload = {
-        "a": lp.blocks.a_prime,
+        "a": bs.a_prime,
         "b": problem.b,
-        "X0": lp.restricted.x0,
+        "X0": restricted.x0,
         "name": (meta.get("name", "problem") + " (reduced)") if meta else "reduced",
         "description": "seed restricted to the limit support; marginals adjusted "
                        "to (a', b) so the fit converges geometrically",

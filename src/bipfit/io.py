@@ -413,6 +413,7 @@ def build_report(problem: FittingProblem, rule: StoppingRule | None = None,
     lp = structure.limit_points(problem)
     bs = lp.blocks
     trace = engine.run(problem, rule)
+    even_estimate, last_odd = trace.even_limit(), trace.last_odd
     report = {
         "tool": {"name": "bipfit", "version": __version__},
         "config": _resolved_config(rule),
@@ -435,12 +436,10 @@ def build_report(problem: FittingProblem, rule: StoppingRule | None = None,
             "stop_reason": trace.stop_reason.value,
             "iterations": trace.n_iters,
             "final_marginal_error": float(trace.errors[-1]),
-            "even_limit_estimate": trace.even_limit(),
-            "agreement_even_l1": float(np.abs(trace.even_limit() - lp.even_limit).sum()),
-            "agreement_odd_l1": (
-                float(np.abs(trace.odd_limit() - lp.odd_limit).sum())
-                if trace.last_odd is not None else None
-            ),
+            "even_limit_estimate": even_estimate,
+            "agreement_even_l1": float(np.abs(even_estimate - lp.even_limit).sum()),
+            "agreement_odd_l1": (None if last_odd is None
+                                 else float(np.abs(last_odd[1] - lp.odd_limit).sum())),
         },
         "criticality_under_adjusted": _criticality_transfer(
             problem.a, problem.b, bs.row_blocks, bs.col_blocks, bs.a_prime),

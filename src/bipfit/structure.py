@@ -690,23 +690,33 @@ def block_structure(problem: FittingProblem) -> BlockStructure:
     return _peel(problem, _best_cause(problem.a, problem.b, problem.support))
 
 
+def _limit_structure(problem: FittingProblem):
+    """``(classification, blocks, sigma, restricted)``, from the zero pattern
+    and the marginals alone (no iteration): ``sigma`` is the maximal support
+    under ``(a', b)``, and ``restricted`` the seed zeroed outside it."""
+    cls = classify(problem)
+    bs = _peel(problem, cls.cause)
+    sigma = cls.max_support
+    if sigma is None:
+        sigma = maximal_support(bs.a_prime, problem.b, problem.support)
+    restricted = FittingProblem(np.where(sigma, problem.x0, 0.0), bs.a_prime, problem.b)
+    return cls, bs, sigma, restricted
+
+
 def limit_points(problem: FittingProblem) -> LimitPair:
     """Exact limits of the even and odd iterate subsequences.
 
     The even limit lives in ``Gamma(a', b)`` and is computed by restarting
     the iteration from the seed restricted to the common limit support
-    ``sigma`` — feasible with full support, hence geometrically convergent.
-    The odd limit is the even one with row ``i`` scaled by ``a_i / a'_i``.
-    On a feasible instance both limits coincide with the plain fit.  The
-    instance is classified once, and the blocks are peeled from its cause.
+    ``sigma`` — feasible with full support, hence geometrically convergent,
+    but near criticality at a rate so close to 1 that the restart reaches its
+    cap and raises ``InternalCheckError``.  The odd limit is the even one
+    with row ``i`` scaled by ``a_i / a'_i``.  On a feasible instance both
+    limits coincide with the plain fit.  Everything but the restart comes
+    from :func:`_limit_structure`, which does not iterate.
     """
-    cls = classify(problem)
-    bs = _peel(problem, cls.cause)
+    cls, bs, sigma, restricted = _limit_structure(problem)
     a, b = problem.a, problem.b
-    sigma = cls.max_support
-    if sigma is None:
-        sigma = maximal_support(bs.a_prime, b, problem.support)
-    restricted = FittingProblem(np.where(sigma, problem.x0, 0.0), bs.a_prime, b)
     # Keep the even/odd criterion near rounding level so the marginal
     # criterion decides; on a restriction this tight the two iterate
     # parities share one limit and stalls only happen at float precision.
@@ -720,8 +730,8 @@ def limit_points(problem: FittingProblem) -> LimitPair:
         raise InternalCheckError(
             "restricted restart failed to converge geometrically "
             f"(stop reason {trace.stop_reason.value}, final marginal error "
-            f"{float(trace.errors[-1]):g}); this contradicts the "
-            "full-support feasibility of the restriction"
+            f"{float(trace.errors[-1]):g}); the restart reached its iteration "
+            "cap, or stalled, before the limit"
         )
     even = trace.iterate(trace.n_iters)
     odd = even * (a / bs.a_prime)[:, None]

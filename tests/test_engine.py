@@ -704,7 +704,7 @@ def test_escape_diagnostic_matches_cumulative_sum(slow_problem, divergence_probl
         cells = np.argwhere(problem.support)
         got = escape_diagnostic(trace, cells)
         want = oracles.reference_escape_diagnostic(trace, cells)
-        outside = ~structure.limit_points(problem).sigma[tuple(cells.T)]
+        outside = ~structure._limit_structure(problem)[2][tuple(cells.T)]
         for g, w, out in zip(got, want, outside):
             # cells of sigma settle, and their sums may settle near zero
             tol = {"rel": 1e-12} if out else {"rel": 0, "abs": 1e-10}

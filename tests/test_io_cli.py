@@ -785,6 +785,45 @@ def test_cli_reduce_runs_one_max_flow_on_a_feasible_seed(max_flows, tmp_path):
     assert len(max_flows) == 1
 
 
+@pytest.fixture
+def no_engine(monkeypatch):
+    """Every binding of the engine's ``run`` raises while the test runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    for module in (engine, structure, cli):
+        monkeypatch.setattr(module, "run", refuse)
+
+
+@pytest.mark.parametrize("command", ["classify", "reduce"])
+def test_cli_classify_and_reduce_run_no_iteration(no_engine, command, tmp_path):
+    planted = tmp_path / "planted-30.json"
+    problem = oracles.planted_blocks(np.random.default_rng(30), 30, 30)[0]
+    planted.write_text(json.dumps(io.problem_to_dict(problem)))
+    paths = [io.data_path(f"{name}.json")
+             for name in ("fast-2x2", "slow-2x2", "divergence-2x2", "example-5x6")]
+    out = str(tmp_path / "out.json")
+    for path in paths + [planted]:
+        assert cli.main([command, str(path), "--out", out]) == 0
+    with pytest.raises(AssertionError, match="the engine ran"):
+        cli.main(["analyze", str(planted), "--out", out])
+
+
+@pytest.mark.parametrize("g", [1e-3, 1e-4, 1e-8, 1e-10])
+def test_cli_reduce_decides_a_near_critical_seed(g, capsys, tmp_path):
+    # feasible with full support, but the restart's rate tends to 1 with g:
+    # from g = 1e-4 on it reaches its cap, and reduce must not depend on it
+    path = tmp_path / "near-critical.json"
+    path.write_text(json.dumps({"a": [0.5 + g, 0.5 - g], "b": [0.5, 0.5],
+                                "X0": [[1, 1], [1, 0]]}))
+    problem, _ = io.load_problem(path)
+    code, payload = run_cli(capsys, "reduce", str(path))
+    assert code == 0
+    assert payload["a"] == problem.a.tolist()
+    assert payload["b"] == problem.b.tolist()
+    assert payload["X0"] == [[1 / 3, 1 / 3], [1 / 3, 0.0]] == problem.x0.tolist()
+
+
 # ---------------------------------------------------------------------------
 # command-line interface
 

@@ -382,6 +382,16 @@ def test_limit_points_agrees_with_the_standalone_functions(problem):
     x0 = np.where(lp.sigma, problem.x0, 0.0)
     np.testing.assert_array_equal(lp.restricted.x0, x0 / x0.sum())
 
+    # the structural stage alone gives the same arrays, bit for bit
+    _, bs, sigma, restricted = structure._limit_structure(problem)
+    assert (bs.r, bs.row_blocks, bs.col_blocks) == (
+        lp.blocks.r, lp.blocks.row_blocks, lp.blocks.col_blocks)
+    pairs = [(getattr(bs, f), getattr(lp.blocks, f)) for f in ("lambdas", "a_prime", "b_prime")]
+    pairs += [(sigma, lp.sigma)]
+    pairs += [(getattr(restricted, f), getattr(lp.restricted, f)) for f in ("x0", "a", "b")]
+    for got, want in pairs:
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
 
 # ---------------------------------------------------------------------------
 # numerics recovering the structure
