@@ -242,9 +242,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -25,8 +25,8 @@ import numpy as np
 #: rejected as malformed input.
 SUM_TOL = 1e-9
 
-#: Entries at or below ``ZERO_TOL_FACTOR * max(entry)`` count as zeros when a
-#: support pattern is extracted.  Guards against user-supplied denormals.
+#: Entries at or below ``ZERO_TOL_FACTOR * max(entry)`` count as zeros in
+#: :func:`support_of`, hence in the entropy helpers; a problem's support has none.
 ZERO_TOL_FACTOR = 1e-14
 
 
@@ -129,8 +129,9 @@ class FittingProblem:
 
     The seed is stored rescaled to total mass 1 (the iteration is
     homogeneous in the seed, so nothing is lost); a seed whose total
-    overflows is divided by its largest entry first.  Instances are treated as
-    immutable: the stored arrays are marked read-only.
+    overflows is divided by its largest entry first.  ``support`` is ``x0 > 0``,
+    with no threshold.  Instances are treated as immutable: the stored arrays
+    are marked read-only.
 
     Parameters
     ----------
@@ -157,20 +158,17 @@ class FittingProblem:
             x0 = x0 / x0.max()
             total = x0.sum()
         x0 = x0 / total
-        for arr in (x0, a, b):
+        support = x0 > 0
+        for arr in (x0, a, b, support):
             arr.setflags(write=False)
         self.x0 = x0
         self.a = a
         self.b = b
+        self.support = support
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.x0.shape
-
-    @property
-    def support(self) -> np.ndarray:
-        """Boolean support pattern of the seed."""
-        return support_of(self.x0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         p, q = self.shape

@@ -428,7 +428,7 @@ def run(problem: FittingProblem, rule: StoppingRule | None = None) -> IterationT
     rule = rule or StoppingRule()
     a, b = problem.a, problem.b
     hist = _ScalingHistory(problem.x0, rule.max_iters)
-    cells = np.nonzero(problem.x0)  # every other cell is 0 in every iterate
+    cells = np.nonzero(problem.support)  # every other cell is 0 in every iterate
     step = max(1, _BLOCK // cells[0].size)  # iterates per block of the exact d_n
     errs = []
     last_bad = 1  # newest index failing the Cauchy test; d_0, d_1 do not exist

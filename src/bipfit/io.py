@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, engine, products, structure
-from .core import FittingProblem, support_of
+from .core import FittingProblem
 from .engine import StoppingRule
 from .errors import InputError
 
@@ -513,16 +513,19 @@ def verify_report(report: dict) -> None:
     against its certificates (a divergence needs an incompatibility cause,
     a convergence a witness), every cause (indices in range, zero block,
     over-demand or, if critical, tightness), the witness marginals, the
-    monotone block scalings, that the blocks partition the rows and the
-    columns, ``a'`` and ``b'`` against the scalings, ``sigma`` (inside the
-    seed support, no empty row or column), the limits against ``sigma``
-    (exactly 0 outside it, the even limit's support equal to it), the
-    limit marginals against ``a'`` and ``b'``, every
+    maximal support (null for a divergence, else inside the seed support
+    with no empty row or column, and equal to it exactly for a fast
+    convergence), the monotone block scalings, that the blocks partition
+    the rows and the columns, ``a'`` and ``b'`` against the scalings,
+    ``sigma`` (inside the seed support, no empty row or column), the limits
+    against ``sigma`` (exactly 0 outside it, the even limit's support equal
+    to it), the limit marginals against ``a'`` and ``b'``, every
     ``criticality_under_adjusted`` entry recomputed from the blocks and the
-    marginals, and the engine's even-limit estimate (0 wherever the seed
-    is, column-fitted from iteration 2 on, ``agreement_even_l1`` its
-    L1 distance from the even limit).  Raises :class:`InputError` on any
-    mismatch, and on a missing or malformed field, naming it.
+    marginals, the engine's even-limit estimate (0 off the seed support,
+    column-fitted from iteration 2 on, ``agreement_even_l1`` its L1
+    distance from the even limit), and that ``escaped_cells`` lists the
+    seed support outside ``sigma``, in order.  Raises :class:`InputError`
+    on any mismatch, and on a missing or malformed field, naming it.
     """
     if not isinstance(report, dict) or "problem" not in report:
         raise InputError("not an analysis report: missing 'problem'")
@@ -562,8 +565,17 @@ def verify_report(report: dict) -> None:
         if (np.abs(w.sum(axis=1) - a).max() > 1e-8
                 or np.abs(w.sum(axis=0) - b).max() > 1e-8):
             raise InputError("report witness does not have the target marginals")
-        if np.any(support_of(w) & ~supp):
+        if np.any((w > 0) & ~supp):
             raise InputError("report witness puts mass outside the seed support")
+    max_support = cls.get("max_support")
+    if behavior == "Divergence":
+        if max_support is not None:
+            raise InputError("report Divergence verdict has a maximal support")
+    else:
+        max_support = _mask_in_support(max_support, supp, "report.classification.max_support",
+                                       "maximal support")
+        if np.array_equal(max_support, supp) != (behavior == "FastConvergence"):
+            raise InputError(f"report {behavior} verdict disagrees with its maximal support")
 
     bs = _section(report, "block_structure")
     if bs:
@@ -595,11 +607,7 @@ def verify_report(report: dict) -> None:
 
     sigma = report.get("sigma")
     if sigma is not None:
-        sigma = _report_mask(sigma, supp.shape, "report.sigma")
-        if np.any(sigma & ~supp):
-            raise InputError("report sigma lies outside the seed support")
-        if not (sigma.any(axis=1).all() and sigma.any(axis=0).all()):
-            raise InputError("report sigma has an empty row or column")
+        sigma = _mask_in_support(sigma, supp, "report.sigma", "sigma")
 
     limits = _section(report, "limits")
     if limits and not bs:
@@ -611,7 +619,7 @@ def verify_report(report: dict) -> None:
                                     f"report.limits.{key}") for key in ("even", "odd"))
         if np.any(even[~sigma]) or np.any(odd[~sigma]):
             raise InputError("report limits put mass outside sigma")
-        if not np.array_equal(support_of(even), sigma):
+        if not np.array_equal(even > 0, sigma):
             raise InputError("report even limit's support is not sigma")
         checks = (
             (np.abs(even.sum(axis=1) - a_prime).max(), "even limit rows vs a'"),
@@ -654,9 +662,7 @@ def verify_report(report: dict) -> None:
             raise InputError(f"{where}.iterations: expected an integer >= 0")
         estimate = _report_matrix(_field(eng, "even_limit_estimate", where), supp.shape,
                                   f"{where}.even_limit_estimate")
-        # every iterate is exactly 0 where the seed is; a seed cell below the
-        # support threshold still carries a (tiny) entry
-        if np.any(estimate[problem.x0 == 0]):
+        if np.any(estimate[~supp]):
             raise InputError("report even-limit estimate puts mass outside the seed support")
         dev = np.abs(estimate.sum(axis=0) - b).max()
         if iterations >= 2 and not dev <= 1e-8:
@@ -669,6 +675,30 @@ def verify_report(report: dict) -> None:
         l1 = float(np.abs(estimate - even).sum())
         if not abs(agreement - l1) <= 1e-12 * max(1.0, l1):
             raise InputError(f"report agreement_even_l1 is {agreement!r}, recomputed {l1!r}")
+
+    escaped = report.get("escaped_cells")
+    if escaped is not None:
+        where = "report.escaped_cells"
+        if not isinstance(escaped, list):
+            raise InputError(f"{where}: expected a list")
+        if sigma is None:
+            raise InputError(f"{where}: no sigma to check them against")
+        cells = []
+        for k, entry in enumerate(escaped):
+            cell = _field(entry, "cell", f"{where}[{k}]")
+            if not (isinstance(cell, (list, tuple)) and len(cell) == 2
+                    and all(type(v) is int for v in cell)
+                    and 0 <= cell[0] < p and 0 <= cell[1] < q):
+                raise InputError(f"{where}[{k}].cell: expected a row and a column "
+                                 "index in range")
+            _as_number(_field(entry, "final_log_sum", f"{where}[{k}]"),
+                       f"{where}[{k}].final_log_sum")
+            if type(_field(entry, "still_growing", f"{where}[{k}]")) is not bool:
+                raise InputError(f"{where}[{k}].still_growing: expected a boolean")
+            cells.append(list(cell))
+        if cells != np.argwhere(supp & ~sigma).tolist():
+            raise InputError("report escaped cells are not the seed support outside "
+                             "sigma, in order")
 
 
 def _section(report: dict, key: str) -> dict:
@@ -714,6 +744,16 @@ def _report_mask(values, shape: tuple[int, int], where: str) -> np.ndarray:
             for row in values)):
         raise InputError(f"{where}: expected a {shape[0]}x{shape[1]} matrix of booleans")
     return np.array(values, dtype=bool)
+
+
+def _mask_in_support(values, supp: np.ndarray, where: str, label: str) -> np.ndarray:
+    """A report mask inside the seed support ``supp``, with no empty row or column."""
+    mask = _report_mask(values, supp.shape, where)
+    if np.any(mask & ~supp):
+        raise InputError(f"report {label} lies outside the seed support")
+    if not (mask.any(axis=1).all() and mask.any(axis=0).all()):
+        raise InputError(f"report {label} has an empty row or column")
+    return mask
 
 
 def _indices(values, size: int, where: str) -> np.ndarray:

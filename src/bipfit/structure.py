@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import FittingProblem, as_marginals, support_of
+from .core import FittingProblem, as_marginals
 from .engine import StoppingRule, StopReason, run
 from .errors import InternalCheckError
 
@@ -744,7 +744,7 @@ def limit_points(problem: FittingProblem) -> LimitPair:
     for label, dev in checks:
         if dev > 1e-8:
             raise InternalCheckError(f"{label} deviate by {dev:g}")
-    if not np.array_equal(support_of(even), sigma):
+    if not np.array_equal(even > 0, sigma):
         raise InternalCheckError("even limit's support is not sigma")
     return LimitPair(even_limit=even, odd_limit=odd, sigma=sigma, blocks=bs,
                      classification=cls, restricted=restricted)

@@ -353,11 +353,11 @@ def test_exact_even_odd_distance_reads_the_seed_nonzeros():
     # under a loose tol_even_odd the marginal bound leaves a quarter or more
     # of the iterates to the exact |X_n - X_{n-2}|_1, read off the seed's
     # nonzero cells: across fold points, on a sparse seed, and on seed cells
-    # of 1e-20 that the support pattern drops, which in the second seed carry
-    # most of the mass after one step
+    # of 1e-20, which are in the support and in the second seed carry most
+    # of the mass after one step
     tiny = FittingProblem([[1.0, 1.0], [1e-20, 1.0]], [0.5, 0.5], [0.5, 0.5])
     faint = FittingProblem([[1.0, 1e-20], [1e-20, 1e-20]], [0.5, 0.5], [0.5, 0.5])
-    assert not tiny.support[1, 0] and tiny.x0[1, 0] > 0 and faint.support.sum() == 1
+    assert tiny.support[1, 0] and faint.support.all()
     sparse = oracles.sparse_critical(np.random.default_rng(5), 40, 0.05)
     for problem, folded in ((_fold_problem(), True), (sparse, False), (tiny, False),
                             (faint, False)):
@@ -630,16 +630,16 @@ def test_cross_ratios_match_minor_listing_rectangular_and_perturbed(rng):
         broken = _assert_matches_minor_listing(
             SimpleNamespace(problem=problem, stored_matrices=mats))
         assert not broken.ok and broken.max_rel_deviation == pytest.approx(1e-3, rel=1e-6)
-    # a cell below the support threshold is outside the check, however it moves
+    # a seed cell of 1e-20 relative is in the support, so its minors are checked
     x0 = problem.x0.copy()
     i, j = np.argwhere(~supp)[0]
     x0[i, j] = 1e-20 * x0.max()
     faint = FittingProblem(x0, problem.a, problem.b)
-    assert np.array_equal(faint.support, supp)
+    assert faint.support[i, j] and faint.support.sum() == supp.sum() + 1
     mats = np.array(run_capped(faint, 50).stored_matrices)
     mats[37, i, j] *= 1.001
-    assert _assert_matches_minor_listing(
-        SimpleNamespace(problem=faint, stored_matrices=mats)).ok
+    broken = _assert_matches_minor_listing(SimpleNamespace(problem=faint, stored_matrices=mats))
+    assert not broken.ok and broken.max_rel_deviation == pytest.approx(1e-3, rel=1e-6)
 
 
 def test_cross_ratio_memory_bounded_and_fast():

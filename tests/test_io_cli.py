@@ -568,11 +568,13 @@ def test_report_round_trip_and_verify(fast_problem, tmp_path):
 
 
 def test_report_with_a_seed_cell_below_the_support_threshold_verifies(tmp_path):
-    # the 1e-20 seed cell is outside `support`, but every iterate keeps a
-    # tiny entry there, and so does the engine's even-limit estimate
-    problem = FittingProblem([[1.0, 1.0], [1e-20, 1.0]], [0.5, 0.5], [0.5, 0.5])
-    assert not problem.support[1, 0] and problem.x0[1, 0] > 0
+    # the 1e-20 seed cell is below `support_of`'s threshold but in the
+    # problem's support, so row 1 is not empty; it is row 1's only cell, and
+    # the verdict, sigma and escaped cells all count it
+    problem = FittingProblem([[1.0, 1.0], [1e-20, 0.0]], [0.5, 0.5], [0.5, 0.5])
+    assert problem.support[1, 0] and not support_of(problem.x0)[1, 0]
     report = io.build_report(problem, StoppingRule(max_iters=2000), meta={"name": "faint"})
+    assert report["classification"]["behavior"] == "SlowConvergence"
     assert report["engine"]["even_limit_estimate"][1, 0] > 0
     path = tmp_path / "report.json"
     io.save_report(report, path)
@@ -685,8 +687,8 @@ def test_verify_report_rejects_bad_blocks_and_indices(divergence_problem, corrup
 
 
 @functools.cache
-def _example_report_text() -> str:
-    problem, meta = io.load_problem(io.data_path("example-5x6.json"))
+def _report_text(name: str) -> str:
+    problem, meta = io.load_problem(io.data_path(f"{name}.json"))
     return json.dumps(io.jsonify(io.build_report(problem, StoppingRule(max_iters=2000), meta)))
 
 
@@ -727,7 +729,60 @@ def _example_report_text() -> str:
     ],
 )
 def test_verify_report_recomputes_criticality_and_engine_agreement(corrupt, message):
-    broken = json.loads(_example_report_text())
+    broken = json.loads(_report_text("example-5x6"))
+    io.verify_report(broken)
+    corrupt(broken)
+    with pytest.raises(InputError, match=message):
+        io.verify_report(broken)
+
+
+_NOT_ESCAPED = "escaped cells are not the seed support outside sigma"
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, message",
+    [
+        # the verdict against the maximal support: null for a divergence, else
+        # in the seed support, and equal to it exactly for a fast convergence
+        ("fast-2x2", _set(("classification", "max_support", 0, 0), False),
+         "FastConvergence verdict disagrees with its maximal support"),
+        ("fast-2x2", _set(("classification", "max_support", 1, 1), True),
+         "maximal support lies outside the seed support"),
+        ("fast-2x2", _set(("classification", "behavior"), "SlowConvergence"),
+         "SlowConvergence verdict disagrees with its maximal support"),
+        ("slow-2x2", _set(("classification", "max_support", 0, 0), True),
+         "SlowConvergence verdict disagrees with its maximal support"),
+        ("slow-2x2", _set(("classification", "max_support", 0, 1), False),
+         "maximal support has an empty row or column"),
+        ("slow-2x2", _set(("classification", "behavior"), "FastConvergence"),
+         "FastConvergence verdict disagrees with its maximal support"),
+        ("slow-2x2", _drop(("classification", "max_support")),
+         r"max_support: expected a 2x2 matrix of booleans"),
+        ("example-5x6", lambda r: r["classification"].update(max_support=r["sigma"]),
+         "Divergence verdict has a maximal support"),
+        # escaped_cells: the seed support outside sigma, in order
+        ("slow-2x2", _set(("escaped_cells",), []), _NOT_ESCAPED),
+        ("slow-2x2", _set(("escaped_cells",), lambda v: v + [
+            {"cell": [0, 1], "final_log_sum": 0.0, "still_growing": False}]), _NOT_ESCAPED),
+        ("example-5x6", _set(("escaped_cells",), lambda v: v[1:]), _NOT_ESCAPED),
+        ("example-5x6", _set(("escaped_cells",), lambda v: v[::-1]), _NOT_ESCAPED),
+        ("slow-2x2", _set(("escaped_cells", 0, "cell"), [0, 2]),
+         r"escaped_cells\[0\]\.cell: expected a row and a column index in range"),
+        ("slow-2x2", _set(("escaped_cells", 0, "cell"), [0.0, 0]),
+         r"escaped_cells\[0\]\.cell: expected a row and a column index in range"),
+        ("slow-2x2", _set(("escaped_cells", 0, "final_log_sum"), True),
+         r"final_log_sum: expected a number, got a boolean"),
+        ("slow-2x2", _set(("escaped_cells", 0, "still_growing"), 1),
+         r"still_growing: expected a boolean"),
+        ("slow-2x2", _drop(("escaped_cells", 0, "final_log_sum")),
+         r"escaped_cells\[0\]: missing field 'final_log_sum'"),
+        ("slow-2x2", _set(("escaped_cells",), {"cell": [0, 0]}), r"escaped_cells: expected a list"),
+        ("slow-2x2", _all(_drop(("sigma",)), _drop(("limits",)), _drop(("engine",))),
+         r"escaped_cells: no sigma"),
+    ],
+)
+def test_verify_report_checks_max_support_and_escaped_cells(name, corrupt, message):
+    broken = json.loads(_report_text(name))
     io.verify_report(broken)
     corrupt(broken)
     with pytest.raises(InputError, match=message):
@@ -822,6 +877,38 @@ def test_cli_reduce_decides_a_near_critical_seed(g, capsys, tmp_path):
     assert payload["a"] == problem.a.tolist()
     assert payload["b"] == problem.b.tolist()
     assert payload["X0"] == [[1 / 3, 1 / 3], [1 / 3, 0.0]] == problem.x0.tolist()
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e-13, 1e-15, 1e-20, 1e-300])
+def test_cli_classify_counts_every_positive_seed_cell(c, capsys, tmp_path):
+    # the support is X0 > 0: however small c is, the seed has full support
+    # and the iteration converges geometrically
+    path = tmp_path / "faint.json"
+    path.write_text(json.dumps({"a": [0.5, 0.5], "b": [0.5, 0.5], "X0": [[1, 1], [c, 1]]}))
+    code, payload = run_cli(capsys, "classify", str(path))
+    assert code == 0
+    assert payload["behavior"] == "FastConvergence"
+
+
+def test_cli_decides_a_seed_row_of_one_tiny_cell(capsys, tmp_path):
+    # row 1's only cell is 1e-20 of the largest: it is in the support, so
+    # the row is not empty, and cell (0, 0) must die for it to carry a_1
+    path = tmp_path / "tiny-row.json"
+    path.write_text(json.dumps({"a": [0.5, 0.5], "b": [0.5, 0.5],
+                                "X0": [[1, 1], [1e-20, 0]]}))
+    anti = [[False, True], [True, False]]
+    code, classified = run_cli(capsys, "classify", str(path))
+    assert code == 0
+    assert classified["behavior"] == "SlowConvergence"
+    assert classified["max_support"] == anti
+    code, reduced = run_cli(capsys, "reduce", str(path))
+    assert code == 0
+    assert (np.array(reduced["X0"]) > 0).tolist() == anti
+    code, report = run_cli(capsys, "analyze", str(path), "--max-iters", "2000")
+    assert code == 0
+    assert report["classification"]["behavior"] == "SlowConvergence"
+    assert report["sigma"] == anti
+    assert [entry["cell"] for entry in report["escaped_cells"]] == [[0, 0]]
 
 
 # ---------------------------------------------------------------------------
