@@ -25,8 +25,9 @@ import numpy as np
 #: rejected as malformed input.
 SUM_TOL = 1e-9
 
-#: Entries at or below ``ZERO_TOL_FACTOR * max(entry)`` count as zeros in
-#: :func:`support_of`, hence in the entropy helpers; a problem's support has none.
+#: Default of :func:`support_of`: entries at or below ``ZERO_TOL_FACTOR *
+#: max(entry)`` count as zeros there.  A problem's support and the entropy
+#: helpers read every positive entry.
 ZERO_TOL_FACTOR = 1e-14
 
 
@@ -254,11 +255,10 @@ def kl_divergence(y, x) -> float:
     x = _check_mass_one(x, "x")
     if y.shape != x.shape:
         raise ValueError(f"shape mismatch: {y.shape} vs {x.shape}")
-    sy = support_of(y)
-    sx = support_of(x)
+    sy, sx = y > 0, x > 0
     if np.any(sy & ~sx):
         return float("inf")
-    val = float(np.sum(y[sy] * np.log(y[sy] / x[sy])))
+    val = float(np.sum(y[sy] * (np.log(y[sy]) - np.log(x[sy]))))
     if -1e-12 < val < 0.0:
         # mathematically >= 0; swallow rounding dust only
         val = 0.0
@@ -277,7 +277,7 @@ def likelihood_product(weights, x) -> float:
     x = np.asarray(x, dtype=float)
     if w.shape != x.shape:
         raise ValueError(f"shape mismatch: {w.shape} vs {x.shape}")
-    sw = support_of(w)
-    if np.any(sw & ~support_of(x)):
+    sw = w > 0
+    if np.any(sw & ~(x > 0)):
         return 0.0
     return float(np.exp(np.sum(w[sw] * np.log(x[sw]))))

@@ -523,8 +523,11 @@ def verify_report(report: dict) -> None:
     ``criticality_under_adjusted`` entry recomputed from the blocks and the
     marginals, the engine's even-limit estimate (0 off the seed support,
     column-fitted from iteration 2 on, ``agreement_even_l1`` its L1
-    distance from the even limit), and that ``escaped_cells`` lists the
-    seed support outside ``sigma``, in order.  Raises :class:`InputError`
+    distance from the even limit), the engine's stop reason against its
+    iteration count, final error and the embedded ``config`` (``Converged``
+    exactly below ``tol_marginal``, ``IterationCap`` only at ``max_iters``,
+    never past it), and that ``escaped_cells`` lists the seed support
+    outside ``sigma``, in order.  Raises :class:`InputError`
     on any mismatch, and on a missing or malformed field, naming it.
     """
     if not isinstance(report, dict) or "problem" not in report:
@@ -660,6 +663,9 @@ def verify_report(report: dict) -> None:
         iterations = _field(eng, "iterations", where)
         if type(iterations) is not int or iterations < 0:
             raise InputError(f"{where}.iterations: expected an integer >= 0")
+        config = _section(report, "config")
+        if config:
+            _check_stop_reason(eng, config, iterations)
         estimate = _report_matrix(_field(eng, "even_limit_estimate", where), supp.shape,
                                   f"{where}.even_limit_estimate")
         if np.any(estimate[~supp]):
@@ -699,6 +705,29 @@ def verify_report(report: dict) -> None:
         if cells != np.argwhere(supp & ~sigma).tolist():
             raise InputError("report escaped cells are not the seed support outside "
                              "sigma, in order")
+
+
+def _check_stop_reason(eng: dict, config: dict, iterations: int) -> None:
+    """The engine's stop reason against its iteration count, its final error
+    and the run's ``max_iters`` and ``tol_marginal``."""
+    reason = _field(eng, "stop_reason", "report.engine")
+    if reason not in [v.value for v in engine.StopReason]:
+        raise InputError(f"report.engine.stop_reason: unknown stop reason {reason!r}")
+    max_iters = _field(config, "max_iters", "report.config")
+    if type(max_iters) is not int:
+        raise InputError("report.config.max_iters: expected an integer")
+    tol = _as_number(_field(config, "tol_marginal", "report.config"), "report.config.tol_marginal")
+    final = _as_number(_field(eng, "final_marginal_error", "report.engine"),
+                       "report.engine.final_marginal_error")
+    if iterations > max_iters:
+        raise InputError(f"report engine ran {iterations} iterations, more than "
+                         f"max_iters {max_iters}")
+    if (reason == "Converged") != (final < tol):
+        raise InputError(f"report stop reason {reason} disagrees with final marginal "
+                         f"error {final!r} against tol_marginal {tol!r}")
+    if reason == "IterationCap" and iterations != max_iters:
+        raise InputError(f"report stop reason IterationCap at {iterations} iterations, "
+                         f"not at max_iters {max_iters}")
 
 
 def _section(report: dict, key: str) -> dict:

@@ -17,10 +17,11 @@ up front from the seed's support pattern and the marginals:
   instance until the remainder is feasible, yielding the row and column
   blocks, their scaling factors, and the adjusted marginals that the
   oscillating iteration actually honours in the limit.
-* ``limit_points`` turns that into the two exact limit matrices.
+* ``limit_points`` turns that into the two exact limit matrices, solving
+  the seed's scaling on their support by Newton's method.
 
-Every step is a polynomial number of max-flows; no subset of rows is ever
-enumerated.
+Every step but the Newton solve is a polynomial number of max-flows; no
+subset of rows is ever enumerated, and no step runs the fitting iteration.
 
 Index convention: all row/column sets are 0-based throughout the package.
 """
@@ -33,7 +34,6 @@ from enum import Enum
 import numpy as np
 
 from .core import FittingProblem, as_marginals
-from .engine import StoppingRule, StopReason, run
 from .errors import InternalCheckError
 
 #: Flow deficits at or below this are treated as "the instance is feasible".
@@ -47,6 +47,9 @@ WITNESS_TOL = 1e-10
 
 #: Gap threshold for clustering limiting row ratios into blocks.
 CLUSTER_GAP = 1e-4
+
+#: Newton's limit solve: L1 error to stop at, largest log move, halvings per step, steps.
+_NEWTON_TOL, _NEWTON_MOVE, _NEWTON_HALVINGS, _NEWTON_STEPS = 1e-13, 8.0, 60, 500
 
 _EPS_FLOW = 1e-15
 
@@ -498,12 +501,15 @@ def best_cause(a, b, supp) -> Cause:
 # maximal support
 
 
-def _strong_components(indptr: list[int], heads: list[int]) -> np.ndarray:
-    """Strongly connected component label of every node (iterative Tarjan).
-
-    The graph is in compressed form: node ``v``'s arcs lead to
-    ``heads[indptr[v]:indptr[v + 1]]``.
+def _strong_components(forward, backward) -> np.ndarray:
+    """Strongly connected component label of every row ``0..p-1`` and column
+    ``p..p+q-1`` (iterative Tarjan), with arcs row -> column on the cells of
+    ``forward`` and column -> row on the cells of ``backward``.
     """
+    p = forward.shape[0]
+    degree = np.concatenate([forward.sum(axis=1), backward.sum(axis=0)])
+    indptr = np.concatenate([[0], np.cumsum(degree)]).tolist()
+    heads = np.concatenate([p + np.nonzero(forward)[1], np.nonzero(backward.T)[1]]).tolist()
     n = len(indptr) - 1
     index, low, comp = [-1] * n, [0] * n, [-1] * n
     nxt = indptr[:-1]
@@ -552,12 +558,9 @@ def _support_from_witness(supp, witness) -> np.ndarray:
     ``(i, j)`` supplies the arc ``i -> j``, that means row ``i`` and column
     ``j`` share a strongly connected component.
     """
-    p, q = supp.shape
+    p = supp.shape[0]
     carrying = witness > _EPS_FLOW * max(1.0, float(witness.max()))
-    degree = np.concatenate([supp.sum(axis=1), carrying.sum(axis=0)])
-    indptr = np.concatenate([[0], np.cumsum(degree)])
-    heads = np.concatenate([p + np.nonzero(supp)[1], np.nonzero(carrying.T)[1]])
-    comp = _strong_components(indptr.tolist(), heads.tolist())
+    comp = _strong_components(supp, carrying)
     s0 = supp & (comp[:p, None] == comp[None, p:])
     if not (s0.any(axis=1).all() and s0.any(axis=0).all()):
         raise InternalCheckError("maximal support lost a whole row or column")
@@ -703,37 +706,49 @@ def _limit_structure(problem: FittingProblem):
     return cls, bs, sigma, restricted
 
 
+def _scale_newton(x, a, b, sigma) -> np.ndarray:
+    """``diag(u) x diag(v)`` with marginals ``(a, b)``, ``x`` positive on ``sigma``."""
+    if x.shape[0] > x.shape[1]:
+        return _scale_newton(x.T, b, a, sigma.T).T
+    comp = _strong_components(sigma, sigma)[:x.shape[0]]
+    gauge = comp[:, None] == np.unique(comp)  # row i in component k of sigma
+
+    def fitted(u):
+        y = u[:, None] * x * (b / (u @ x))
+        return y, float(np.abs(y.sum(axis=1) - a).sum() + np.abs(y.sum(axis=0) - b).sum())
+    u = a / (x @ (b / x.sum(axis=0)))  # one sweep from u = 1
+    y, err = fitted(u)
+    for steps in range(_NEWTON_STEPS):
+        if err <= _NEWTON_TOL:
+            return y
+        # Schur complement as a Laplacian, a rounding-level ridge, a gauge per component
+        r, z = y.sum(axis=1), y / np.sqrt(b)
+        lap, rc = z @ z.T, gauge * r[:, None]
+        np.fill_diagonal(lap, 0.0)
+        hess = np.diag(lap.sum(axis=1) + np.finfo(float).eps * r) - lap + rc @ rc.T
+        step = np.linalg.solve(hess, a - r)
+        step *= min(1.0, _NEWTON_MOVE / np.abs(step).max())  # exp overflows past it
+        for _ in range(_NEWTON_HALVINGS):
+            if (trial := fitted(u * np.exp(step)))[1] <= err:
+                break
+            step /= 2
+        else:
+            break
+        u, (y, err) = u * np.exp(step), trial
+    raise InternalCheckError(f"limit solve gave up in Newton step {steps + 1}, error {err:g}")
+
+
 def limit_points(problem: FittingProblem) -> LimitPair:
     """Exact limits of the even and odd iterate subsequences.
 
-    The even limit lives in ``Gamma(a', b)`` and is computed by restarting
-    the iteration from the seed restricted to the common limit support
-    ``sigma`` — feasible with full support, hence geometrically convergent,
-    but near criticality at a rate so close to 1 that the restart reaches its
-    cap and raises ``InternalCheckError``.  The odd limit is the even one
-    with row ``i`` scaled by ``a_i / a'_i``.  On a feasible instance both
-    limits coincide with the plain fit.  Everything but the restart comes
-    from :func:`_limit_structure`, which does not iterate.
+    The even limit is ``D1 X0 D2`` on the common limit support ``sigma`` with
+    marginals ``(a', b)``, by Newton's method on the log row potentials; the
+    odd limit is it with row ``i`` scaled by ``a_i / a'_i``, and on a feasible
+    instance the plain fit.  The rest comes from :func:`_limit_structure`.
     """
     cls, bs, sigma, restricted = _limit_structure(problem)
     a, b = problem.a, problem.b
-    # Keep the even/odd criterion near rounding level so the marginal
-    # criterion decides; on a restriction this tight the two iterate
-    # parities share one limit and stalls only happen at float precision.
-    trace = run(restricted, StoppingRule(tol_marginal=1e-13, tol_even_odd=1e-16,
-                                         max_iters=50_000))
-    stalled = (
-        trace.stop_reason is StopReason.EVEN_ODD_CONVERGED
-        and float(trace.errors[-1]) <= 1e-10
-    )
-    if trace.stop_reason is not StopReason.CONVERGED and not stalled:
-        raise InternalCheckError(
-            "restricted restart failed to converge geometrically "
-            f"(stop reason {trace.stop_reason.value}, final marginal error "
-            f"{float(trace.errors[-1]):g}); the restart reached its iteration "
-            "cap, or stalled, before the limit"
-        )
-    even = trace.iterate(trace.n_iters)
+    even = _scale_newton(restricted.x0, restricted.a, restricted.b, sigma)
     odd = even * (a / bs.a_prime)[:, None]
     checks = (
         ("even limit row sums vs a'", np.abs(even.sum(axis=1) - bs.a_prime).max()),

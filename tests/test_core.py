@@ -76,6 +76,21 @@ def test_support_of_relative_threshold():
     )
 
 
+def test_entropy_helpers_count_every_positive_entry():
+    # 1e-20 is below support_of's threshold, but it is mass all the same
+    x = np.array([[0.5, 0.5 - 1e-20], [1e-20, 0.0]])
+    assert not support_of(x)[1, 0]
+    y = np.array([[0.25, 0.25], [0.5, 0.0]])
+    assert kl_divergence(y, x) == pytest.approx(10 * np.log(10) - np.log(2), rel=1e-14)
+    assert kl_divergence(y, x) == pytest.approx(22.33, abs=5e-3)
+    w = np.array([[0.5, 0.0], [0.5, 0.0]])
+    assert likelihood_product(w, x) == pytest.approx(np.sqrt(0.5) * 1e-10, rel=1e-14)
+    # mass where the other matrix is exactly 0 still gives +inf and 0.0
+    z = np.array([[0.5, 0.5], [0.0, 0.0]])
+    assert kl_divergence(y, z) == np.inf
+    assert likelihood_product(w, z) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # single fitting steps, hand values
 

@@ -581,6 +581,19 @@ def test_report_with_a_seed_cell_below_the_support_threshold_verifies(tmp_path):
     io.load_report(path, verify=True)
 
 
+def test_report_on_a_barely_full_seed_round_trips(tmp_path):
+    # a seed cell of 1e-20 keeps the seed full-support: the verdict is fast
+    # convergence, and the limits keep that cell, tiny but positive
+    problem = FittingProblem([[1.0, 1.0], [1e-20, 1.0]], [0.5, 0.5], [0.5, 0.5])
+    report = io.build_report(problem, StoppingRule(max_iters=2000), meta={"name": "faint"})
+    assert report["classification"]["behavior"] == "FastConvergence"
+    assert 0 < report["limits"]["even"][1, 0] < 1e-9
+    path = tmp_path / "report.json"
+    io.save_report(report, path)
+    loaded = io.load_report(path, verify=True)
+    np.testing.assert_array_equal(loaded["limits"]["even"], report["limits"]["even"])
+
+
 def test_reports_built_in_memory_verify():
     for name in ("fast-2x2", "slow-2x2", "divergence-2x2", "example-5x6"):
         problem, meta = io.load_problem(io.data_path(f"{name}.json"))
@@ -789,6 +802,48 @@ def test_verify_report_checks_max_support_and_escaped_cells(name, corrupt, messa
         io.verify_report(broken)
 
 
+_DISAGREES = "report stop reason {} disagrees with final marginal error"
+_NOT_AT_CAP = "report stop reason IterationCap at {} iterations, not at max_iters 2000"
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, message",
+    [
+        # built at max_iters 2000: fast-2x2 converges, while slow-2x2 and the
+        # divergent example-5x6 reach the cap
+        ("fast-2x2", _set(("engine", "stop_reason"), "Stalled"),
+         "report.engine.stop_reason: unknown stop reason 'Stalled'"),
+        ("fast-2x2", _set(("engine", "stop_reason"), "EvenOddConverged"),
+         _DISAGREES.format("EvenOddConverged")),
+        ("fast-2x2", _set(("engine", "final_marginal_error"), 1e-10),
+         _DISAGREES.format("Converged")),
+        ("fast-2x2", _set(("config", "tol_marginal"), 1e-300), _DISAGREES.format("Converged")),
+        ("fast-2x2", _drop(("engine", "stop_reason")),
+         "report.engine: missing field 'stop_reason'"),
+        ("slow-2x2", _set(("engine", "stop_reason"), "Converged"),
+         _DISAGREES.format("Converged")),
+        ("slow-2x2", _set(("config", "tol_marginal"), 1.0), _DISAGREES.format("IterationCap")),
+        ("slow-2x2", _set(("engine", "iterations"), 1999), _NOT_AT_CAP.format(1999)),
+        ("slow-2x2", _set(("engine", "iterations"), 2001),
+         "report engine ran 2001 iterations, more than max_iters 2000"),
+        ("slow-2x2", _set(("config", "max_iters"), 2000.0),
+         "report.config.max_iters: expected an integer"),
+        ("example-5x6", _set(("engine", "stop_reason"), "Converged"),
+         _DISAGREES.format("Converged")),
+        ("example-5x6", _set(("engine", "final_marginal_error"), 0.0),
+         _DISAGREES.format("IterationCap")),
+        ("example-5x6", _set(("engine", "iterations"), 1998), _NOT_AT_CAP.format(1998)),
+        ("example-5x6", _set(("config", "max_iters"), 10), "more than max_iters 10"),
+    ],
+)
+def test_verify_report_checks_the_stop_reason(name, corrupt, message):
+    broken = json.loads(_report_text(name))
+    io.verify_report(broken)
+    corrupt(broken)
+    with pytest.raises(InputError, match=message):
+        io.verify_report(broken)
+
+
 def test_verify_report_rejects_a_witness_of_the_wrong_shape(fast_problem):
     broken = json.loads(json.dumps(io.jsonify(io.build_report(fast_problem))))
     io.verify_report(broken)
@@ -846,8 +901,17 @@ def no_engine(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the engine ran")
 
-    for module in (engine, structure, cli):
+    for module in (engine, cli):
         monkeypatch.setattr(module, "run", refuse)
+
+
+def test_limit_points_run_no_iteration(no_engine):
+    problems = [io.load_problem(io.data_path(f"{name}.json"))[0]
+                for name in ("fast-2x2", "slow-2x2", "divergence-2x2", "example-5x6")]
+    problems.append(oracles.planted_blocks(np.random.default_rng(30), 30, 30)[0])
+    for problem in problems:
+        lp = structure.limit_points(problem)
+        np.testing.assert_allclose(lp.even_limit.sum(axis=0), problem.b, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("command", ["classify", "reduce"])
@@ -866,8 +930,8 @@ def test_cli_classify_and_reduce_run_no_iteration(no_engine, command, tmp_path):
 
 @pytest.mark.parametrize("g", [1e-3, 1e-4, 1e-8, 1e-10])
 def test_cli_reduce_decides_a_near_critical_seed(g, capsys, tmp_path):
-    # feasible with full support, but the restart's rate tends to 1 with g:
-    # from g = 1e-4 on it reaches its cap, and reduce must not depend on it
+    # feasible with full support, but the iteration's rate tends to 1 with
+    # g; reduce runs no iteration and no limit solve, so g does not matter
     path = tmp_path / "near-critical.json"
     path.write_text(json.dumps({"a": [0.5 + g, 0.5 - g], "b": [0.5, 0.5],
                                 "X0": [[1, 1], [1, 0]]}))
@@ -877,6 +941,32 @@ def test_cli_reduce_decides_a_near_critical_seed(g, capsys, tmp_path):
     assert payload["a"] == problem.a.tolist()
     assert payload["b"] == problem.b.tolist()
     assert payload["X0"] == [[1 / 3, 1 / 3], [1 / 3, 0.0]] == problem.x0.tolist()
+
+
+_NEAR_CRITICAL = [
+    *(pytest.param({"a": [0.5 + g, 0.5 - g], "b": [0.5, 0.5], "X0": [[1, 1], [1, 0]]},
+                   id=f"g={g:g}") for g in (1e-3, 1e-4, 1e-6, 1e-8, 1e-10)),
+    *(pytest.param({"a": [0.5, 0.5], "b": [0.5, 0.5], "X0": [[1, 1], [c, 1]]},
+                   id=f"c={c:g}") for c in (1e-13, 1e-20, 1e-300)),
+]
+
+
+@pytest.mark.parametrize("data", _NEAR_CRITICAL)
+def test_cli_analyze_and_reduce_decide_near_critical_seeds(data, capsys, tmp_path):
+    # feasible with full support, the direct iteration's rate near 1: the
+    # limits come from the Newton solve, with marginals to 1e-12
+    path = tmp_path / "near-critical.json"
+    path.write_text(json.dumps(data))
+    problem, _ = io.load_problem(path)
+    code, _ = run_cli(capsys, "reduce", str(path))
+    assert code == 0
+    code, report = run_cli(capsys, "analyze", str(path), "--max-iters", "2000")
+    assert code == 0
+    assert report["classification"]["behavior"] == "FastConvergence"
+    even, odd = (np.array(report["limits"][key]) for key in ("even", "odd"))
+    for limit in (even, odd):
+        np.testing.assert_allclose(limit.sum(axis=1), problem.a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(limit.sum(axis=0), problem.b, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("c", [1e-8, 1e-13, 1e-15, 1e-20, 1e-300])

@@ -1,7 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bipfit import (
     Behavior,
@@ -391,6 +396,55 @@ def test_limit_points_agrees_with_the_standalone_functions(problem):
     pairs += [(getattr(restricted, f), getattr(lp.restricted, f)) for f in ("x0", "a", "b")]
     for got, want in pairs:
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@st.composite
+def _ill_scaled_problems(draw):
+    """Seeds of 2-11 rows and columns with entries from 1e-15 to 1, on a
+    random support with no empty line, and integer-ratio marginals."""
+    p, q = draw(st.integers(2, 11)), draw(st.integers(2, 11))
+    exponents = draw(arrays(np.float64, (p, q), elements=st.floats(-15.0, 0.0)))
+    mask = draw(arrays(np.bool_, (p, q)))
+    line = np.arange(max(p, q))
+    mask[line % p, line % q] = True
+    a = draw(arrays(np.int64, p, elements=st.integers(1, 40)))
+    b = draw(arrays(np.int64, q, elements=st.integers(1, 40)))
+    return FittingProblem(np.where(mask, 10.0 ** exponents, 0.0), a / a.sum(), b / b.sum())
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=_ill_scaled_problems())
+def test_limit_points_solves_ill_scaled_seeds(problem):
+    lp = limit_points(problem)
+    even = lp.even_limit
+    error = (np.abs(even.sum(axis=1) - lp.blocks.a_prime).sum()
+             + np.abs(even.sum(axis=0) - problem.b).sum())
+    assert error <= 1e-12
+
+
+@pytest.mark.parametrize("g", [1e-3, 1e-4, 1e-6, 1e-8, 1e-10])
+def test_limit_points_near_criticality(g):
+    # feasible with full support, and the limit's corner cell is g: the
+    # iteration's rate tends to 1 with g, Newton's step count barely moves
+    problem = FittingProblem([[1, 1], [1, 0]], [0.5 + g, 0.5 - g], [0.5, 0.5])
+    even = limit_points(problem).even_limit
+    np.testing.assert_allclose(even.sum(axis=1), problem.a, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(even.sum(axis=0), problem.b, rtol=0, atol=1e-13)
+    assert even[0, 0] == pytest.approx(g, rel=1e-5)
+
+
+def test_structure_does_not_import_the_engine():
+    # the structure layer decides everything, limits included, without
+    # iterating: no import of the engine module, relative or absolute
+    tree = ast.parse(Path(structure.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    assert names and not any("engine" in name for name in names)
 
 
 # ---------------------------------------------------------------------------
