@@ -92,12 +92,17 @@ class _ScalingHistory:
     first read by ``X_{2k}``).  ``K_0`` is the seed.  A fold multiplies an
     overgrown newest vector into a new base and resets it to ones (Schmitzer's
     absorption step); iterates from fold point ``starts[j]`` on read ``K_j``.
+    Only the seed, the newest base and each fold's vector are kept: ``K_j``
+    is rebuilt on read as the seed times fold vectors ``1 .. j`` in order,
+    bit for bit as :meth:`advance` formed it, walking forward from the last
+    base its reader rebuilt (the replay of :meth:`_gather`, or the others).
     An integer index rebuilds one iterate by that formula; every read of more
     is a :meth:`stack`, iterate axis last and contiguous, taken in
     :meth:`blocks` or, by slices and iteration, as ``(p, q)`` views.
     :meth:`ratios` reads marginal ratios off the vectors.
 
-    Memory is bounded.  One array of ``[u | v]`` rows, ``u`` and ``v`` its
+    Memory is bounded but for a vector per fold: besides the seed, at most
+    three bases are held.  One array of ``[u | v]`` rows, ``u`` and ``v`` its
     column views, holds the kept rows, double steps ``0, K, 2K, ...`` below
     ``w0`` in at most :data:`_KEEP` floats, then the window, steps ``w0 ..
     k``, step ``k`` in row ``k + held - w0`` for ``held = ceil(w0 / K)``
@@ -114,7 +119,8 @@ class _ScalingHistory:
     """
 
     def __init__(self, x0: np.ndarray, max_iters: int):
-        self.bases, self.starts, self.folds = [x0], [0], []  # folds: the folded vectors
+        self.seed, self.starts, self.folds = x0, [0], []  # folds: the folded vectors
+        self._newest = x0  # the newest base, whose bound `dot`s the loop calls
         self._rows = np.ones((_FOLD_EVERY + 1, sum(x0.shape)))  # [u | v]: kept rows, window
         self.u, self.v = np.split(self._rows, [len(x0)], axis=1)
         self.k = 0  # double steps taken
@@ -129,7 +135,8 @@ class _ScalingHistory:
         # rows once the start rows are outgrown: the kept rows and the largest
         # window, 2050 rows of a 4096-iterate chunk, or every step of the run
         self._size = min(self._cap + _CHUNKS[1] // 2 + 2, max_iters // 2 + 2)
-        self._ab = self._cursor = None  # the marginals, and the replay's (k, [u | v], next fold)
+        self._ab = self._cursor = None  # the marginals, and the replay's [k, [u | v]]
+        self._read, self._replayed = [0, x0], [0, x0]  # the base each reader holds, [j, K_j]
 
     def advance(self, k_end: int, a: np.ndarray, b: np.ndarray) -> None:
         """Take allocation-free double steps up to ``k_end``; test for a fold per group."""
@@ -152,13 +159,28 @@ class _ScalingHistory:
                 r = k1 - 1 + off  # the group's last row
                 for n, vec in ((2 * k1 - 3, self.u[r]), (2 * k1 - 2, self.v[r])):
                     if not 1 / _FOLD_AT < vec.min() <= vec.max() < _FOLD_AT:
-                        base = self.bases[-1] * (vec[:, None] if n % 2 else vec)  # odd n: rows
                         self.starts.append(n)
-                        self.bases.append(base)
                         self.folds.append(vec.copy())
                         vec[:] = 1.0
+                        base = self._newest = self._fold(self._newest, len(self.folds))
                         self._dots = base.dot, base.T.dot
             self.k = k1 - 1
+
+    def _fold(self, base: np.ndarray, j: int) -> np.ndarray:
+        """``K_j`` from ``K_{j-1}``: fold ``j``'s vector times its rows (odd start) or columns."""
+        f = self.folds[j - 1]
+        return base * (f[:, None] if self.starts[j] % 2 else f)
+
+    def _base(self, j: int, held: list) -> np.ndarray:
+        """``K_j``: the newest base, or rebuilt by :meth:`_fold` walking forward from the
+        reader's ``held = [i, K_i]`` if ``i <= j``, else from the seed; ``held`` keeps it."""
+        i, base = (j, self._newest) if j == len(self.folds) else (
+            held if held[0] <= j else (0, self.seed))
+        while i < j:
+            i += 1
+            base = self._fold(base, i)
+        held[:] = j, base
+        return base
 
     def _make_room(self, k_end: int) -> None:
         """Make the window hold double steps ``k - 1 .. k_end``, ``k`` the last one taken."""
@@ -212,9 +234,9 @@ class _ScalingHistory:
         stride = self._stride
         c = k - k % stride
         if self._cursor is None or not c <= self._cursor[0] <= k:
-            self._cursor = [c, self._rows[k // stride].copy(), bisect_right(self.starts, 2 * c)]
-        j, w, f = self._cursor
-        (a, b), starts, base = self._ab, self.starts, self.bases[f - 1]
+            self._cursor = [c, self._rows[k // stride].copy()]
+            self._base(bisect_right(self.starts, 2 * c) - 1, self._replayed)
+        (j, w), (f, base), (a, b), starts = self._cursor, self._replayed, self._ab, self.starts
         u, v = w[:a.size], w[a.size:]
         row_dot, col_dot = base.dot, base.T.dot
         while j < k:
@@ -223,11 +245,11 @@ class _ScalingHistory:
             np.divide(a, u, u)
             col_dot(u, v)
             np.divide(b, v, v)
-            while f < len(starts) and starts[f] <= 2 * j:  # the fold resets of step j
-                (u if starts[f] % 2 else v)[:] = 1.0
-                base, f = self.bases[f], f + 1
+            while f + 1 < len(starts) and starts[f + 1] <= 2 * j:  # the fold resets of step j
+                (u if starts[f + 1] % 2 else v)[:] = 1.0
+                f, base = f + 1, self._base(f + 1, self._replayed)
                 row_dot, col_dot = base.dot, base.T.dot
-        self._cursor = [j, w, f]
+        self._cursor[0] = j
         return w
 
     def ratios(self, n0: int, n1: int, a: np.ndarray, b: np.ndarray):
@@ -251,7 +273,7 @@ class _ScalingHistory:
         evens = rows[n0 % 2::2]
         np.divide(u[k0 - o:kt - o], u[k0 + 1 - o:kt + 1 - o], out=evens[:kt - k0])
         if kt < k1:
-            base = self.bases[bisect_right(self.starts, 2 * kt) - 1]
+            base = self._base(bisect_right(self.starts, 2 * kt) - 1, self._read)
             np.divide(u[kt - o] * base.dot(v[kt - o]), a, out=evens[-1])
         np.divide(v[n0 // 2 - o:n1 // 2 - o], v[n0 // 2 + 1 - o:n1 // 2 + 1 - o],
                   out=cols[1 - n0 % 2::2])
@@ -260,35 +282,37 @@ class _ScalingHistory:
                 side, h = (rows, u) if s % 2 else (cols, v)
                 np.divide(h[(s - 1) // 2 - o], f, out=side[s - 1 - n0])
         if n0 == 0 < n1:
-            np.divide(self.bases[0].sum(axis=0), b, out=cols[0])
+            np.divide(self.seed.sum(axis=0), b, out=cols[0])
         return rows, cols
 
     def log_scaling(self, n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """``ln X_n(i,j) - ln X_0(i,j)`` from the logs of the scalings; no entry is read."""
-        fs = [f[i] if s % 2 else f[j] for s, f in zip(self.starts[1:], self.folds) if s <= n]
         u, v = self._scalings(n)
-        return np.log(u[i]) + np.log(v[j]) + sum(map(np.log, fs))
+        folded = np.zeros(np.shape(i))  # the folds' logs, summed in place in fold order
+        for s, f in zip(self.starts[1:bisect_right(self.starts, n)], self.folds):
+            folded += np.log(f[i] if s % 2 else f[j])
+        return np.log(u[i]) + np.log(v[j]) + folded
 
     def stack(self, ns, out: np.ndarray | None = None) -> np.ndarray:
         """Iterates ``X_n`` for ``n`` in ``ns``, shape ``(p, q, len(ns))``, into ``out`` if given.
 
         The iterates lie on the last, contiguous axis, in the order of ``ns``.
-        Each run of indices reading one base is written in one pass.
+        Each run of indices reading one base is written in one pass, in base order.
         """
         ns = np.asarray(ns, dtype=int)
         if out is None:
-            out = np.empty(self.bases[0].shape + ns.shape)
-        if len(self.bases) == 1:  # the common case: one run, nothing to search
+            out = np.empty(self.seed.shape + ns.shape)
+        if not self.folds:  # the common case: one run, nothing to search
             seg, cut = [0], [0, ns.size]
         else:
             seg = np.searchsorted(self.starts, ns, side="right") - 1
             cut = [0, *np.flatnonzero(seg[1:] != seg[:-1]) + 1, ns.size] if ns.size else []
         us, vs = self._scalings(ns)
-        for lo, hi in zip(cut, cut[1:]):
+        for lo, hi in sorted(zip(cut, cut[1:]), key=lambda run: seg[run[0]]):
             x = out[:, :, lo:hi]
             # contiguous copies of u and v keep numpy's inner loops on the iterate axis
             u, v = us[lo:hi].T.copy(), vs[lo:hi].T.copy()
-            np.multiply(self.bases[seg[lo]][:, :, None], u[:, None], out=x)
+            np.multiply(self._base(seg[lo], self._read)[:, :, None], u[:, None], out=x)
             x *= v
         return out
 
@@ -301,19 +325,19 @@ class _ScalingHistory:
         """
         ns = np.asarray(ns, dtype=int)
         us, vs = self._scalings(ns)
-        if len(self.bases) == 1:
-            x = self.bases[0][r, c] * us[:, r]
+        if not self.folds:
+            x = self.seed[r, c] * us[:, r]
         else:  # the cells of each base read, one row per iterate
             seg = np.searchsorted(self.starts, ns, side="right") - 1
             js, at = np.unique(seg, return_inverse=True)
-            x = np.array([self.bases[j][r, c] for j in js]).reshape(js.size, r.size)[at]
+            x = np.array([self._base(j, self._read)[r, c] for j in js]).reshape(js.size, r.size)[at]
             x *= us[:, r]
         x *= vs[:, c]
         return x
 
     def blocks(self, ns):
         """``(indices, stacked iterates)`` for the index sequence ``ns``, in blocks."""
-        ns, step = np.asarray(ns, dtype=int), max(1, _BLOCK // self.bases[0].size)
+        ns, step = np.asarray(ns, dtype=int), max(1, _BLOCK // self.seed.size)
         for lo in range(0, len(ns), step):
             yield ns[lo:lo + step], self.stack(ns[lo:lo + step])
 
@@ -325,7 +349,7 @@ class _ScalingHistory:
             r = range(self.count)[i]
             return np.moveaxis(self.stack(np.arange(r.start, r.stop, r.step)), -1, 0)
         n = range(self.count)[i]  # one iterate, by its own formula
-        base = self.bases[bisect_right(self.starts, n) - 1]
+        base = self._base(bisect_right(self.starts, n) - 1, self._read)
         u, v = self._scalings(n)
         return u[:, None] * base * v
 
@@ -418,8 +442,8 @@ def run(problem: FittingProblem, rule: StoppingRule | None = None) -> IterationT
     product, and an exact ``|X_n - X_{n-2}|_1`` off the seed's nonzero cells
     alone.  Per iterate they are tested in the order converged, even/odd,
     cap, so stop index and reason are those of a loop testing after every
-    step.  The working memory is bounded in bytes: the history's kept rows
-    and window, rule buffers of ``O(_BLOCK)`` floats, and the errors.
+    step.  Its memory is bounded in bytes but for a vector per fold: the
+    history's rows, seed and newest base, ``_BLOCK``-float rule buffers, errors.
 
     Returns
     -------
@@ -445,7 +469,8 @@ def run(problem: FittingProblem, rule: StoppingRule | None = None) -> IterationT
         near = np.flatnonzero(d < 2.0 * rule.tol_even_odd)
         for i in range(0, near.size, step):
             n = ns[near[i:i + step]]
-            d[n - n0] = np.abs(hist.cells(n, *cells) - hist.cells(n - 2, *cells)).sum(axis=1)
+            x = hist.cells(np.concatenate([n - 2, n]), *cells)  # one forward walk of the bases
+            d[n - n0] = np.abs(x[n.size:] - x[:n.size]).sum(axis=1)
         last = np.maximum.accumulate(np.where(d < rule.tol_even_odd, last_bad, ns))
         converged, cauchy = errors < rule.tol_marginal, ns - last >= 2 * _CAUCHY_WINDOW
         hits = np.flatnonzero(converged | cauchy | (ns >= rule.max_iters))

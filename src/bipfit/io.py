@@ -519,16 +519,19 @@ def verify_report(report: dict) -> None:
     the rows and the columns, ``a'`` and ``b'`` against the scalings,
     ``sigma`` (inside the seed support, no empty row or column), the limits
     against ``sigma`` (exactly 0 outside it, the even limit's support equal
-    to it), the limit marginals against ``a'`` and ``b'``, every
+    to it), the limit marginals against ``a'`` and ``b'``, that both limits
+    are ``D1 X0 D2`` on ``sigma`` (log residual at most 1e-9), every
     ``criticality_under_adjusted`` entry recomputed from the blocks and the
     marginals, the engine's even-limit estimate (0 off the seed support,
     column-fitted from iteration 2 on, ``agreement_even_l1`` its L1
-    distance from the even limit), the engine's stop reason against its
-    iteration count, final error and the embedded ``config`` (``Converged``
-    exactly below ``tol_marginal``, ``IterationCap`` only at ``max_iters``,
-    never past it), and that ``escaped_cells`` lists the seed support
-    outside ``sigma``, in order.  Raises :class:`InputError`
-    on any mismatch, and on a missing or malformed field, naming it.
+    distance from the even limit, and at an even iteration count, where it
+    is the final iterate, ``final_marginal_error`` its L1 marginal error),
+    the engine's stop reason against its iteration count, final error and
+    the embedded ``config`` (``Converged`` exactly below ``tol_marginal``,
+    ``IterationCap`` only at ``max_iters``, never past it), and that
+    ``escaped_cells`` lists the seed support outside ``sigma``, in order.
+    Raises :class:`InputError` on any mismatch, and on a missing or
+    malformed field, naming it.
     """
     if not isinstance(report, dict) or "problem" not in report:
         raise InputError("not an analysis report: missing 'problem'")
@@ -633,6 +636,11 @@ def verify_report(report: dict) -> None:
         for dev, label in checks:
             if dev > 1e-7:
                 raise InputError(f"report {label} deviate by {dev:g}")
+        for key, limit in (("even", even), ("odd", odd)):
+            dev = _log_scaling_residual(limit, problem.x0, sigma)
+            if not dev <= 1e-9:
+                raise InputError(f"report {key} limit is not a scaling of the seed on sigma: "
+                                 f"log residual {dev:g}")
 
     crit = report.get("criticality_under_adjusted")
     if crit is not None:
@@ -681,6 +689,14 @@ def verify_report(report: dict) -> None:
         l1 = float(np.abs(estimate - even).sum())
         if not abs(agreement - l1) <= 1e-12 * max(1.0, l1):
             raise InputError(f"report agreement_even_l1 is {agreement!r}, recomputed {l1!r}")
+        if iterations % 2 == 0:  # the estimate is the final iterate
+            final = _as_number(_field(eng, "final_marginal_error", where),
+                               f"{where}.final_marginal_error")
+            error = float(np.abs(estimate.sum(axis=1) - a).sum()
+                          + np.abs(estimate.sum(axis=0) - b).sum())
+            if not abs(final - error) <= 1e-12 + 1e-9 * error:
+                raise InputError(f"report final_marginal_error is {final!r}, recomputed "
+                                 f"{error!r} from the even-limit estimate")
 
     escaped = report.get("escaped_cells")
     if escaped is not None:
@@ -705,6 +721,36 @@ def verify_report(report: dict) -> None:
         if cells != np.argwhere(supp & ~sigma).tolist():
             raise InputError("report escaped cells are not the seed support outside "
                              "sigma, in order")
+
+
+def _log_scaling_residual(limit: np.ndarray, x0: np.ndarray, sigma: np.ndarray) -> float:
+    """Largest ``|ln L - ln X0 - alpha_i - beta_j|`` over the cells of ``sigma``.
+
+    ``L = diag(e^alpha) X0 diag(e^beta)`` on ``sigma`` exactly when it is 0.
+    ``alpha`` and ``beta`` are fitted on a spanning forest of ``sigma``'s
+    bipartite graph, found by breadth-first search, so every cell off the
+    forest closes a cycle and its residual is that cycle's error.  Cells
+    below the smallest normal float are left out; a NaN gives NaN.
+    """
+    tiny = np.finfo(float).tiny
+    r, c = np.nonzero(sigma & ~(limit < tiny) & ~(x0 < tiny))
+    y = np.log(limit[r, c]) - np.log(x0[r, c])
+    p, pot = sigma.shape[0], np.full(sum(sigma.shape), np.nan)  # alpha, then beta
+    # node i < p is row i, node p + j column j; every cell is an edge both ways
+    src, dst = np.concatenate([r, p + c]), np.concatenate([p + c, r])
+    order = np.argsort(src, kind="stable")
+    first = np.searchsorted(src[order], np.arange(pot.size + 1))
+    nbr, weight = dst[order], np.concatenate([y, y])[order]
+    for root in range(pot.size):
+        if not np.isnan(pot[root]):
+            continue
+        pot[root], queue = 0.0, [root]
+        for node in queue:  # alpha_i + beta_j = y on the forest's edges
+            ends, w = nbr[first[node]:first[node + 1]], weight[first[node]:first[node + 1]]
+            new = np.isnan(pot[ends])
+            pot[ends[new]] = w[new] - pot[node]
+            queue += ends[new].tolist()
+    return float(np.max(np.abs(y - pot[r] - pot[p + c]), initial=0.0))
 
 
 def _check_stop_reason(eng: dict, config: dict, iterations: int) -> None:

@@ -544,6 +544,17 @@ def grid_problem() -> FittingProblem:
     return FittingProblem(GRID_X0, GRID_A, GRID_B)
 
 
+def kron_grid(k: int) -> FittingProblem:
+    """The grid problem blown up ``k``-fold: each seed cell a ``k x k`` block of
+    ``U(0.5, 2)`` cells (``default_rng(0)``), each marginal entry split in ``k``.
+
+    It diverges with crawling cells, and under the default rule it folds 624
+    times before its 100 000-iteration cap.
+    """
+    x0 = np.kron(GRID_X0, np.random.default_rng(0).uniform(0.5, 2.0, (k, k)))
+    return FittingProblem(x0, np.repeat(GRID_A, k) / k, np.repeat(GRID_B, k) / k)
+
+
 # ---------------------------------------------------------------------------
 # brute-force structural oracles
 

@@ -289,10 +289,21 @@ def _assert_bitwise_equal(trace, ref):
     assert hist.k == ref_hist.k and hist.starts == ref_hist.starts
     ks = np.arange(hist.k + 1)  # every double step, rebuilt where the history thinned it
     pairs = [*zip(hist._gather(ks, ks), (ref_hist.u[ks], ref_hist.v[ks])),
-             *zip(hist.bases, ref_hist.bases), *zip(hist.folds, ref_hist.folds)]
+             *zip(_rebuilt_bases(hist), ref_hist.bases), *zip(hist.folds, ref_hist.folds)]
     for got, want in pairs:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert len(hist.bases) == len(ref_hist.bases) and len(hist.folds) == len(ref_hist.folds)
+    assert len(hist.folds) + 1 == len(ref_hist.bases) and len(hist.folds) == len(ref_hist.folds)
+    # the folds' logs are summed in place, in the order the reference sums them
+    i, j = np.indices(hist.seed.shape).reshape(2, -1)
+    for n in {0, trace.n_iters} | {s + d for s in hist.starts[1:] for d in (-1, 0)
+                                   if s + d <= trace.n_iters}:
+        assert hist.log_scaling(n, i, j).tobytes() == ref_hist.log_scaling(n, i, j).tobytes(), n
+
+
+def _rebuilt_bases(hist):
+    """Every base ``K_0 .. K_j`` of a history, rebuilt forward from the seed."""
+    held = [0, hist.seed]
+    return [hist._base(j, held) for j in range(len(hist.folds) + 1)]
 
 
 def _loop_cases(slow_problem, fast_problem, divergence_problem):
@@ -345,7 +356,8 @@ def test_rules_in_slices_of_four_to_twelve_iterates_change_nothing(
         assert hist.k == ref_hist.k and hist.starts == ref_hist.starts, k
         ks = np.arange(hist.k + 1)
         for x, y in [*zip(hist._gather(ks, ks), ref_hist._gather(ks, ks)),
-                     *zip(hist.bases, ref_hist.bases), *zip(hist.folds, ref_hist.folds)]:
+                     *zip(_rebuilt_bases(hist), _rebuilt_bases(ref_hist)),
+                     *zip(hist.folds, ref_hist.folds)]:
             assert x.tobytes() == y.tobytes(), k
 
 
@@ -436,6 +448,43 @@ def test_run_peak_memory_bounded_in_bytes():
         assert trace.n_iters == cap
     assert peaks[20_000] < 6e6, peaks
     assert peaks[80_000] <= 1.2 * peaks[20_000], peaks
+
+
+def test_folded_run_peak_memory_does_not_grow_with_its_folds():
+    # a fold keeps its vector, not a new base: the grid problem blown up to
+    # 50x60 folds 312 times by 50 000 iterations and 624 times by 100 000
+    problem = oracles.kron_grid(10)
+    peaks = {}
+    for cap in (50_000, 100_000):
+        tracemalloc.start()
+        try:
+            trace = run(problem, StoppingRule(max_iters=cap))
+            peaks[cap] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.n_iters == cap and len(trace.stored_matrices.folds) > cap // 200
+    assert peaks[100_000] < 8e6 and peaks[100_000] <= 1.2 * peaks[50_000], peaks
+
+
+def test_forward_reads_rebuild_each_base_a_few_times(monkeypatch):
+    # a read rebuilds base K_j as the seed times fold vectors 1 .. j, walking
+    # forward from the base it already holds; the replay of thinned rows and
+    # the other reads each hold their own, so neither undoes the other's walk
+    monkeypatch.setattr(engine, "_KEEP", 11 * 64)  # 64 kept rows of the 5x6 seed
+    trace = run(oracles.grid_problem(), StoppingRule(max_iters=20_000))
+    hist = trace.stored_matrices
+    assert len(hist.folds) >= 100 and hist._stride > 1 and not hasattr(hist, "bases")
+    fold, count = engine._ScalingHistory._fold, [0]
+
+    def counted(self, base, j):
+        count[0] += 1
+        return fold(self, base, j)
+
+    monkeypatch.setattr(engine._ScalingHistory, "_fold", counted)
+    for read in (rate_estimate, ratio_update_matrices, nested_ratio_intervals):
+        count[0] = 0
+        read(trace)
+        assert 0 < count[0] <= 4 * len(hist.folds), (read.__name__, count[0])
 
 
 # ---------------------------------------------------------------------------

@@ -844,6 +844,57 @@ def test_verify_report_checks_the_stop_reason(name, corrupt, message):
         io.verify_report(broken)
 
 
+def _shift_minor(key):
+    """A corruption of a report: +-eps on a 2x2 minor of sigma in limit ``key``.
+
+    Every marginal is kept, and a changed even limit gets its
+    ``agreement_even_l1`` recomputed, so only the scaling form is broken.
+    """
+    def corrupt(report):
+        s = np.array(report["sigma"], dtype=int)
+        shared = s @ s.T
+        np.fill_diagonal(shared, 0)
+        i, k = np.argwhere(shared >= 2)[0]  # two rows sharing two columns of sigma
+        j, l = np.flatnonzero(s[i] & s[k])[:2]
+        limit = np.array(report["limits"][key])
+        eps = 1e-6 * limit[[i, i, k, k], [j, l, j, l]].min()
+        limit[[i, k], [j, l]] += eps
+        limit[[i, k], [l, j]] -= eps
+        report["limits"][key] = limit.tolist()
+        if key == "even":
+            estimate = np.array(report["engine"]["even_limit_estimate"])
+            report["engine"]["agreement_even_l1"] = float(np.abs(estimate - limit).sum())
+    return corrupt
+
+
+# sigma of every bundled 2x2 problem is a spanning tree, on which any positive
+# matrix is a scaling of the seed; a positive 2x2 seed closes a cycle
+@pytest.mark.parametrize("problem", [
+    pytest.param(FittingProblem([[2.0, 1.0], [1.0, 1.0]], [2 / 3, 1 / 3], [2 / 3, 1 / 3]),
+                 id="positive-2x2"),
+    pytest.param(oracles.planted_blocks(np.random.default_rng(30), 30, 30)[0], id="planted-30")])
+@pytest.mark.parametrize("key", ["odd", "even"])
+def test_verify_report_checks_the_limits_scaling_form(problem, key):
+    broken = json.loads(json.dumps(io.jsonify(io.build_report(problem))))
+    io.verify_report(broken)
+    _shift_minor(key)(broken)
+    with pytest.raises(InputError, match=f"report {key} limit is not a scaling of the seed"):
+        io.verify_report(broken)
+
+
+@pytest.mark.parametrize("name", ["slow-2x2", "example-5x6"])
+def test_verify_report_recomputes_the_final_marginal_error(name):
+    # both stop at the default 100 000-iteration cap: the even-limit estimate
+    # is the final iterate, whose marginal error the report states
+    problem, meta = io.load_problem(io.data_path(f"{name}.json"))
+    broken = json.loads(json.dumps(io.jsonify(io.build_report(problem, meta=meta))))
+    assert broken["engine"]["iterations"] == 100_000
+    io.verify_report(broken)
+    broken["engine"]["final_marginal_error"] *= 2
+    with pytest.raises(InputError, match="report final_marginal_error is .*, recomputed"):
+        io.verify_report(broken)
+
+
 def test_verify_report_rejects_a_witness_of_the_wrong_shape(fast_problem):
     broken = json.loads(json.dumps(io.jsonify(io.build_report(fast_problem))))
     io.verify_report(broken)
