@@ -94,8 +94,8 @@ class _ScalingHistory:
     absorption step); iterates from fold point ``starts[j]`` on read ``K_j``.
     Only the seed, the newest base and each fold's vector are kept: ``K_j``
     is rebuilt on read as the seed times fold vectors ``1 .. j`` in order,
-    bit for bit as :meth:`advance` formed it, walking forward from the last
-    base its reader rebuilt (the replay of :meth:`_gather`, or the others).
+    bit for bit as :meth:`advance` formed it, from the latest base held at or before
+    it (seed, newest, each reader's last): backward reads cost ``j`` products per ``K_j``.
     An integer index rebuilds one iterate by that formula; every read of more
     is a :meth:`stack`, iterate axis last and contiguous, taken in
     :meth:`blocks` or, by slices and iteration, as ``(p, q)`` views.
@@ -172,10 +172,10 @@ class _ScalingHistory:
         return base * (f[:, None] if self.starts[j] % 2 else f)
 
     def _base(self, j: int, held: list) -> np.ndarray:
-        """``K_j``: the newest base, or rebuilt by :meth:`_fold` walking forward from the
-        reader's ``held = [i, K_i]`` if ``i <= j``, else from the seed; ``held`` keeps it."""
-        i, base = (j, self._newest) if j == len(self.folds) else (
-            held if held[0] <= j else (0, self.seed))
+        """``K_j`` by :meth:`_fold`, walking forward from the latest base held at or
+        before it; the reader's ``held = [i, K_i]`` keeps it."""
+        i, base = max(([0, self.seed], self._read, self._replayed, [len(self.folds), self._newest]),
+                      key=lambda h: h[0] if h[0] <= j else -1)
         while i < j:
             i += 1
             base = self._fold(base, i)

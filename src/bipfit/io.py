@@ -735,19 +735,21 @@ def _log_scaling_residual(limit: np.ndarray, x0: np.ndarray, sigma: np.ndarray) 
     tiny = np.finfo(float).tiny
     r, c = np.nonzero(sigma & ~(limit < tiny) & ~(x0 < tiny))
     y = np.log(limit[r, c]) - np.log(x0[r, c])
-    p, pot = sigma.shape[0], np.full(sum(sigma.shape), np.nan)  # alpha, then beta
+    p, pot = sigma.shape[0], np.zeros(sum(sigma.shape))  # alpha, then beta
+    seen = np.zeros(pot.size, dtype=bool)  # not pot's NaNs: a NaN cell must not revisit
     # node i < p is row i, node p + j column j; every cell is an edge both ways
     src, dst = np.concatenate([r, p + c]), np.concatenate([p + c, r])
     order = np.argsort(src, kind="stable")
     first = np.searchsorted(src[order], np.arange(pot.size + 1))
     nbr, weight = dst[order], np.concatenate([y, y])[order]
     for root in range(pot.size):
-        if not np.isnan(pot[root]):
+        if seen[root]:
             continue
-        pot[root], queue = 0.0, [root]
+        seen[root], queue = True, [root]
         for node in queue:  # alpha_i + beta_j = y on the forest's edges
             ends, w = nbr[first[node]:first[node + 1]], weight[first[node]:first[node + 1]]
-            new = np.isnan(pot[ends])
+            new = ~seen[ends]
+            seen[ends[new]] = True
             pot[ends[new]] = w[new] - pot[node]
             queue += ends[new].tolist()
     return float(np.max(np.abs(y - pot[r] - pot[p + c]), initial=0.0))

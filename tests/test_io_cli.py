@@ -882,6 +882,16 @@ def test_verify_report_checks_the_limits_scaling_form(problem, key):
         io.verify_report(broken)
 
 
+def test_verify_report_rejects_a_nan_limit_cell_on_sigma(fast_problem):
+    # a NaN passes the marginal checks (NaN > tol is False); on fast-2x2's
+    # path-shaped sigma its NaN potential reaches two unfitted nodes, and the
+    # potentials' search must still end with a failing NaN residual
+    broken = json.loads(json.dumps(io.jsonify(io.build_report(fast_problem))))
+    broken["limits"]["odd"][0][0] = float("nan")
+    with pytest.raises(InputError, match="report odd limit is not a scaling of the seed"):
+        io.verify_report(broken)
+
+
 @pytest.mark.parametrize("name", ["slow-2x2", "example-5x6"])
 def test_verify_report_recomputes_the_final_marginal_error(name):
     # both stop at the default 100 000-iteration cap: the even-limit estimate
