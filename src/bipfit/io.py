@@ -27,10 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, engine, products, structure
+from . import __version__, _certify, engine, products, structure
 from .core import FittingProblem
 from .engine import StoppingRule
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 
 #: Seed used when neither the CLI flag nor BIPFIT_SEED is given.
 DEFAULT_SEED = 0
@@ -482,9 +482,7 @@ def _criticality_transfer(a, b, row_blocks, col_blocks, a_prime) -> list[dict]:
                 "original_ratio": a_rows / b_comp,
                 "adjusted_rows_mass": ap_rows,
                 "complement_cols_mass": b_comp,
-                "is_critical_under_adjusted": bool(
-                    abs(ap_rows - b_comp) <= structure.CRIT_TOL * max(1.0, ap_rows)
-                ),
+                "is_critical_under_adjusted": _certify.tight(ap_rows, b_comp),
             }
         )
     return out
@@ -508,31 +506,21 @@ def load_report(path, verify: bool = True) -> dict:
 def verify_report(report: dict) -> None:
     """Re-verify the certificates embedded in an analysis report.
 
-    Takes a loaded report or one built in memory by :func:`build_report`.
-    Rebuilds the problem from the embedded input and checks the verdict
-    against its certificates (a divergence needs an incompatibility cause,
-    a convergence a witness), every cause (indices in range, zero block,
-    over-demand or, if critical, tightness), the witness marginals, the
-    maximal support (null for a divergence, else inside the seed support
-    with no empty row or column, and equal to it exactly for a fast
-    convergence), the monotone block scalings, that the blocks partition
-    the rows and the columns, ``a'`` and ``b'`` against the scalings,
-    ``sigma`` (inside the seed support, no empty row or column), the limits
-    against ``sigma`` (exactly 0 outside it, the even limit's support equal
-    to it), the limit marginals against ``a'`` and ``b'``, that both limits
-    are ``D1 X0 D2`` on ``sigma`` (log residual at most 1e-9), every
-    ``criticality_under_adjusted`` entry recomputed from the blocks and the
-    marginals, the engine's even-limit estimate (0 off the seed support,
-    column-fitted from iteration 2 on, ``agreement_even_l1`` its L1
-    distance from the even limit, and at an even iteration count, where it
-    is the final iterate, ``final_marginal_error`` its L1 marginal error),
-    the engine's stop reason against its iteration count, final error and
-    the embedded ``config`` (``Converged`` exactly below ``tol_marginal``,
-    ``IterationCap`` only at ``max_iters``, never past it), and that
-    ``escaped_cells`` lists the seed support outside ``sigma``, in order.
+    Takes a loaded report or one built in memory by :func:`build_report`,
+    reads its fields into arrays and checks them by the rules the library
+    checks its own results with (``bipfit._certify``): the verdict, causes,
+    witness, maximal support, blocks, ``sigma``, limits and engine summary.
+    ``criticality_under_adjusted`` and ``escaped_cells`` are recomputed.
     Raises :class:`InputError` on any mismatch, and on a missing or
     malformed field, naming it.
     """
+    try:
+        _verify_report(report)
+    except InternalCheckError as exc:
+        raise InputError(f"report {exc}") from exc
+
+
+def _verify_report(report: dict) -> None:
     if not isinstance(report, dict) or "problem" not in report:
         raise InputError("not an analysis report: missing 'problem'")
     problem, _ = problem_from_dict(report["problem"], where="report.problem")
@@ -546,101 +534,53 @@ def verify_report(report: dict) -> None:
     causes = cls.get("causes", [])
     if not isinstance(causes, list):
         raise InputError("report.classification.causes: expected a list")
+    parsed = []
     for k, cause in enumerate(causes):
         where = f"report cause {k}"
         rows = _indices(_field(cause, "rows", where), p, f"{where} rows")
         cols = _indices(_field(cause, "cols", where), q, f"{where} cols")
-        if supp[np.ix_(rows, cols)].any():
-            raise InputError("report cause block is not a zero block of the seed")
-        gap = float(a[rows].sum() - np.delete(b, cols).sum())
         kind = _field(cause, "kind", where)
         if kind not in [v.value for v in structure.CauseKind]:
             raise InputError(f"{where} kind: unknown kind {kind!r}")
-        if kind == "Incompatibility" and gap <= 0:
-            raise InputError("report incompatibility cause does not over-demand")
-        if kind == "Criticality" and abs(gap) > structure.CRIT_TOL * max(1.0, a[rows].sum()):
-            raise InputError("report criticality cause is not tight")
-    witness = cls.get("witness")
-    if behavior == "Divergence":
-        if not any(cause["kind"] == "Incompatibility" for cause in causes):
-            raise InputError("report Divergence verdict has no incompatibility cause")
-    elif witness is None:
-        raise InputError(f"report {behavior} verdict has no witness")
-    if witness is not None:
-        w = _report_matrix(witness, supp.shape, "report.witness")
-        if (np.abs(w.sum(axis=1) - a).max() > 1e-8
-                or np.abs(w.sum(axis=0) - b).max() > 1e-8):
-            raise InputError("report witness does not have the target marginals")
-        if np.any((w > 0) & ~supp):
-            raise InputError("report witness puts mass outside the seed support")
-    max_support = cls.get("max_support")
-    if behavior == "Divergence":
-        if max_support is not None:
-            raise InputError("report Divergence verdict has a maximal support")
-    else:
-        max_support = _mask_in_support(max_support, supp, "report.classification.max_support",
-                                       "maximal support")
-        if np.array_equal(max_support, supp) != (behavior == "FastConvergence"):
-            raise InputError(f"report {behavior} verdict disagrees with its maximal support")
+        parsed.append((rows, cols, kind,
+                       _as_number(_field(cause, "ratio", where), f"{where} ratio")))
+    witness, max_support = cls.get("witness"), cls.get("max_support")
+    if witness is not None:  # without one, a convergence verdict fails first
+        witness = _report_matrix(witness, supp.shape, "report.witness")
+        if behavior != "Divergence":  # a divergence must have no maximal support
+            max_support = _report_mask(max_support, supp.shape,
+                                       "report.classification.max_support")
+    _certify.classification(a, b, supp, behavior, parsed, witness, max_support)
 
     bs = _section(report, "block_structure")
     if bs:
         where = "report.block_structure"
         lambdas = _as_vector(_field(bs, "lambdas", where), f"{where}.lambdas")
-        if not np.all(np.isfinite(lambdas) & (lambdas > 0)):
-            raise InputError("report block scalings are not finite and positive")
-        if np.any(np.diff(lambdas) <= 0):
-            raise InputError("report block scalings are not strictly increasing")
         partitions = []
         for key, size, label in (("row_blocks", p, "row"), ("col_blocks", q, "column")):
             blocks = _field(bs, key, where)
             if not isinstance(blocks, list):
                 raise InputError(f"{where}.{key}: expected a list of blocks")
-            blocks = [_indices(blk, size, f"report {label} block {k}")
-                      for k, blk in enumerate(blocks)]
-            if (len(blocks) != lambdas.size or not all(blk.size for blk in blocks)
-                    or sorted(i for blk in blocks for i in blk.tolist()) != list(range(size))):
-                raise InputError(f"report {label} blocks do not partition the {label}s, "
-                                 "one block per lambda")
-            partitions.append(blocks)
+            partitions.append([_indices(blk, size, f"report {label} block {k}")
+                               for k, blk in enumerate(blocks)])
         a_prime, b_prime = (_report_vector(_field(bs, key, where), size, f"{where}.{key}")
                             for key, size in (("a_prime", p), ("b_prime", q)))
-        for lam, rows, cols in zip(lambdas, *partitions):
-            if np.abs(a_prime[rows] - lam * a[rows]).max() > 1e-10:
-                raise InputError("report a' is inconsistent with its lambdas")
-            if np.abs(b_prime[cols] - b[cols] / lam).max() > 1e-10:
-                raise InputError("report b' is inconsistent with its lambdas")
+        _certify.blocks(a, b, supp, lambdas, *partitions, a_prime, b_prime)
 
     sigma = report.get("sigma")
     if sigma is not None:
-        sigma = _mask_in_support(sigma, supp, "report.sigma", "sigma")
+        sigma = _report_mask(sigma, supp.shape, "report.sigma")
+        _certify.support_mask(sigma, supp, "sigma")
 
-    limits = _section(report, "limits")
-    if limits and not bs:
-        raise InputError("report.limits: no block_structure to check them against")
-    if limits and sigma is None:
-        raise InputError("report.limits: no sigma to check them against")
-    if limits:  # a_prime and b_prime were read above
+    if limits := _section(report, "limits"):
+        if not bs:
+            raise InputError("report.limits: no block_structure to check them against")
+        if sigma is None:
+            raise InputError("report.limits: no sigma to check them against")
         even, odd = (_report_matrix(_field(limits, key, "report.limits"), supp.shape,
                                     f"report.limits.{key}") for key in ("even", "odd"))
-        if np.any(even[~sigma]) or np.any(odd[~sigma]):
-            raise InputError("report limits put mass outside sigma")
-        if not np.array_equal(even > 0, sigma):
-            raise InputError("report even limit's support is not sigma")
-        checks = (
-            (np.abs(even.sum(axis=1) - a_prime).max(), "even limit rows vs a'"),
-            (np.abs(even.sum(axis=0) - b).max(), "even limit cols vs b"),
-            (np.abs(odd.sum(axis=1) - a).max(), "odd limit rows vs a"),
-            (np.abs(odd.sum(axis=0) - b_prime).max(), "odd limit cols vs b'"),
-        )
-        for dev, label in checks:
-            if dev > 1e-7:
-                raise InputError(f"report {label} deviate by {dev:g}")
-        for key, limit in (("even", even), ("odd", odd)):
-            dev = _log_scaling_residual(limit, problem.x0, sigma)
-            if not dev <= 1e-9:
-                raise InputError(f"report {key} limit is not a scaling of the seed on sigma: "
-                                 f"log residual {dev:g}")
+        _certify.limits(a, b, sigma, a_prime, b_prime, even, odd)
+        _certify.scaling_form(problem.x0, sigma, even, odd)
 
     crit = report.get("criticality_under_adjusted")
     if crit is not None:
@@ -658,7 +598,7 @@ def verify_report(report: dict) -> None:
                 got = _field(entry, key, f"{where}[{k}]")
                 if isinstance(value, float):
                     got = _as_number(got, f"{where}[{k}].{key}")
-                    same = abs(got - value) <= 1e-12 * max(1.0, abs(value))
+                    same = _certify.agrees(got, value)
                 else:
                     same = type(got) is type(value) and got == value
                 if not same:
@@ -671,32 +611,25 @@ def verify_report(report: dict) -> None:
         iterations = _field(eng, "iterations", where)
         if type(iterations) is not int or iterations < 0:
             raise InputError(f"{where}.iterations: expected an integer >= 0")
-        config = _section(report, "config")
-        if config:
-            _check_stop_reason(eng, config, iterations)
+        final = _as_number(_field(eng, "final_marginal_error", where),
+                           f"{where}.final_marginal_error")
+        stop = None
+        if config := _section(report, "config"):  # the stop reason against the run's rule
+            reason = _field(eng, "stop_reason", where)
+            if reason not in [v.value for v in engine.StopReason]:
+                raise InputError(f"{where}.stop_reason: unknown stop reason {reason!r}")
+            max_iters = _field(config, "max_iters", "report.config")
+            if type(max_iters) is not int:
+                raise InputError("report.config.max_iters: expected an integer")
+            stop = (reason, max_iters, _as_number(_field(config, "tol_marginal", "report.config"),
+                                                  "report.config.tol_marginal"))
         estimate = _report_matrix(_field(eng, "even_limit_estimate", where), supp.shape,
                                   f"{where}.even_limit_estimate")
-        if np.any(estimate[~supp]):
-            raise InputError("report even-limit estimate puts mass outside the seed support")
-        dev = np.abs(estimate.sum(axis=0) - b).max()
-        if iterations >= 2 and not dev <= 1e-8:
-            raise InputError(f"report even-limit estimate is not column-fitted: "
-                             f"columns vs b deviate by {dev:g}")
         if not limits:
             raise InputError(f"{where}: no limits to check agreement_even_l1 against")
         agreement = _as_number(_field(eng, "agreement_even_l1", where),
                                f"{where}.agreement_even_l1")
-        l1 = float(np.abs(estimate - even).sum())
-        if not abs(agreement - l1) <= 1e-12 * max(1.0, l1):
-            raise InputError(f"report agreement_even_l1 is {agreement!r}, recomputed {l1!r}")
-        if iterations % 2 == 0:  # the estimate is the final iterate
-            final = _as_number(_field(eng, "final_marginal_error", where),
-                               f"{where}.final_marginal_error")
-            error = float(np.abs(estimate.sum(axis=1) - a).sum()
-                          + np.abs(estimate.sum(axis=0) - b).sum())
-            if not abs(final - error) <= 1e-12 + 1e-9 * error:
-                raise InputError(f"report final_marginal_error is {final!r}, recomputed "
-                                 f"{error!r} from the even-limit estimate")
+        _certify.engine(a, b, supp, even, estimate, iterations, agreement, final, stop)
 
     escaped = report.get("escaped_cells")
     if escaped is not None:
@@ -707,75 +640,19 @@ def verify_report(report: dict) -> None:
             raise InputError(f"{where}: no sigma to check them against")
         cells = []
         for k, entry in enumerate(escaped):
-            cell = _field(entry, "cell", f"{where}[{k}]")
+            at = f"{where}[{k}]"
+            cell = _field(entry, "cell", at)
             if not (isinstance(cell, (list, tuple)) and len(cell) == 2
                     and all(type(v) is int for v in cell)
                     and 0 <= cell[0] < p and 0 <= cell[1] < q):
-                raise InputError(f"{where}[{k}].cell: expected a row and a column "
-                                 "index in range")
-            _as_number(_field(entry, "final_log_sum", f"{where}[{k}]"),
-                       f"{where}[{k}].final_log_sum")
-            if type(_field(entry, "still_growing", f"{where}[{k}]")) is not bool:
-                raise InputError(f"{where}[{k}].still_growing: expected a boolean")
+                raise InputError(f"{at}.cell: expected a row and a column index in range")
+            _as_number(_field(entry, "final_log_sum", at), f"{at}.final_log_sum")
+            if type(_field(entry, "still_growing", at)) is not bool:
+                raise InputError(f"{at}.still_growing: expected a boolean")
             cells.append(list(cell))
         if cells != np.argwhere(supp & ~sigma).tolist():
             raise InputError("report escaped cells are not the seed support outside "
                              "sigma, in order")
-
-
-def _log_scaling_residual(limit: np.ndarray, x0: np.ndarray, sigma: np.ndarray) -> float:
-    """Largest ``|ln L - ln X0 - alpha_i - beta_j|`` over the cells of ``sigma``.
-
-    ``L = diag(e^alpha) X0 diag(e^beta)`` on ``sigma`` exactly when it is 0.
-    ``alpha`` and ``beta`` are fitted on a spanning forest of ``sigma``'s
-    bipartite graph, found by breadth-first search, so every cell off the
-    forest closes a cycle and its residual is that cycle's error.  Cells
-    below the smallest normal float are left out; a NaN gives NaN.
-    """
-    tiny = np.finfo(float).tiny
-    r, c = np.nonzero(sigma & ~(limit < tiny) & ~(x0 < tiny))
-    y = np.log(limit[r, c]) - np.log(x0[r, c])
-    p, pot = sigma.shape[0], np.zeros(sum(sigma.shape))  # alpha, then beta
-    seen = np.zeros(pot.size, dtype=bool)  # not pot's NaNs: a NaN cell must not revisit
-    # node i < p is row i, node p + j column j; every cell is an edge both ways
-    src, dst = np.concatenate([r, p + c]), np.concatenate([p + c, r])
-    order = np.argsort(src, kind="stable")
-    first = np.searchsorted(src[order], np.arange(pot.size + 1))
-    nbr, weight = dst[order], np.concatenate([y, y])[order]
-    for root in range(pot.size):
-        if seen[root]:
-            continue
-        seen[root], queue = True, [root]
-        for node in queue:  # alpha_i + beta_j = y on the forest's edges
-            ends, w = nbr[first[node]:first[node + 1]], weight[first[node]:first[node + 1]]
-            new = ~seen[ends]
-            seen[ends[new]] = True
-            pot[ends[new]] = w[new] - pot[node]
-            queue += ends[new].tolist()
-    return float(np.max(np.abs(y - pot[r] - pot[p + c]), initial=0.0))
-
-
-def _check_stop_reason(eng: dict, config: dict, iterations: int) -> None:
-    """The engine's stop reason against its iteration count, its final error
-    and the run's ``max_iters`` and ``tol_marginal``."""
-    reason = _field(eng, "stop_reason", "report.engine")
-    if reason not in [v.value for v in engine.StopReason]:
-        raise InputError(f"report.engine.stop_reason: unknown stop reason {reason!r}")
-    max_iters = _field(config, "max_iters", "report.config")
-    if type(max_iters) is not int:
-        raise InputError("report.config.max_iters: expected an integer")
-    tol = _as_number(_field(config, "tol_marginal", "report.config"), "report.config.tol_marginal")
-    final = _as_number(_field(eng, "final_marginal_error", "report.engine"),
-                       "report.engine.final_marginal_error")
-    if iterations > max_iters:
-        raise InputError(f"report engine ran {iterations} iterations, more than "
-                         f"max_iters {max_iters}")
-    if (reason == "Converged") != (final < tol):
-        raise InputError(f"report stop reason {reason} disagrees with final marginal "
-                         f"error {final!r} against tol_marginal {tol!r}")
-    if reason == "IterationCap" and iterations != max_iters:
-        raise InputError(f"report stop reason IterationCap at {iterations} iterations, "
-                         f"not at max_iters {max_iters}")
 
 
 def _section(report: dict, key: str) -> dict:
@@ -821,16 +698,6 @@ def _report_mask(values, shape: tuple[int, int], where: str) -> np.ndarray:
             for row in values)):
         raise InputError(f"{where}: expected a {shape[0]}x{shape[1]} matrix of booleans")
     return np.array(values, dtype=bool)
-
-
-def _mask_in_support(values, supp: np.ndarray, where: str, label: str) -> np.ndarray:
-    """A report mask inside the seed support ``supp``, with no empty row or column."""
-    mask = _report_mask(values, supp.shape, where)
-    if np.any(mask & ~supp):
-        raise InputError(f"report {label} lies outside the seed support")
-    if not (mask.any(axis=1).all() and mask.any(axis=0).all()):
-        raise InputError(f"report {label} has an empty row or column")
-    return mask
 
 
 def _indices(values, size: int, where: str) -> np.ndarray:

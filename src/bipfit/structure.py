@@ -33,17 +33,13 @@ from enum import Enum
 
 import numpy as np
 
+from . import _certify
+from ._certify import CRIT_TOL, WITNESS_TOL  # noqa: F401 (read as structure.*)
 from .core import FittingProblem, as_marginals
 from .errors import InternalCheckError
 
 #: Flow deficits at or below this are treated as "the instance is feasible".
 FEAS_TOL = 1e-11
-
-#: |a(A) - b(B^c)| <= CRIT_TOL * max(1, a(A)) declares a block critical.
-CRIT_TOL = 1e-12
-
-#: A feasibility witness must reproduce the marginals this tightly.
-WITNESS_TOL = 1e-10
 
 #: Gap threshold for clustering limiting row ratios into blocks.
 CLUSTER_GAP = 1e-4
@@ -336,30 +332,6 @@ def _cause_from_cut(a, b, reach_rows, reach_cols) -> Cause:
     )
 
 
-def _verify_cause(a, b, supp, cause: Cause) -> None:
-    """Re-check a cause certificate from scratch; raise if it does not hold."""
-    rows = np.asarray(cause.rows, dtype=int)
-    cols = np.asarray(cause.cols, dtype=int)
-    if rows.size == 0 or cols.size == 0:
-        raise InternalCheckError("cause has an empty row or column set")
-    if supp[np.ix_(rows, cols)].any():
-        raise InternalCheckError("cause block is not a zero block of the seed")
-    a_rows = float(a[rows].sum())
-    b_comp = float(np.delete(b, cols).sum())
-    gap = a_rows - b_comp
-    if cause.kind is CauseKind.INCOMPATIBILITY:
-        if gap <= CRIT_TOL * max(1.0, a_rows):
-            raise InternalCheckError(
-                f"incompatibility cause fails to verify: a(A)={a_rows!r} vs "
-                f"b(B^c)={b_comp!r}; instance is numerically ill-conditioned"
-            )
-    else:
-        if abs(gap) > CRIT_TOL * max(1.0, a_rows):
-            raise InternalCheckError(
-                f"criticality cause fails to verify: |a(A)-b(B^c)|={abs(gap)!r}"
-            )
-
-
 def feasible(a, b, supp, feas_tol: float = FEAS_TOL) -> Feasibility:
     """Decide whether any matrix with marginals ``(a, b)`` fits inside ``supp``.
 
@@ -382,48 +354,16 @@ def feasible(a, b, supp, feas_tol: float = FEAS_TOL) -> Feasibility:
     deficit = 1.0 - flow
     if deficit <= feas_tol:
         f = np.where(supp, f, 0.0)
-        if (
-            np.abs(f.sum(axis=1) - a).max() > WITNESS_TOL
-            or np.abs(f.sum(axis=0) - b).max() > WITNESS_TOL
-            or f.min() < -1e-15
-        ):
-            raise InternalCheckError(
-                "max-flow witness fails marginal verification; instance is "
-                "numerically ill-conditioned"
-            )
+        _certify.witness(a, b, supp, f)
         return Feasibility(witness=np.maximum(f, 0.0), cause=None,
                            max_flow=flow, deficit=deficit)
     cause = _cause_from_cut(a, b, reach_rows, reach_cols)
-    _verify_cause(a, b, supp, cause)
+    _certify.cause(a, b, supp, cause.rows, cause.cols, cause.kind.value, cause.ratio)
     return Feasibility(witness=None, cause=cause, max_flow=flow, deficit=deficit)
 
 
 # ---------------------------------------------------------------------------
 # strongest cause
-
-
-def _block_cols(supp, rows) -> tuple[int, ...]:
-    mask = ~supp[list(rows)].any(axis=0)
-    return tuple(int(j) for j in np.nonzero(mask)[0])
-
-
-def _verify_ratio_bound(a, b, supp, f, lam: float) -> None:
-    """Re-check that no row set beats ratio ``lam``; raise if the flow fails.
-
-    A flow inside ``supp`` with row sums ``a`` and column sums at most
-    ``lam * b`` sends all of ``a(A)`` into the neighbours of ``A``, so
-    ``a(A) <= lam * b(N(A))`` for every row set ``A``.
-    """
-    f = np.where(supp, f, 0.0)
-    if (
-        f.min() < -1e-15
-        or np.abs(f.sum(axis=1) - a).max() > WITNESS_TOL
-        or (f.sum(axis=0) - lam * b).max() > WITNESS_TOL
-    ):
-        raise InternalCheckError(
-            f"flow fails to certify that no cause beats ratio {lam!r}; "
-            "instance is numerically ill-conditioned"
-        )
 
 
 def _best_cause(a, b, supp, lam: float = 1.0) -> Cause | None:
@@ -450,23 +390,12 @@ def _best_cause(a, b, supp, lam: float = 1.0) -> Cause | None:
             continue
         if lam <= 1.0:
             return None
-        _verify_ratio_bound(a, b, supp, g.T, lam)
         rows = tuple(int(i) for i in np.flatnonzero(~reach_rows))
-        cols = _block_cols(supp, rows) if rows else ()
-        if not cols:
-            raise InternalCheckError(
-                "maximal min cut at the optimal ratio has no zero block"
-            )
+        cols = tuple(int(j) for j in np.flatnonzero(~supp[list(rows)].any(axis=0))) if rows else ()
         ratio = float(a[list(rows)].sum() / np.delete(b, cols).sum())
-        if abs(ratio - lam) > 1e-9 * lam:
-            raise InternalCheckError(
-                f"union of ratio-maximizing causes has ratio {ratio!r}, not "
-                f"{lam!r}; ill-conditioned tie structure"
-            )
-        best = Cause(rows=rows, cols=cols, kind=CauseKind.INCOMPATIBILITY,
-                     ratio=ratio)
-        _verify_cause(a, b, supp, best)
-        return best
+        _certify.cause(a, b, supp, rows, cols, "Incompatibility", ratio)
+        _certify.ratio_bound(a, b, supp, g.T, lam, ratio)
+        return Cause(rows=rows, cols=cols, kind=CauseKind.INCOMPATIBILITY, ratio=ratio)
     raise InternalCheckError("Dinkelbach iterations on the cause ratio did not settle")
 
 
@@ -562,8 +491,7 @@ def _support_from_witness(supp, witness) -> np.ndarray:
     carrying = witness > _EPS_FLOW * max(1.0, float(witness.max()))
     comp = _strong_components(supp, carrying)
     s0 = supp & (comp[:p, None] == comp[None, p:])
-    if not (s0.any(axis=1).all() and s0.any(axis=0).all()):
-        raise InternalCheckError("maximal support lost a whole row or column")
+    _certify.support_mask(s0, supp, "maximal support")
     return s0
 
 
@@ -612,12 +540,10 @@ def classify(problem: FittingProblem) -> Classification:
             max_support=None, cause=_best_cause(a, b, supp, feas.cause.ratio),
         )
     s0 = _support_from_witness(supp, feas.witness)
-    if np.array_equal(s0, supp):
-        behavior = Behavior.FAST_CONVERGENCE
-    else:
-        behavior = Behavior.SLOW_CONVERGENCE
+    fast = np.array_equal(s0, supp)
     return Classification(
-        behavior=behavior, witness=feas.witness, max_support=s0, cause=None,
+        behavior=Behavior.FAST_CONVERGENCE if fast else Behavior.SLOW_CONVERGENCE,
+        witness=feas.witness, max_support=s0, cause=None,
     )
 
 
@@ -641,38 +567,24 @@ def _peel(problem: FittingProblem, cause: Cause | None) -> BlockStructure:
         col_blocks.append(tuple(int(j) for j in block_cols))
         rows_left = np.delete(rows_left, cause.rows)
         cols_left = cols_left[list(cause.cols)]
-        try:
-            sub = _check_support(supp[np.ix_(rows_left, cols_left)])
-        except ValueError as exc:
-            raise InternalCheckError(
-                f"peeling produced an empty support line: {exc}"
-            ) from exc
+        sub = supp[np.ix_(rows_left, cols_left)]
+        _certify.support_mask(sub, sub, "seed support left after peeling")
         cause = _best_cause(a[rows_left] / a[rows_left].sum(),
                             b[cols_left] / b[cols_left].sum(), sub)
     row_blocks.append(tuple(int(i) for i in rows_left))
     col_blocks.append(tuple(int(j) for j in cols_left))
 
-    r = len(row_blocks)
     lambdas = np.array(
         [b[list(J)].sum() / a[list(I)].sum() for I, J in zip(row_blocks, col_blocks)]
     )
-    if np.any(np.diff(lambdas) <= 1e-10 * lambdas[:-1]):
-        raise InternalCheckError(
-            f"block scaling factors are not strictly increasing: {lambdas!r}"
-        )
-    for k in range(r):
-        for k2 in range(k + 1, r):
-            if supp[np.ix_(row_blocks[k], col_blocks[k2])].any():
-                raise InternalCheckError(
-                    f"seed has support in forbidden block I_{k} x J_{k2}"
-                )
+    _certify.block_order(supp, lambdas, row_blocks, col_blocks)
     a_prime = np.empty(p)
     b_prime = np.empty(q)
     for lam, I, J in zip(lambdas, row_blocks, col_blocks):
         a_prime[list(I)] = lam * a[list(I)]
         b_prime[list(J)] = b[list(J)] / lam
     return BlockStructure(
-        r=r,
+        r=len(row_blocks),
         row_blocks=tuple(row_blocks),
         col_blocks=tuple(col_blocks),
         lambdas=lambdas,
@@ -750,17 +662,7 @@ def limit_points(problem: FittingProblem) -> LimitPair:
     a, b = problem.a, problem.b
     even = _scale_newton(restricted.x0, restricted.a, restricted.b, sigma)
     odd = even * (a / bs.a_prime)[:, None]
-    checks = (
-        ("even limit row sums vs a'", np.abs(even.sum(axis=1) - bs.a_prime).max()),
-        ("even limit col sums vs b", np.abs(even.sum(axis=0) - b).max()),
-        ("odd limit row sums vs a", np.abs(odd.sum(axis=1) - a).max()),
-        ("odd limit col sums vs b'", np.abs(odd.sum(axis=0) - bs.b_prime).max()),
-    )
-    for label, dev in checks:
-        if dev > 1e-8:
-            raise InternalCheckError(f"{label} deviate by {dev:g}")
-    if not np.array_equal(even > 0, sigma):
-        raise InternalCheckError("even limit's support is not sigma")
+    _certify.limits(a, b, sigma, bs.a_prime, bs.b_prime, even, odd)
     return LimitPair(even_limit=even, odd_limit=odd, sigma=sigma, blocks=bs,
                      classification=cls, restricted=restricted)
 

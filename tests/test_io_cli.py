@@ -654,6 +654,12 @@ def _all(*corruptions):
         (_set(("classification", "causes", 0, "rows"), [7]), "cause 0 rows: expected indices"),
         (_set(("classification", "causes", 0, "cols"), [-1]), "cause 0 cols: expected indices"),
         (_set(("classification", "causes", 0, "rows"), [1, 1]), "cause 0 rows: .* none repeated"),
+        (_set(("classification", "causes"), lambda v: v + [
+            {"rows": [], "cols": [0, 1], "kind": "Criticality", "ratio": 1.0}]),
+         "cause has an empty row or column set"),
+        (_set(("classification", "causes"), lambda v: v + [
+            {"rows": [0, 1], "cols": [], "kind": "Criticality", "ratio": 1.0}]),
+         "cause has an empty row or column set"),
         (_set(("block_structure", "row_blocks", 0), [7]), "row block 0: expected indices"),
         (_set(("block_structure", "col_blocks", 1), [0.5]), "column block 1: expected indices"),
         (_set(("block_structure", "row_blocks"), [[1], [1]]), "row blocks do not partition"),
@@ -661,6 +667,7 @@ def _all(*corruptions):
         (_set(("block_structure", "col_blocks"), [[0, 1]]), "one block per lambda"),
         (_set(("block_structure", "b_prime", 0), lambda v: v + 1e-6), "b' is inconsistent"),
         (_drop(("classification", "causes", 0, "rows")), "cause 0: missing field 'rows'"),
+        (_drop(("classification", "causes", 0, "ratio")), "cause 0: missing field 'ratio'"),
         (_set(("classification", "causes"), {"rows": [1]}), "causes: expected a list"),
         (_set(("block_structure", "lambdas"), "x"), r"lambdas: expected a list of numbers"),
         (_set(("block_structure", "lambdas"), ["nan", "nan"]), "not finite and positive"),
@@ -708,6 +715,9 @@ def _report_text(name: str) -> str:
 @pytest.mark.parametrize(
     "corrupt, message",
     [
+        # the cause's ratio a(A)/b(B^c), recomputed
+        (_set(("classification", "causes", 0, "ratio"), 123.0),
+         "report cause ratio is 123.0, recomputed 2.5"),
         # criticality_under_adjusted, recomputed from the blocks and marginals
         (_set(("criticality_under_adjusted", 0, "is_critical_under_adjusted"), False),
          "entry 0: is_critical_under_adjusted is False, recomputed True"),
@@ -773,6 +783,11 @@ _NOT_ESCAPED = "escaped cells are not the seed support outside sigma"
          r"max_support: expected a 2x2 matrix of booleans"),
         ("example-5x6", lambda r: r["classification"].update(max_support=r["sigma"]),
          "Divergence verdict has a maximal support"),
+        # a seed cell in I_1 x J_2, listed as escaped: the seed is not lower
+        # block triangular in the report's block order
+        ("example-5x6", _all(_set(("problem", "X0", 2, 4), 0.05), _set(("escaped_cells",),
+         lambda v: v[:3] + [{"cell": [2, 4], "final_log_sum": 0.0, "still_growing": True}] + v[3:])),
+         "seed is not lower block triangular: support in I_1 x J_2"),
         # escaped_cells: the seed support outside sigma, in order
         ("slow-2x2", _set(("escaped_cells",), []), _NOT_ESCAPED),
         ("slow-2x2", _set(("escaped_cells",), lambda v: v + [

@@ -22,7 +22,7 @@ from bipfit import (
     rate_estimate,
     run,
 )
-from bipfit import io, structure
+from bipfit import _certify, io, structure
 from bipfit.structure import CauseKind
 
 import oracles
@@ -435,16 +435,53 @@ def test_limit_points_near_criticality(g):
 
 def test_structure_does_not_import_the_engine():
     # the structure layer decides everything, limits included, without
-    # iterating: no import of the engine module, relative or absolute
-    tree = ast.parse(Path(structure.__file__).read_text())
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            names.add(node.module or "")
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            names.update(alias.name for alias in node.names)
-    assert names and not any("engine" in name for name in names)
+    # iterating, and the certificate rules it calls stand apart from the code
+    # they check: no import of the engine module, relative or absolute, nor
+    # of structure from _certify
+    for module, banned in ((structure, ("engine",)), (_certify, ("engine", "structure"))):
+        tree = ast.parse(Path(module.__file__).read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names.add(node.module or "")
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+        assert names and not any(word in name for name in names for word in banned)
+
+
+def _certify_everything(problem):
+    """Check what ``classify``, ``block_structure`` and ``limit_points`` return
+    by every rule of ``_certify``, the limits' scaling form on sigma included."""
+    a, b, supp = problem.a, problem.b, problem.support
+    lp = limit_points(problem)
+    for cls in (classify(problem), lp.classification):
+        causes = [(c.rows, c.cols, c.kind.value, c.ratio) for c in [cls.cause] if c]
+        _certify.classification(a, b, supp, cls.behavior.value, causes, cls.witness,
+                                cls.max_support)
+    for bs in (block_structure(problem), lp.blocks):
+        _certify.blocks(a, b, supp, bs.lambdas, bs.row_blocks, bs.col_blocks, bs.a_prime,
+                        bs.b_prime)
+    _certify.support_mask(lp.sigma, supp, "sigma")
+    _certify.limits(a, b, lp.sigma, lp.blocks.a_prime, lp.blocks.b_prime, lp.even_limit,
+                    lp.odd_limit)
+    _certify.scaling_form(problem.x0, lp.sigma, lp.even_limit, lp.odd_limit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 11), q=st.integers(2, 11))
+def test_library_results_pass_every_certificate_rule(seed, p, q):
+    _certify_everything(oracles.random_problem(np.random.default_rng(seed), p, q))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda rng: oracles.planted_blocks(rng, 30, 30)[0], id="planted-30"),
+    pytest.param(lambda rng: oracles.planted_blocks(rng, 100, 100)[0], id="planted-100"),
+    pytest.param(lambda rng: oracles.planted_blocks(rng, 300, 300)[0], id="planted-300"),
+    pytest.param(lambda rng: oracles.sparse_critical(rng, 300, 0.05), id="sparse-critical-300"),
+])
+def test_large_library_results_pass_every_certificate_rule(make):
+    _certify_everything(make(np.random.default_rng(1)))
 
 
 # ---------------------------------------------------------------------------
