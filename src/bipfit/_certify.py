@@ -1,8 +1,9 @@
 """Certificate rules, each stated once with its one tolerance.
 
 ``structure`` checks what it computes by these rules, and ``io.verify_report``
-what a report claims.  A rule takes plain arrays (index sets as integer
-sequences, verdicts and cause kinds as their string values) and raises
+what each section of a report claims, none by the code that wrote it.  A
+rule takes plain arrays (index sets as integer sequences, verdicts, cause
+kinds and stop reasons as their string values) and raises
 :class:`InternalCheckError` naming what failed.  Numpy only: this module
 imports neither the engine nor the structure layer it checks.
 """
@@ -48,14 +49,19 @@ def cause(a, b, supp, rows, cols, kind: str, ratio: float) -> None:
         _fail("cause has an empty row or column set")
     if supp[np.ix_(rows, cols)].any():
         _fail("cause block is not a zero block of the seed")
-    a_rows, b_comp = float(a[rows].sum()), float(np.delete(b, cols).sum())
-    want = a_rows / b_comp if b_comp > 0 else float("inf")
+    a_rows, b_comp, want = _block_sums(a, b, rows, cols)
     if not agrees(ratio, want):
         _fail(f"cause ratio is {ratio!r}, recomputed {want!r}")
     if kind == "Incompatibility" and (a_rows <= b_comp or tight(a_rows, b_comp)):
         _fail("incompatibility cause does not over-demand")
     if kind == "Criticality" and not tight(a_rows, b_comp):
         _fail("criticality cause is not tight")
+
+
+def _block_sums(a, b, rows, cols) -> tuple[float, float, float]:
+    """``a(A)``, ``b(B^c)`` and their ratio (inf when ``b(B^c)`` is 0) of ``rows x cols``."""
+    a_rows, b_comp = float(a[rows].sum()), float(np.delete(b, cols).sum())
+    return a_rows, b_comp, a_rows / b_comp if b_comp > 0 else float("inf")
 
 
 def witness(a, b, supp, w) -> None:
@@ -195,24 +201,48 @@ def _log_scaling_residual(limit: np.ndarray, x0: np.ndarray, sigma: np.ndarray) 
     return float(np.max(np.abs(y - pot[r] - pot[p + c]), initial=0.0))
 
 
+def criticality(a, b, supp, a_prime, row_blocks, col_blocks, entries) -> None:
+    """One entry per cut ``k`` of the block order, keyed as in a report:
+    ``rows``, the first ``k + 1`` row blocks, and ``cols``, the later column
+    blocks, sorted, a zero block of ``supp``; ``a(A)/b(B^c)``, ``a'(A)`` and
+    ``b(B^c)``; and the :func:`tight` test of ``a'(A)`` against ``b(B^c)``, which holds."""
+    if len(entries) != len(row_blocks) - 1:
+        _fail(f"criticality_under_adjusted: expected {len(row_blocks) - 1} entries, "
+              f"one per cut, got {len(entries)}")
+    for k, entry in enumerate(entries):
+        rows = sorted(int(i) for blk in row_blocks[:k + 1] for i in blk)
+        cols = sorted(int(j) for blk in col_blocks[k + 1:] for j in blk)
+        _, b_comp, ratio = _block_sums(a, b, rows, cols)
+        adjusted = float(a_prime[rows].sum())
+        for key, want in (("rows", rows), ("cols", cols), ("original_ratio", ratio),
+                          ("adjusted_rows_mass", adjusted), ("complement_cols_mass", b_comp),
+                          ("is_critical_under_adjusted", tight(adjusted, b_comp))):
+            got = entry[key]
+            if not (agrees(got, want) if type(want) is float else type(got) is type(want)
+                    and got == want):
+                _fail(f"criticality entry {k}: {key} is {got!r}, recomputed {want!r}")
+        if supp[np.ix_(rows, cols)].any():
+            _fail(f"criticality entry {k}: not a zero block of the seed")
+        if not tight(adjusted, b_comp):
+            _fail(f"criticality entry {k}: not tight under the adjusted marginals")
+
+
 def engine(a, b, supp, even, estimate, iterations: int, agreement: float, final: float,
-           stop=None) -> None:
-    """An engine run's summary.  With ``stop = (reason, max_iters, tol)``:
-    ``Converged`` exactly below ``tol``, ``IterationCap`` only at
-    ``max_iters``, never past it.  The even-limit estimate lies in ``supp``,
-    is column-fitted from iteration 2 on, is ``agreement`` from ``even`` in
-    L1, and at an even count (the final iterate) has L1 marginal error
-    ``final``."""
-    if stop is not None:
-        reason, max_iters, tol = stop
-        if iterations > max_iters:
-            _fail(f"engine ran {iterations} iterations, more than max_iters {max_iters}")
-        if (reason == "Converged") != (final < tol):
-            _fail(f"stop reason {reason} disagrees with final marginal error {final!r} "
-                  f"against tol_marginal {tol!r}")
-        if reason == "IterationCap" and iterations != max_iters:
-            _fail(f"stop reason IterationCap at {iterations} iterations, "
-                  f"not at max_iters {max_iters}")
+           reason: str, max_iters: int, tol: float) -> None:
+    """An engine run's summary against the run's ``max_iters`` and
+    ``tol_marginal``: ``Converged`` exactly below ``tol``, ``IterationCap``
+    only at ``max_iters``, never past it.  The even-limit estimate lies in
+    ``supp``, is column-fitted from iteration 2 on, is ``agreement`` from
+    ``even`` in L1, and at an even count (the final iterate) has L1 marginal
+    error ``final``."""
+    if iterations > max_iters:
+        _fail(f"engine ran {iterations} iterations, more than max_iters {max_iters}")
+    if (reason == "Converged") != (final < tol):
+        _fail(f"stop reason {reason} disagrees with final marginal error {final!r} "
+              f"against tol_marginal {tol!r}")
+    if reason == "IterationCap" and iterations != max_iters:
+        _fail(f"stop reason IterationCap at {iterations} iterations, "
+              f"not at max_iters {max_iters}")
     if estimate[~supp].any():
         _fail("even-limit estimate puts mass outside the seed support")
     dev = np.abs(estimate.sum(axis=0) - b).max()
@@ -227,3 +257,19 @@ def engine(a, b, supp, even, estimate, iterations: int, agreement: float, final:
         if not abs(final - error) <= 1e-12 + 1e-9 * error:
             _fail(f"final_marginal_error is {final!r}, recomputed {error!r} "
                   "from the even-limit estimate")
+
+
+def escaped_cells(x0, supp, sigma, estimate, iterations: int, cells, log_sums) -> None:
+    """``cells`` are the seed support outside ``sigma``, in order.  At an even
+    count, where the estimate is the final iterate ``X_n``, each cell's log-sum
+    is ``ln X0 - ln X_n`` within ``1e-9·max(1, |value|)`` if ``X_n`` is a normal float."""
+    if cells != np.argwhere(supp & ~sigma).tolist():
+        _fail("escaped cells are not the seed support outside sigma, in order")
+    i, j = np.array(cells, dtype=int).reshape(-1, 2).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = np.log(x0[i, j]) - np.log(estimate[i, j])
+    bad = ~(np.abs(log_sums - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+    bad &= (estimate[i, j] >= np.finfo(float).tiny) & (iterations % 2 == 0)
+    for k in np.flatnonzero(bad)[:1].tolist():
+        _fail(f"escaped cell {k}: final_log_sum is {float(log_sums[k])!r}, "
+              f"recomputed {float(want[k])!r} from the even-limit estimate")

@@ -721,14 +721,19 @@ def nested_ratio_intervals(trace: IterationTrace) -> np.ndarray:
     Row ``k`` is ``(n, lo, hi)`` where for odd ``n`` the interval is
     ``[1/max C(X_n), 1/min C(X_n)]`` and for even ``n >= 2`` it is
     ``[min R(X_n), max R(X_n)]``.  Successive intervals nest and every one
-    contains 1; both facts are what the tests assert.
+    contains 1; both facts are what the tests assert.  The ratios are read
+    in slices of at most :data:`_BLOCK` floats, as :func:`run` reads them, each
+    an even number of iterates from an odd ``n``.
     """
     n = trace.n_iters
-    r, c = trace._ratios(0, n + 1)
     out = np.empty((n, 3))
     out[:, 0] = np.arange(1, n + 1)
-    out[0::2, 1], out[0::2, 2] = 1.0 / c[1::2].max(axis=1), 1.0 / c[1::2].min(axis=1)
-    out[1::2, 1], out[1::2, 2] = r[2::2].min(axis=1), r[2::2].max(axis=1)
+    step = 2 * max(1, _BLOCK // (2 * sum(trace.problem.shape)))
+    for n0 in range(1, n + 1, step):
+        r, c = trace._ratios(n0, min(n0 + step, n + 1))
+        o = out[n0 - 1:n0 - 1 + len(r)]
+        o[0::2, 1], o[0::2, 2] = 1.0 / c[0::2].max(axis=1), 1.0 / c[0::2].min(axis=1)
+        o[1::2, 1], o[1::2, 2] = r[1::2].min(axis=1), r[1::2].max(axis=1)
     return out
 
 

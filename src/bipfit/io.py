@@ -509,10 +509,11 @@ def verify_report(report: dict) -> None:
     Takes a loaded report or one built in memory by :func:`build_report`,
     reads its fields into arrays and checks them by the rules the library
     checks its own results with (``bipfit._certify``): the verdict, causes,
-    witness, maximal support, blocks, ``sigma``, limits and engine summary.
-    ``criticality_under_adjusted`` and ``escaped_cells`` are recomputed.
-    Raises :class:`InputError` on any mismatch, and on a missing or
-    malformed field, naming it.
+    witness, maximal support, blocks, ``sigma``, limits, engine summary,
+    ``criticality_under_adjusted`` and ``escaped_cells``.  Every section
+    :func:`build_report` writes but ``tool`` is required.  Raises
+    :class:`InputError` on any mismatch, and on a missing, null or malformed
+    field, naming it.
     """
     try:
         _verify_report(report)
@@ -527,150 +528,99 @@ def _verify_report(report: dict) -> None:
     a, b, supp = problem.a, problem.b, problem.support
     p, q = supp.shape
 
-    cls = _section(report, "classification")
-    behavior = _field(cls, "behavior", "report.classification")
+    cls, where = _field(report, "classification", "report", dict), "report.classification"
+    behavior = _field(cls, "behavior", where)
     if behavior not in [v.value for v in structure.Behavior]:
-        raise InputError(f"report.classification.behavior: unknown verdict {behavior!r}")
-    causes = cls.get("causes", [])
-    if not isinstance(causes, list):
-        raise InputError("report.classification.causes: expected a list")
+        raise InputError(f"{where}.behavior: unknown verdict {behavior!r}")
     parsed = []
-    for k, cause in enumerate(causes):
-        where = f"report cause {k}"
-        rows = _indices(_field(cause, "rows", where), p, f"{where} rows")
-        cols = _indices(_field(cause, "cols", where), q, f"{where} cols")
-        kind = _field(cause, "kind", where)
+    for k, cause in enumerate(_field(cls, "causes", where, list)):
+        at = f"report cause {k}"
+        rows = _indices(_field(cause, "rows", at), p, f"{at} rows")
+        cols = _indices(_field(cause, "cols", at), q, f"{at} cols")
+        kind = _field(cause, "kind", at)
         if kind not in [v.value for v in structure.CauseKind]:
-            raise InputError(f"{where} kind: unknown kind {kind!r}")
-        parsed.append((rows, cols, kind,
-                       _as_number(_field(cause, "ratio", where), f"{where} ratio")))
-    witness, max_support = cls.get("witness"), cls.get("max_support")
+            raise InputError(f"{at} kind: unknown kind {kind!r}")
+        parsed.append((rows, cols, kind, _as_number(_field(cause, "ratio", at), f"{at} ratio")))
+    witness, max_support = _field(cls, "witness", where), _field(cls, "max_support", where)
     if witness is not None:  # without one, a convergence verdict fails first
         witness = _report_matrix(witness, supp.shape, "report.witness")
         if behavior != "Divergence":  # a divergence must have no maximal support
-            max_support = _report_mask(max_support, supp.shape,
-                                       "report.classification.max_support")
+            max_support = _report_mask(max_support, supp.shape, f"{where}.max_support")
     _certify.classification(a, b, supp, behavior, parsed, witness, max_support)
 
-    bs = _section(report, "block_structure")
-    if bs:
-        where = "report.block_structure"
-        lambdas = _as_vector(_field(bs, "lambdas", where), f"{where}.lambdas")
-        partitions = []
-        for key, size, label in (("row_blocks", p, "row"), ("col_blocks", q, "column")):
-            blocks = _field(bs, key, where)
-            if not isinstance(blocks, list):
-                raise InputError(f"{where}.{key}: expected a list of blocks")
-            partitions.append([_indices(blk, size, f"report {label} block {k}")
-                               for k, blk in enumerate(blocks)])
-        a_prime, b_prime = (_report_vector(_field(bs, key, where), size, f"{where}.{key}")
-                            for key, size in (("a_prime", p), ("b_prime", q)))
-        _certify.blocks(a, b, supp, lambdas, *partitions, a_prime, b_prime)
+    bs, where = _field(report, "block_structure", "report", dict), "report.block_structure"
+    lambdas = _as_vector(_field(bs, "lambdas", where), f"{where}.lambdas")
+    partitions = [[_indices(blk, size, f"report {label} block {k}")
+                   for k, blk in enumerate(_field(bs, key, where, list))]
+                  for key, size, label in (("row_blocks", p, "row"), ("col_blocks", q, "column"))]
+    a_prime, b_prime = (_report_vector(_field(bs, key, where), size, f"{where}.{key}")
+                        for key, size in (("a_prime", p), ("b_prime", q)))
+    _certify.blocks(a, b, supp, lambdas, *partitions, a_prime, b_prime)
 
-    sigma = report.get("sigma")
-    if sigma is not None:
-        sigma = _report_mask(sigma, supp.shape, "report.sigma")
-        _certify.support_mask(sigma, supp, "sigma")
+    sigma = _report_mask(_field(report, "sigma", "report"), supp.shape, "report.sigma")
+    _certify.support_mask(sigma, supp, "sigma")
 
-    if limits := _section(report, "limits"):
-        if not bs:
-            raise InputError("report.limits: no block_structure to check them against")
-        if sigma is None:
-            raise InputError("report.limits: no sigma to check them against")
-        even, odd = (_report_matrix(_field(limits, key, "report.limits"), supp.shape,
-                                    f"report.limits.{key}") for key in ("even", "odd"))
-        _certify.limits(a, b, sigma, a_prime, b_prime, even, odd)
-        _certify.scaling_form(problem.x0, sigma, even, odd)
+    limits = _field(report, "limits", "report", dict)
+    even, odd = (_report_matrix(_field(limits, key, "report.limits"), supp.shape,
+                                f"report.limits.{key}") for key in ("even", "odd"))
+    _certify.limits(a, b, sigma, a_prime, b_prime, even, odd)
+    _certify.scaling_form(problem.x0, sigma, even, odd)
 
-    crit = report.get("criticality_under_adjusted")
-    if crit is not None:
-        where = "report.criticality_under_adjusted"
-        if not isinstance(crit, list):
-            raise InputError(f"{where}: expected a list")
-        if crit and not bs:
-            raise InputError(f"{where}: no block_structure to check it against")
-        want = _criticality_transfer(a, b, *partitions, a_prime) if bs else []
-        if len(crit) != len(want):
-            raise InputError(f"{where}: expected {len(want)} entries, one per cut, "
-                             f"got {len(crit)}")
-        for k, (entry, expected) in enumerate(zip(crit, want)):
-            for key, value in expected.items():
-                got = _field(entry, key, f"{where}[{k}]")
-                if isinstance(value, float):
-                    got = _as_number(got, f"{where}[{k}].{key}")
-                    same = _certify.agrees(got, value)
-                else:
-                    same = type(got) is type(value) and got == value
-                if not same:
-                    raise InputError(f"report criticality entry {k}: {key} is {got!r}, "
-                                     f"recomputed {value!r}")
+    entries = []
+    for k, entry in enumerate(_field(report, "criticality_under_adjusted", "report", list)):
+        at = f"report.criticality_under_adjusted[{k}]"
+        got = {key: _indices(_field(entry, key, at), size, f"{at}.{key}").tolist()
+               for key, size in (("rows", p), ("cols", q))}
+        for key in ("original_ratio", "adjusted_rows_mass", "complement_cols_mass"):
+            got[key] = _as_number(_field(entry, key, at), f"{at}.{key}")
+        got["is_critical_under_adjusted"] = _field(entry, "is_critical_under_adjusted", at)
+        entries.append(got)
+    _certify.criticality(a, b, supp, a_prime, *partitions, entries)
 
-    eng = _section(report, "engine")
-    if eng:
-        where = "report.engine"
-        iterations = _field(eng, "iterations", where)
-        if type(iterations) is not int or iterations < 0:
-            raise InputError(f"{where}.iterations: expected an integer >= 0")
-        final = _as_number(_field(eng, "final_marginal_error", where),
-                           f"{where}.final_marginal_error")
-        stop = None
-        if config := _section(report, "config"):  # the stop reason against the run's rule
-            reason = _field(eng, "stop_reason", where)
-            if reason not in [v.value for v in engine.StopReason]:
-                raise InputError(f"{where}.stop_reason: unknown stop reason {reason!r}")
-            max_iters = _field(config, "max_iters", "report.config")
-            if type(max_iters) is not int:
-                raise InputError("report.config.max_iters: expected an integer")
-            stop = (reason, max_iters, _as_number(_field(config, "tol_marginal", "report.config"),
-                                                  "report.config.tol_marginal"))
-        estimate = _report_matrix(_field(eng, "even_limit_estimate", where), supp.shape,
-                                  f"{where}.even_limit_estimate")
-        if not limits:
-            raise InputError(f"{where}: no limits to check agreement_even_l1 against")
-        agreement = _as_number(_field(eng, "agreement_even_l1", where),
-                               f"{where}.agreement_even_l1")
-        _certify.engine(a, b, supp, even, estimate, iterations, agreement, final, stop)
+    eng, config = (_field(report, key, "report", dict) for key in ("engine", "config"))
+    where = "report.engine"
+    iterations = _field(eng, "iterations", where)
+    if type(iterations) is not int or iterations < 0:
+        raise InputError(f"{where}.iterations: expected an integer >= 0")
+    final = _as_number(_field(eng, "final_marginal_error", where), f"{where}.final_marginal_error")
+    reason = _field(eng, "stop_reason", where)
+    if reason not in [v.value for v in engine.StopReason]:
+        raise InputError(f"{where}.stop_reason: unknown stop reason {reason!r}")
+    max_iters = _field(config, "max_iters", "report.config")
+    if type(max_iters) is not int:
+        raise InputError("report.config.max_iters: expected an integer")
+    tol = _as_number(_field(config, "tol_marginal", "report.config"), "report.config.tol_marginal")
+    estimate = _report_matrix(_field(eng, "even_limit_estimate", where), supp.shape,
+                              f"{where}.even_limit_estimate")
+    agreement = _as_number(_field(eng, "agreement_even_l1", where), f"{where}.agreement_even_l1")
+    _certify.engine(a, b, supp, even, estimate, iterations, agreement, final,
+                    reason, max_iters, tol)
 
-    escaped = report.get("escaped_cells")
-    if escaped is not None:
-        where = "report.escaped_cells"
-        if not isinstance(escaped, list):
-            raise InputError(f"{where}: expected a list")
-        if sigma is None:
-            raise InputError(f"{where}: no sigma to check them against")
-        cells = []
-        for k, entry in enumerate(escaped):
-            at = f"{where}[{k}]"
-            cell = _field(entry, "cell", at)
-            if not (isinstance(cell, (list, tuple)) and len(cell) == 2
-                    and all(type(v) is int for v in cell)
-                    and 0 <= cell[0] < p and 0 <= cell[1] < q):
-                raise InputError(f"{at}.cell: expected a row and a column index in range")
-            _as_number(_field(entry, "final_log_sum", at), f"{at}.final_log_sum")
-            if type(_field(entry, "still_growing", at)) is not bool:
-                raise InputError(f"{at}.still_growing: expected a boolean")
-            cells.append(list(cell))
-        if cells != np.argwhere(supp & ~sigma).tolist():
-            raise InputError("report escaped cells are not the seed support outside "
-                             "sigma, in order")
+    where = "report.escaped_cells"
+    cells, log_sums = [], []
+    for k, entry in enumerate(_field(report, "escaped_cells", "report", list)):
+        at = f"{where}[{k}]"
+        cell = _field(entry, "cell", at)
+        if not (isinstance(cell, (list, tuple)) and len(cell) == 2
+                and all(type(v) is int for v in cell)
+                and 0 <= cell[0] < p and 0 <= cell[1] < q):
+            raise InputError(f"{at}.cell: expected a row and a column index in range")
+        log_sums.append(_as_number(_field(entry, "final_log_sum", at), f"{at}.final_log_sum"))
+        if type(_field(entry, "still_growing", at)) is not bool:
+            raise InputError(f"{at}.still_growing: expected a boolean")
+        cells.append(list(cell))
+    _certify.escaped_cells(problem.x0, supp, sigma, estimate, iterations, cells,
+                           np.array(log_sums))
 
 
-def _section(report: dict, key: str) -> dict:
-    """An optional object of a report: ``{}`` when absent or null."""
-    value = report.get(key)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise InputError(f"report.{key}: expected a JSON object")
-    return value
-
-
-def _field(obj, key: str, where: str):
-    """A required field of a report object."""
+def _field(obj, key: str, where: str, kind: type | None = None):
+    """A required field of a report object, a list or a JSON object if ``kind`` says so."""
     if not isinstance(obj, dict):
         raise InputError(f"{where}: expected a JSON object")
     if key not in obj:
         raise InputError(f"{where}: missing field {key!r}")
+    if kind is not None and not isinstance(obj[key], kind):
+        raise InputError(f"{where}.{key}: expected a {'list' if kind is list else 'JSON object'}")
     return obj[key]
 
 

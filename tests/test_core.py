@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,36 @@ def test_check_matrix_naming_violations():
         check_matrix([[0.0, 0.0], [0.2, 0.3]])
     with pytest.raises(ValueError, match="column"):
         check_matrix([[0.5, 0.0], [0.2, 0.0]])
+
+
+_UNIFORM = np.full((2, 2), 0.25)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: check_matrix([[1.0, 2.0]]), "matrix must be at least 2x2, got 1x2",
+                 id="check_matrix-1x2"),
+    pytest.param(lambda: check_matrix([[1.0, 2.0], [3.0, math.nan]]),
+                 "matrix contains non-finite entries", id="check_matrix-nan"),
+    pytest.param(lambda: check_matrix([[1.0, math.inf], [3.0, 4.0]]),
+                 "matrix contains non-finite entries", id="check_matrix-inf"),
+    pytest.param(lambda: fit_rows([[1.0, 1.0], [0.0, 0.0]], [0.5, 0.5]),
+                 "row 1 has zero sum; cannot fit rows", id="fit_rows"),
+    pytest.param(lambda: fit_cols([[1.0, 0.0], [1.0, 0.0]], [0.5, 0.5]),
+                 "column 1 has zero sum; cannot fit columns", id="fit_cols"),
+    pytest.param(lambda: kl_divergence(_UNIFORM, np.full((1, 4), 0.25)),
+                 "shape mismatch: (2, 2) vs (1, 4)", id="kl-shape"),
+    pytest.param(lambda: kl_divergence(2 * _UNIFORM, _UNIFORM), "y must have total mass 1, got 2.0",
+                 id="kl-mass-y"),
+    pytest.param(lambda: kl_divergence(_UNIFORM, 2 * _UNIFORM), "x must have total mass 1, got 2.0",
+                 id="kl-mass-x"),
+    pytest.param(lambda: likelihood_product(_UNIFORM, np.ones((2, 3))),
+                 "shape mismatch: (2, 2) vs (2, 3)", id="likelihood-shape"),
+    pytest.param(lambda: likelihood_product(2 * _UNIFORM, _UNIFORM),
+                 "weights must have total mass 1, got 2.0", id="likelihood-mass"),
+])
+def test_core_input_checks_name_what_failed(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_support_of_relative_threshold():

@@ -724,6 +724,19 @@ def test_nested_intervals_nest_and_contain_one(divergence_problem, slow_problem)
         assert (lo <= 1 + 1e-13).all() and (hi >= 1 - 1e-13).all()
 
 
+def test_nested_intervals_memory_bounded_in_bytes():
+    # the ratios are read slice by slice: the whole (N + 1, p) and (N + 1, q)
+    # arrays of this 50x60 run took a 35.6 MB peak
+    trace = run_capped(oracles.kron_grid(10), 20_000)
+    tracemalloc.start()
+    try:
+        iv = nested_ratio_intervals(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert iv.shape == (20_000, 3) and peak < 4e6, peak
+
+
 def test_escape_diagnostic_separates_dying_from_settled_cells(
     slow_problem, fast_problem
 ):

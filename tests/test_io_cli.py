@@ -18,7 +18,7 @@ import pytest
 
 import bipfit
 import bipfit.cli as cli
-from bipfit import engine, io, products, structure
+from bipfit import _certify, engine, io, products, structure
 from bipfit.core import FittingProblem, support_of
 from bipfit.engine import StoppingRule
 from bipfit.errors import InputError, InternalCheckError
@@ -483,6 +483,41 @@ def test_sequence_from_spec_rejections(spec, message):
         io.sequence_from_spec(spec)
 
 
+_HALVES = ("--a", "0.5,0.5", "--b", "0.5,0.5")
+
+
+@pytest.mark.parametrize("command, text, flags, message", [
+    pytest.param("classify", "1,2\n3,x\n", _HALVES, "cannot parse CSV matrix", id="csv-cell"),
+    pytest.param("classify", "1,2\n3,4\n", ("--a", "0.5,0.7", "--b", "0.5,0.5"),
+                 "marginal vector sums to 1.2; deviation from 1 exceeds", id="csv-a-sum"),
+    pytest.param("classify", "1,2\n3,4\n", ("--a", "0.5,0.5", "--b", "1,0"),
+                 "marginal entry 1 is 0.0; every entry must be > 0", id="csv-b-zero"),
+    pytest.param("classify", "1,2\n3,4\n", ("--a", "0.5,0.5", "--b", "0.2,0.3,0.5"),
+                 "seed shape (2, 2) does not match marginals (2 rows, 3 columns)", id="csv-b-size"),
+    pytest.param("products", {"family": "birkhoff", "count": 2, "dim": 3, "gamma": 2}, (),
+                 "gamma must lie in [0, 1], got 2.0", id="birkhoff-gamma"),
+    pytest.param("products", {"family": "birkhoff", "count": 2, "dim": 3, "n_perms": 2}, (),
+                 "need at least d=3 permutations, got 2", id="birkhoff-n_perms"),
+    pytest.param("products", {"family": "mr", "count": 2, "r_values": ["0.5", "x"]}, (),
+                 "r_values: 'x' is not a decimal number", id="mr-r-value"),
+    pytest.param("products", {"family": "mr", "count": 3, "r_values": [0.5, 0.5]}, (),
+                 "need 3 r values, got 2", id="mr-count"),
+    pytest.param("products", {"family": "mr", "count": 2, "r_values": [0.5, 1.5]}, (),
+                 "r must lie in [0, 1], got 1.5", id="mr-range"),
+])
+def test_cli_input_checks_exit_2_naming_what_failed(tmp_path, capsys, command, text, flags,
+                                                    message):
+    path = tmp_path / ("matrix.csv" if command == "classify" else "sequence.json")
+    path.write_text(text if isinstance(text, str) else json.dumps(text))
+    assert cli.main([command, str(path), *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {message}")
+
+
+def test_mr_spec_reads_its_r_values():
+    got = io.sequence_from_spec({"family": "mr", "count": 2, "r_values": ["0.5", 0.25]})
+    np.testing.assert_array_equal(got, products.mr_sequence(2, [0.5, 0.25]))
+
+
 @pytest.mark.parametrize("d", [2, 4, 8])
 def test_birkhoff_spec_draws_the_per_permutation_stream(d):
     for seed, gamma, n_perms in ((0, 0.0, None), (5, 0.3, d + 3)):
@@ -687,7 +722,7 @@ def _all(*corruptions):
         (_set(("classification", "causes", 0, "kind"), "Criticality"),
          "criticality cause is not tight"),
         (_all(_drop(("block_structure",)), _set(("limits", "even", 0, 0), lambda v: v + 0.5)),
-         "limits: no block_structure"),
+         "report: missing field 'block_structure'"),
         # sigma (the anti-diagonal) and the limits against it
         (_set(("sigma", 0, 1), False), "sigma has an empty row or column"),
         (_set(("sigma", 0, 0), True), "even limit's support is not sigma"),
@@ -695,7 +730,7 @@ def _all(*corruptions):
         (_all(_set(("limits", "odd", 0, 0), 1 / 3), _set(("limits", "odd", 0, 1), 0.0)),
          "limits put mass outside sigma"),
         (_set(("sigma",), [[0, 1], [1, 0]]), r"sigma: expected a 2x2 matrix of booleans"),
-        (_drop(("sigma",)), r"limits: no sigma"),
+        (_drop(("sigma",)), "report: missing field 'sigma'"),
     ],
 )
 def test_verify_report_rejects_bad_blocks_and_indices(divergence_problem, corrupt, message):
@@ -734,7 +769,7 @@ def _report_text(name: str) -> str:
         (_drop(("criticality_under_adjusted", 0, "adjusted_rows_mass")),
          r"\[0\]: missing field 'adjusted_rows_mass'"),
         (_all(_drop(("block_structure",)), _drop(("limits",))),
-         "criticality_under_adjusted: no block_structure"),
+         "report: missing field 'block_structure'"),
         # the engine's even-limit estimate and its agreement with the even limit
         (_all(_set(("engine", "agreement_even_l1"), 0.0),
               _set(("engine", "even_limit_estimate", 0, 0), lambda v: v + 1)),
@@ -748,7 +783,7 @@ def _report_text(name: str) -> str:
          "estimate puts mass outside the seed support"),
         (_set(("engine", "iterations"), -1), r"engine\.iterations: expected an integer"),
         (_drop(("engine", "agreement_even_l1")), "missing field 'agreement_even_l1'"),
-        (_drop(("limits",)), "engine: no limits"),
+        (_drop(("limits",)), "report: missing field 'limits'"),
     ],
 )
 def test_verify_report_recomputes_criticality_and_engine_agreement(corrupt, message):
@@ -779,7 +814,7 @@ _NOT_ESCAPED = "escaped cells are not the seed support outside sigma"
          "maximal support has an empty row or column"),
         ("slow-2x2", _set(("classification", "behavior"), "FastConvergence"),
          "FastConvergence verdict disagrees with its maximal support"),
-        ("slow-2x2", _drop(("classification", "max_support")),
+        ("slow-2x2", _set(("classification", "max_support"), None),
          r"max_support: expected a 2x2 matrix of booleans"),
         ("example-5x6", lambda r: r["classification"].update(max_support=r["sigma"]),
          "Divergence verdict has a maximal support"),
@@ -806,7 +841,7 @@ _NOT_ESCAPED = "escaped cells are not the seed support outside sigma"
          r"escaped_cells\[0\]: missing field 'final_log_sum'"),
         ("slow-2x2", _set(("escaped_cells",), {"cell": [0, 0]}), r"escaped_cells: expected a list"),
         ("slow-2x2", _all(_drop(("sigma",)), _drop(("limits",)), _drop(("engine",))),
-         r"escaped_cells: no sigma"),
+         "report: missing field 'sigma'"),
     ],
 )
 def test_verify_report_checks_max_support_and_escaped_cells(name, corrupt, message):
@@ -856,6 +891,80 @@ def test_verify_report_checks_the_stop_reason(name, corrupt, message):
     io.verify_report(broken)
     corrupt(broken)
     with pytest.raises(InputError, match=message):
+        io.verify_report(broken)
+
+
+#: Every section ``verify_report`` checks; ``build_report`` writes each one.
+_SECTIONS = ("problem", "classification", "block_structure", "sigma", "limits", "engine",
+             "config", "criticality_under_adjusted", "escaped_cells")
+_BUNDLED = ("fast-2x2", "slow-2x2", "divergence-2x2", "example-5x6")
+
+
+@pytest.mark.parametrize("name", _BUNDLED)
+@pytest.mark.parametrize("section", _SECTIONS)
+@pytest.mark.parametrize("how", ["deleted", "null"])
+def test_load_report_requires_every_section(tmp_path, name, section, how):
+    report = json.loads(_report_text(name))
+    (_drop((section,)) if how == "deleted" else _set((section,), None))(report)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    named = rf"missing (field )?'{section}'" if how == "deleted" else rf"report\.{section}: expected"
+    with pytest.raises(InputError, match=named):
+        io.load_report(path, verify=True)
+
+
+@pytest.mark.parametrize("name", _BUNDLED)
+@pytest.mark.parametrize("key", ["causes", "witness", "max_support"])
+def test_verify_report_requires_the_classification_keys(name, key):
+    # a divergence writes null for its witness and maximal support: the keys stay
+    report = json.loads(_report_text(name))
+    _drop(("classification", key))(report)
+    with pytest.raises(InputError, match=f"report.classification: missing field '{key}'"):
+        io.verify_report(report)
+
+
+def test_verify_report_rejects_a_report_stripped_to_its_verdict():
+    report = json.loads(_report_text("divergence-2x2"))
+    for section in ("block_structure", "sigma", "limits", "engine", "criticality_under_adjusted",
+                    "escaped_cells"):
+        del report[section]
+    with pytest.raises(InputError, match="report: missing field 'block_structure'"):
+        io.verify_report(report)
+
+
+def test_verify_report_does_not_rerun_the_criticality_writer(monkeypatch):
+    # criticality_under_adjusted is checked by _certify's own sums, not by
+    # the function that wrote it
+    report = json.loads(_report_text("example-5x6"))
+    monkeypatch.setattr(io, "_criticality_transfer", lambda *args: pytest.fail("rerun"))
+    io.verify_report(report)
+
+
+def test_criticality_rule_needs_a_tight_zero_block():
+    # rows {0} against column {1}: a(A) = 1/2 = b(B^c), tight under a' = a
+    a = b = np.array([0.5, 0.5])
+    supp = np.array([[True, False], [True, True]])
+    entry = {"rows": [0], "cols": [1], "original_ratio": 1.0, "adjusted_rows_mass": 0.5,
+             "complement_cols_mass": 0.5, "is_critical_under_adjusted": True}
+    _certify.criticality(a, b, supp, a, [[0], [1]], [[0], [1]], [entry])
+    with pytest.raises(InternalCheckError, match="entry 0: not a zero block of the seed"):
+        _certify.criticality(a, b, np.ones((2, 2), bool), a, [[0], [1]], [[0], [1]], [entry])
+    a_prime = np.array([0.25, 0.75])
+    loose = dict(entry, adjusted_rows_mass=0.25, is_critical_under_adjusted=False)
+    with pytest.raises(InternalCheckError, match="entry 0: not tight under the adjusted"):
+        _certify.criticality(a, b, supp, a_prime, [[0], [1]], [[0], [1]], [loose])
+
+
+@pytest.mark.parametrize("name, k", [("slow-2x2", 0), ("example-5x6", 2)])
+def test_verify_report_recomputes_the_escaped_log_sums(name, k):
+    # built at 2000 iterations, an even count: the even-limit estimate is
+    # the final iterate, and ln X0 - ln X_n is each escaped cell's log-sum
+    # (example-5x6's cell 2 has X_n = 8.9e-305, still a normal float)
+    broken = json.loads(_report_text(name))
+    assert broken["engine"]["iterations"] % 2 == 0
+    broken["escaped_cells"][k]["final_log_sum"] += 1e-3
+    with pytest.raises(InputError, match=f"report escaped cell {k}: final_log_sum is .*, "
+                                         "recomputed .* from the even-limit estimate"):
         io.verify_report(broken)
 
 

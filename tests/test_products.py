@@ -49,6 +49,42 @@ def test_diameter_contraction_equality_at_2x2():
     np.testing.assert_allclose(slacks, [0.0, 0.0, 0.0], atol=1e-15)
 
 
+_NOT_DS = np.array([[1.0, 0.0], [1.0, 0.0]])  # row stochastic, column sums 2 and 0
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda rng: products.random_doubly_stochastic(1, rng),
+                 "dimension must be at least 2", id="doubly-d"),
+    pytest.param(lambda rng: products.random_doubly_stochastic(3, rng, gamma=1.5),
+                 "gamma must lie in [0, 1], got 1.5", id="doubly-gamma"),
+    pytest.param(lambda rng: products.random_doubly_stochastic(3, rng, n_perms=2),
+                 "need at least d=3 permutations, got 2", id="doubly-n_perms"),
+    pytest.param(lambda rng: products.random_ratio_bounded_stochastic(3, rng, rho=0.5),
+                 "rho must be >= 1, got 0.5", id="ratio-bounded-rho"),
+    pytest.param(lambda rng: products.random_ratio_bounded_stochastic(3, rng, gamma=1.0),
+                 "gamma must lie in [0, 1), got 1.0", id="ratio-bounded-gamma"),
+    pytest.param(lambda rng: products.mr_sequence(3, [0.5, 0.5]), "need 3 r values, got 2",
+                 id="mr-count"),
+    pytest.param(lambda rng: product_run(products.mr_sequence(2), [np.ones(3)]),
+                 "tracked vector of size 3, expected 2", id="tracked-size"),
+    pytest.param(lambda rng: check_diameter_contraction(np.ones((2, 2, 2)), [0.0, 1.0]),
+                 "stochastic matrix must be 2-D", id="diameter-3-D"),
+    pytest.param(lambda rng: check_diameter_contraction([[0.5, 0.6], [0.5, 0.5]], [0.0, 1.0]),
+                 "row sums deviate from 1 by 0.1", id="diameter-rows"),
+    pytest.param(lambda rng: check_dispersion_decrease(np.full((2, 3), 1 / 3), [0.0, 1.0, 2.0], 0.0),
+                 "expected a square matrix, got (2, 3)", id="dispersion-square"),
+    pytest.param(lambda rng: check_dispersion_decrease(_NOT_DS, [0.0, 1.0], 0.0),
+                 "column sums deviate from 1 by 1; not doubly stochastic", id="dispersion-columns"),
+    pytest.param(lambda rng: check_sorted_partial_sums(np.full((3, 2), 0.5), [0.0, 1.0], 1),
+                 "expected a square matrix, got (3, 2)", id="partial-sums-square"),
+    pytest.param(lambda rng: check_sorted_partial_sums(_NOT_DS, [0.0, 1.0], 1),
+                 "column sums deviate from 1 by 1; not doubly stochastic", id="partial-sums-columns"),
+])
+def test_products_input_checks_name_what_failed(rng, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(rng)
+
+
 def test_dispersion_decrease_hand_value():
     slack = check_dispersion_decrease(np.full((2, 2), 0.5), [0.0, 1.0], gamma=0.5)
     assert slack == pytest.approx(1.5, abs=1e-15)

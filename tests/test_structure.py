@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,47 @@ def test_max_flow_equals_its_dense_reference_bit_for_bit(a, b, supp):
         got, want = structure._max_flow(*args), oracles.reference_max_flow(*args)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+
+
+def _scipy_max_flow(a, b, supp):
+    """scipy's max flow from the rows (capacities ``a``) to the columns
+    (capacities ``b``) along ``supp``, in units of ``2^-24``, and the rows its
+    residual network reaches from the source: the minimal min cut's rows."""
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    p, q = supp.shape
+    n = p + q + 2  # source 0, rows 1 .. p, columns p + 1 .. p + q, sink n - 1
+    r, c = np.nonzero(supp)
+    units = np.concatenate([a, b]) * 2.0**24
+    assert (units == np.round(units)).all() and units.sum() < 2**31
+    src = np.concatenate([np.zeros(p, int), 1 + r, 1 + p + np.arange(q)])
+    dst = np.concatenate([1 + np.arange(p), 1 + p + c, np.full(q, n - 1)])
+    # a support edge outweighs every source edge together: no min cut crosses one
+    cap = np.concatenate([units[:p], np.full(r.size, 2.0**25), units[p:]]).astype(np.int32)
+    graph = sparse.csr_matrix((cap, (src, dst)), shape=(n, n))
+    result = csgraph.maximum_flow(graph, 0, n - 1)
+    residual = (graph - result.flow).tocsr()
+    residual.data = (residual.data > 0).astype(np.int8)
+    residual.eliminate_zeros()
+    reached = csgraph.breadth_first_order(residual, 0, return_predecessors=False)
+    return result.flow_value, tuple(sorted(int(k) - 1 for k in reached if 1 <= k <= p))
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+@pytest.mark.parametrize("infeasible", [False, True], ids=["feasible", "planted-infeasible"])
+def test_feasible_agrees_with_scipy_max_flow(n, infeasible):
+    # the seed is zero on A x B (the first halves) with a(A) = b(B^c) exactly;
+    # moving 2^-24 of row mass into A makes that block over-demand by it
+    problem = oracles.sparse_critical(np.random.default_rng(n), n, 0.02)
+    a, b, supp = problem.a.copy(), problem.b, problem.support
+    if infeasible:
+        a[0] += 2.0**-24
+        a[-1] -= 2.0**-24
+    res = feasible(a, b, supp)
+    flow, rows = _scipy_max_flow(a, b, supp)
+    assert res.is_feasible != infeasible
+    assert res.max_flow * 2**24 == flow == 2**24 - infeasible
+    assert (res.cause.rows if infeasible else ()) == rows
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +473,21 @@ def test_limit_points_near_criticality(g):
     np.testing.assert_allclose(even.sum(axis=1), problem.a, rtol=0, atol=1e-13)
     np.testing.assert_allclose(even.sum(axis=0), problem.b, rtol=0, atol=1e-13)
     assert even[0, 0] == pytest.approx(g, rel=1e-5)
+
+
+@pytest.mark.parametrize("check", [feasible, best_cause, maximal_support])
+@pytest.mark.parametrize("supp, message", [
+    pytest.param([True, True], "support pattern must be a 2-D boolean mask", id="1-D"),
+    pytest.param(np.ones((3, 2), bool), "support shape (3, 2) does not match marginals (2, 2)",
+                 id="shape"),
+    pytest.param([[True, True], [False, False]],
+                 "support row 1 is empty; every row needs an allowed cell", id="empty-row"),
+    pytest.param([[True, False], [True, False]],
+                 "support column 1 is empty; every column needs an allowed cell", id="empty-column"),
+])
+def test_support_checks_name_what_failed(check, supp, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check([0.5, 0.5], [0.5, 0.5], supp)
 
 
 def test_structure_does_not_import_the_engine():
