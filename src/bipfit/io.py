@@ -356,7 +356,10 @@ def sequence_from_spec(spec, seed: int | None = None) -> list[np.ndarray] | np.n
             if not isinstance(r_values, list):
                 raise InputError("mr spec needs 'r_values' as a list of numbers")
             r_values = [_as_number(r, "r_values") for r in r_values]
-        return products.mr_sequence(count, r_values)
+        try:
+            return products.mr_sequence(count, r_values)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
     if family == "t0t1":
         return products.t0t1_sequence(count)
     if family == "birkhoff":

@@ -163,34 +163,41 @@ def _max_flow(a, c, supp):
 
     Source edges carry ``a``, sink edges ``c``, support edges are unbounded.
     A greedy row-by-row allocation comes first.  Each round then grows a
-    breadth-first tree from the rows with spare source capacity, one level
+    breadth-first forest from the rows with spare source capacity, one level
     at a time (to columns along support cells, back to rows along cells
     carrying flow), until a level reaches columns with spare sink capacity,
-    and augments along the tree to every such column.  Each augmentation
+    and augments along the forest to every such column.  Each augmentation
     saturates a source, sink or backward edge exactly, so float capacities
     terminate cleanly.
 
     The sets are Python ints used as bitsets: each row's support columns,
     the columns with spare sink capacity, the rows with spare source
-    capacity, and for each column the rows carrying flow there.  A BFS
-    level costs one big-int operation per frontier node; a node reached
-    from several goes to the lowest-numbered one.  Capacities and flows are
-    Python floats.  A greedy row's takes are cut from a running sum of its
-    columns' capacities, and its total is summed in numpy's order
-    (sequentially below 8 terms, by ``np.add.reduce`` from 8 on), so every
-    augmentation is bitwise that of the dense formulation kept as
-    ``reference_max_flow`` in ``tests/oracles.py``.
+    capacity, for each column the rows carrying flow there, and for each
+    row the columns it carries flow to.  A BFS level is a union, one
+    big-int OR per frontier node: the next columns are the frontier rows'
+    support columns less the columns seen, the next rows the carrying rows
+    of those columns less the rows seen.  A round keeps only its levels.
+    Parents are worked out only along its augmenting paths, walking back
+    from every goal column before the first augmentation: a column's parent
+    is the lowest row of the level before whose support holds it, a row's
+    the lowest column of the level before that it carries flow to.  That is
+    the tree a node-by-node BFS grows when a node reached from several goes
+    to the lowest-numbered one.  Each column's support rows are packed
+    only when a round first reaches a goal.
+
+    Capacities and flows are Python floats.  A greedy row's takes are cut
+    from a running sum of its columns' capacities, and its total is summed
+    in numpy's order (sequentially below 8 terms, by ``np.add.reduce`` from
+    8 on), so every augmentation is bitwise that of the dense formulation
+    kept as ``reference_max_flow`` in ``tests/oracles.py``.
 
     Returns ``(f, flow_value, reach_rows, reach_cols)`` where ``f`` is the
     flow on support cells and the reach masks describe residual reachability
     from the source on termination (i.e. the minimal min cut).
     """
     p, q = supp.shape
-    packed = np.packbits(supp, axis=1, bitorder="little")
-    width = packed.shape[1]
-    packed = packed.tobytes()
-    row_bits = [int.from_bytes(packed[k:k + width], "little")
-                for k in range(0, p * width, width)]
+    row_bits = _bitsets(supp)
+    col_bits = None  # each column's support rows, once a round reaches a goal
     ra = a.astype(float).tolist()  # spare source capacity
     rc = c.astype(float).tolist()  # spare sink capacity
     spare = 0  # columns with rc > _EPS_FLOW
@@ -199,11 +206,12 @@ def _max_flow(a, c, supp):
             spare |= 1 << j
     flows: list[dict[int, float]] = [{} for _ in range(p)]  # row -> {col: f}
     carry = [0] * q  # column -> rows with f > _EPS_FLOW there
+    carried = [0] * p  # row -> columns with f > _EPS_FLOW, the mirror of carry
     sources = 0  # rows with ra > _EPS_FLOW
     for i in range(p):
         eligible = row_bits[i] & spare
         r, acc, takes = ra[i], 0.0, []
-        flow_i, bit_i = flows[i], 1 << i
+        flow_i, bit_i, held = flows[i], 1 << i, 0
         bits = eligible
         while bits:
             low = bits & -bits
@@ -221,6 +229,8 @@ def _max_flow(a, c, supp):
                 spare ^= low
             if take > _EPS_FLOW:
                 carry[j] |= bit_i
+                held |= low
+        carried[i] = held
         n = eligible.bit_count()
         if n < 8:
             total = 0.0
@@ -231,71 +241,55 @@ def _max_flow(a, c, supp):
         ra[i] = max(r - total, 0.0)
         if ra[i] > _EPS_FLOW:
             sources |= bit_i
-    row_par = [-1] * p  # -1 source, else parent col (read on visited rows)
-    col_par = [0] * q  # parent row (read on visited cols)
     while True:
         rows = _bit_list(sources)
         seen_rows, seen_cols, goals = sources, 0, 0
-        for i in rows:
-            row_par[i] = -1
+        row_levels, col_levels = [sources], []
         while rows:
             level = 0
             for i in rows:
-                new = row_bits[i] & ~seen_cols
-                if new:
-                    seen_cols |= new
-                    level |= new
-                    # inlined, as below: a _bit_list call per node costs
-                    # ~10 % on a 400-row seed
-                    while new:
-                        low = new & -new
-                        new ^= low
-                        col_par[low.bit_length() - 1] = i
+                level |= row_bits[i]
+            level &= ~seen_cols
+            seen_cols |= level
+            col_levels.append(level)
             goals = level & spare
             if goals or not level:
                 break
             found = 0
             for j in _bit_list(level):
-                new = carry[j] & ~seen_rows
-                if new:
-                    seen_rows |= new
-                    found |= new
-                    while new:
-                        low = new & -new
-                        new ^= low
-                        row_par[low.bit_length() - 1] = j
+                found |= carry[j]
+            found &= ~seen_rows
+            seen_rows |= found
+            row_levels.append(found)
             rows = _bit_list(found)
         if not goals:
             break
-        for goal in _bit_list(goals):
-            # walk the tree back: forward middle edges are unbounded,
-            # backward ones carry f
-            path = []
-            j, delta = goal, rc[goal]
-            while True:
-                i = col_par[j]
-                path.append((i, j))
-                if row_par[i] == -1:
-                    delta = min(delta, ra[i])
-                    break
-                j = row_par[i]
+        if col_bits is None:
+            col_bits = _bitsets(supp.T)
+        for goal, source, ahead, back in _augmenting_paths(
+                goals, row_levels, col_levels, col_bits, carried):
+            delta = rc[goal]
+            for i, j in back:
                 delta = min(delta, flows[i][j])
+            delta = min(delta, ra[source])
             if delta <= _EPS_FLOW:  # a bottleneck shared with an earlier goal
                 continue
             rc[goal] -= delta
             if rc[goal] <= _EPS_FLOW:
                 spare &= ~(1 << goal)
-            ra[i] -= delta
-            if ra[i] <= _EPS_FLOW:
-                sources &= ~(1 << i)
-            for i, j in path:
+            ra[source] -= delta
+            if ra[source] <= _EPS_FLOW:
+                sources &= ~(1 << source)
+            for i, j in ahead:
                 flows[i][j] = flows[i].get(j, 0.0) + delta
                 if flows[i][j] > _EPS_FLOW:
                     carry[j] |= 1 << i
-            for (i, _), (_, j) in zip(path[:-1], path[1:]):
+                    carried[i] |= 1 << j
+            for i, j in back:
                 flows[i][j] -= delta
                 if flows[i][j] <= _EPS_FLOW:
                     carry[j] &= ~(1 << i)
+                    carried[i] &= ~(1 << j)
     f = np.zeros(p * q)
     f[[i * q + j for i, flow_i in enumerate(flows) for j in flow_i]] = [
         v for flow_i in flows for v in flow_i.values()]
@@ -303,8 +297,55 @@ def _max_flow(a, c, supp):
             _bit_mask(seen_rows, p), _bit_mask(seen_cols, q))
 
 
+def _augmenting_paths(goals, row_levels, col_levels, col_bits, carried):
+    """Each goal column's path back to a source row, by ascending goal.
+
+    A path is ``(goal, source, ahead, back)``: the first-level row it
+    starts from, the ``(row, col)`` support cells it adds flow to (goal
+    first), and the cells carrying flow that it cancels.  A column of
+    level ``k`` has as parent the lowest row of row level ``k`` whose
+    support holds it; a row of level ``k > 0`` the lowest column of column
+    level ``k - 1`` that it carries flow to.
+    """
+    paths = []
+    for goal in _bit_list(goals):
+        ahead, back, j = [], [], goal
+        for k in range(len(col_levels) - 1, 0, -1):
+            held = col_bits[j] & row_levels[k]
+            i = (held & -held).bit_length() - 1
+            ahead.append((i, j))
+            held = carried[i] & col_levels[k - 1]
+            j = (held & -held).bit_length() - 1
+            back.append((i, j))
+        held = col_bits[j] & row_levels[0]
+        i = (held & -held).bit_length() - 1
+        ahead.append((i, j))
+        paths.append((goal, i, ahead, back))
+    return paths
+
+
+_WORD_BITS = 1 << np.arange(64, dtype=np.uint64)
+
+
+def _bitsets(mask: np.ndarray) -> list[int]:
+    """Each row of a 2-D boolean mask as a Python int, bit ``j`` for column ``j``."""
+    if mask.shape[1] <= 64:  # a machine word per row, summed from its bits by numpy
+        return (mask @ _WORD_BITS[:mask.shape[1]]).tolist()
+    packed = np.packbits(np.ascontiguousarray(mask), axis=1, bitorder="little")
+    width = packed.shape[1]
+    packed = packed.tobytes()
+    return [int.from_bytes(packed[k:k + width], "little")
+            for k in range(0, len(packed), width)]
+
+
+#: Below this many set bits, ``_bit_list`` loops in Python; from it on it unpacks in C.
+_BIT_LIST_LOOP = 24
+
+
 def _bit_list(bits: int) -> list[int]:
     """The set bits of ``bits``, lowest first."""
+    if bits.bit_count() >= _BIT_LIST_LOOP:
+        return _bit_mask(bits, bits.bit_length()).nonzero()[0].tolist()
     out = []
     while bits:
         low = bits & -bits
@@ -316,7 +357,7 @@ def _bit_list(bits: int) -> list[int]:
 def _bit_mask(bits: int, n: int) -> np.ndarray:
     """The boolean mask of length ``n`` whose ``True`` entries are the set bits."""
     packed = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(packed, count=n, bitorder="little").astype(bool)
+    return np.unpackbits(packed, count=n, bitorder="little").view(bool)
 
 
 def _cause_from_cut(a, b, reach_rows, reach_cols) -> Cause:

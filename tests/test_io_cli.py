@@ -473,6 +473,9 @@ def test_sequence_from_spec_families():
         ({"family": "birkhoff", "count": 2, "dim": 3, "n_perms": "4"}, "n_perms"),
         ({"family": "mr", "count": True}, "count"),
         ({"family": "mr", "count": 2, "r_values": 5}, "r_values"),
+        ({"family": "mr", "count": 3, "r_values": [0.5, 0.5]}, "need 3 r values, got 2"),
+        ({"family": "mr", "count": 2, "r_values": [0.5, 1.5]},
+         r"r must lie in \[0, 1\], got 1\.5"),
         ({"family": "birkhoff", "count": 2, "dim": True}, "dim"),
         ({"family": "birkhoff", "count": 2, "dim": 3, "n_perms": True}, "n_perms"),
         ("nope", "sequence file"),

@@ -47,9 +47,11 @@ def assert_valid_witness(w, a, b, supp, tol=1e-9):
 
 
 def _max_flow_inputs():
+    """``(a, b, supp, min_rounds)``: the least number of augmenting rounds the
+    max-flow takes on the seed, in both orientations (0: not checked)."""
     for name in ("fast-2x2", "slow-2x2", "divergence-2x2", "example-5x6"):
         problem = io.load_problem(io.data_path(f"{name}.json"))[0]
-        yield pytest.param(problem.a, problem.b, problem.support, id=name)
+        yield pytest.param(problem.a, problem.b, problem.support, 0, id=name)
     rng = np.random.default_rng(15)
     for k in range(24):
         p, q = int(rng.integers(9, 33)), int(rng.integers(18, 41))
@@ -63,26 +65,69 @@ def _max_flow_inputs():
         supp[0] = rng.permutation(q) < q // 2
         a[0] = 2.0 * a.sum()
         a, b = a / a.sum(), b / b.sum()
-        yield pytest.param(a, b, supp, id=f"random-{k}")
+        yield pytest.param(a, b, supp, 0, id=f"random-{k}")
     for rows in (30, 100):
         problem = oracles.planted_blocks(np.random.default_rng(rows), rows, rows)[0]
-        yield pytest.param(problem.a, problem.b, problem.support, id=f"planted-{rows}")
+        yield pytest.param(problem.a, problem.b, problem.support, 0, id=f"planted-{rows}")
     problem = oracles.sparse_critical(np.random.default_rng(3), 300, 0.03)
-    yield pytest.param(problem.a, problem.b, problem.support, id="sparse-300")
+    yield pytest.param(problem.a, problem.b, problem.support, 0, id="sparse-300")
+    # many rounds whose paths cross several levels: the parents worked out
+    # along the paths must be those of a node-by-node BFS
+    problem = oracles.sparse_critical(np.random.default_rng(7), 400, 0.02)
+    yield pytest.param(problem.a, problem.b, problem.support, 20, id="sparse-400-many-rounds")
 
 
-@pytest.mark.parametrize("a, b, supp", list(_max_flow_inputs()))
-def test_max_flow_equals_its_dense_reference_bit_for_bit(a, b, supp):
+@pytest.mark.parametrize("a, b, supp, min_rounds", list(_max_flow_inputs()))
+def test_max_flow_equals_its_dense_reference_bit_for_bit(a, b, supp, min_rounds, monkeypatch):
     # both orientations the library solves: feasibility, and the Dinkelbach
     # cuts on the reversed network at ratios below, at and above the optimum
     cause = structure._best_cause(a, b, supp)
     best = 1.0 if cause is None else cause.ratio
     supp_t = np.ascontiguousarray(supp.T)
     cases = [(a, b, supp)] + [(lam * b, a, supp_t) for lam in (0.9 * best, best, 1.1 * best)]
-    for args in cases:
+    levels = []  # the number of column levels of each augmenting round
+    paths = structure._augmenting_paths
+
+    def counting(goals, row_levels, col_levels, col_bits, carried):
+        levels.append(len(col_levels))
+        return paths(goals, row_levels, col_levels, col_bits, carried)
+
+    monkeypatch.setattr(structure, "_augmenting_paths", counting)
+    for k, args in enumerate(cases):
+        levels.clear()
         got, want = structure._max_flow(*args), oracles.reference_max_flow(*args)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+        if min_rounds and k in (0, 2):  # feasibility, and the cut at the optimum
+            assert len(levels) >= min_rounds and max(levels) > 2
+
+
+def test_bit_list_lists_the_set_bits_lowest_first():
+    def loop(bits):
+        return [j for j in range(bits.bit_length()) if bits >> j & 1]
+
+    rng = np.random.default_rng(0)
+    limit = structure._BIT_LIST_LOOP  # from this many set bits on, listed in C
+    cases = [0] + [1 << j for j in (0, 63, 64, 1023)]
+    cases += [(1 << limit - 1) - 1, (1 << limit) - 1]  # dense, either side of the limit
+    for n in (40, 64, 400, 1000):  # sparse ones too, and dense on the C side
+        for k in (1, limit - 1, limit, n // 2, n):
+            cases.append(sum(1 << int(j) for j in rng.choice(n, size=k, replace=False)))
+    for bits in cases:
+        assert structure._bit_list(bits) == loop(bits), bits
+        mask = np.zeros(bits.bit_length() + 3, bool)
+        mask[loop(bits)] = True
+        np.testing.assert_array_equal(structure._bit_mask(bits, mask.size), mask)
+
+
+def test_bitsets_pack_each_row_on_both_sides_of_one_word():
+    rng = np.random.default_rng(1)
+    for q in (1, 63, 64, 65, 200):
+        mask = rng.random((70, q)) < 0.4
+        mask[:, -1] = True  # the top bit of a full word
+        for m in (mask, mask.T):  # a transposed view too
+            want = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in m]
+            assert structure._bitsets(m) == want
 
 
 def _scipy_max_flow(a, b, supp):
