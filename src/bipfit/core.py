@@ -235,6 +235,12 @@ def marginal_error(x, a, b) -> float:
     )
 
 
+def _check_tolerance(name: str, value: float) -> None:
+    """Reject a NaN or negative tolerance: every comparison with NaN is False."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
 def _check_mass_one(x, name: str, tol: float = 1e-8) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     total = float(x.sum())

@@ -25,7 +25,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import FittingProblem, MarginalRatios, fit_rows
+from .core import FittingProblem, MarginalRatios, _check_tolerance, fit_rows
 
 
 class StopReason(Enum):
@@ -92,30 +92,11 @@ class _ScalingHistory:
     first read by ``X_{2k}``).  ``K_0`` is the seed.  A fold multiplies an
     overgrown newest vector into a new base and resets it to ones (Schmitzer's
     absorption step); iterates from fold point ``starts[j]`` on read ``K_j``.
-    Only the seed, the newest base and each fold's vector are kept: ``K_j``
-    is rebuilt on read as the seed times fold vectors ``1 .. j`` in order,
-    bit for bit as :meth:`advance` formed it, from the latest base held at or before
-    it (seed, newest, each reader's last): backward reads cost ``j`` products per ``K_j``.
-    An integer index rebuilds one iterate by that formula; every read of more
-    is a :meth:`stack`, iterate axis last and contiguous, taken in
-    :meth:`blocks` or, by slices and iteration, as ``(p, q)`` views.
-    :meth:`ratios` reads marginal ratios off the vectors.
-
-    Memory is bounded but for a vector per fold: besides the seed, at most
-    three bases are held.  One array of ``[u | v]`` rows, ``u`` and ``v`` its
-    column views, holds the kept rows, double steps ``0, K, 2K, ...`` below
-    ``w0`` in at most :data:`_KEEP` floats, then the window, steps ``w0 ..
-    k``, step ``k`` in row ``k + held - w0`` for ``held = ceil(w0 / K)``
-    kept rows.  At stride ``K = 1`` and ``w0 = 0``, every trace under 2 MB,
-    row ``k`` holds step ``k``: nothing moves and every read is direct.
-    After that :meth:`_make_room` moves rows and halves the kept ones.  The
-    array is allocated once at its final size, the first time a run
-    outgrows its start rows, so no step holds two copies of it.  Any
-    other row is rebuilt by :meth:`_gather`, which replays the double steps
-    from the kept row before it with the run's own calls, bases and fold
-    resets, so the rebuilt values are the run's values bit for bit.  A full
-    read of a thinned trace costs about one more engine run; the last chunk,
-    and so the final iterates, is always read directly.
+    Only the seed, the newest base and each fold's vector are kept.  One
+    array of ``[u | v]`` rows holds the kept rows, steps ``0, K, 2K, ...``
+    below ``w0`` in at most :data:`_KEEP` floats, then the window, steps
+    ``w0 .. k`` (step ``k`` in row ``k + held - w0``).  Reads go through
+    :meth:`_walk`, which replays the other rows and rebuilds the bases.
     """
 
     def __init__(self, x0: np.ndarray, max_iters: int):
@@ -124,7 +105,7 @@ class _ScalingHistory:
         self._rows = np.ones((_FOLD_EVERY + 1, sum(x0.shape)))  # [u | v]: kept rows, window
         self.u, self.v = np.split(self._rows, [len(x0)], axis=1)
         self.k = 0  # double steps taken
-        self.count = 1  # iterates readable as a sequence, set by the run
+        self.count = max_iters + 1  # iterates readable, cut by the run at its stop
         # row i of the block is [u | v] of a fold group's step i; bound `dot`s skip dispatch
         block = self._block = np.ones((_FOLD_EVERY + 1, sum(x0.shape)))
         self._steps = list(zip(block[:, :len(x0)], block[:, len(x0):]))
@@ -135,8 +116,7 @@ class _ScalingHistory:
         # rows once the start rows are outgrown: the kept rows and the largest
         # window, 2050 rows of a 4096-iterate chunk, or every step of the run
         self._size = min(self._cap + _CHUNKS[1] // 2 + 2, max_iters // 2 + 2)
-        self._ab = self._cursor = None  # the marginals, and the replay's [k, [u | v]]
-        self._read, self._replayed = [0, x0], [0, x0]  # the base each reader holds, [j, K_j]
+        self._ab, self._kept = None, (0, x0)  # the marginals; [j, K_j] kept between walks
 
     def advance(self, k_end: int, a: np.ndarray, b: np.ndarray) -> None:
         """Take allocation-free double steps up to ``k_end``; test for a fold per group."""
@@ -171,17 +151,6 @@ class _ScalingHistory:
         f = self.folds[j - 1]
         return base * (f[:, None] if self.starts[j] % 2 else f)
 
-    def _base(self, j: int, held: list) -> np.ndarray:
-        """``K_j`` by :meth:`_fold`, walking forward from the latest base held at or
-        before it; the reader's ``held = [i, K_i]`` keeps it."""
-        i, base = max(([0, self.seed], self._read, self._replayed, [len(self.folds), self._newest]),
-                      key=lambda h: h[0] if h[0] <= j else -1)
-        while i < j:
-            i += 1
-            base = self._fold(base, i)
-        held[:] = j, base
-        return base
-
     def _make_room(self, k_end: int) -> None:
         """Make the window hold double steps ``k - 1 .. k_end``, ``k`` the last one taken."""
         h, stride, held, w0, k = self._rows, self._stride, self._held, self._w0, self.k
@@ -200,158 +169,183 @@ class _ScalingHistory:
             self._rows[:k + 1 + off] = h[:k + 1 + off]
             self.u, self.v = np.split(self._rows, [self.u.shape[1]], axis=1)
 
-    def _scalings(self, ns):
-        """``u_{(n+1)//2}`` and ``v_{n//2}``, the scalings of ``X_n``, for ``n`` in ``ns``."""
-        return self._gather((ns + 1) // 2, ns // 2)
+    def _walk(self, ns: np.ndarray, size: int):
+        """``(lo, hi, u, v, base)`` for pieces ``ns[lo:hi]`` of ascending iterates.
 
-    def _gather(self, ku, kv):
-        """``u_k`` for ``k`` in ``ku`` and ``v_k`` for ``k`` in ``kv``, rebuilt where not held.
-
-        Rows of the window are read directly.  Rows before it are read from
-        the kept rows at multiples of the stride and otherwise replayed from
-        the kept row before them, each segment once and in forward order; the
-        replay goes on from where the last one stopped when that lies in the
-        segment, so reads in blocks of increasing indices replay every
-        segment once in all.
+        ``u[i]``, ``v[i]`` are ``u_{(n+1)//2}``, ``v_{n//2}`` of ``n = ns[lo + i]``
+        and ``base`` the ``K_j`` they read; pieces end at multiples of ``size``
+        and where the base changes.  A row not in place is replayed once from
+        the kept row before it.  One base goes forward, folding at each fold
+        point, from the seed, the newest or the one kept between walks (where
+        the last replay started, or the last walk ended), the latest in reach.
         """
-        w0, off = self._w0, self._held - self._w0
-        if not w0 or min(np.min(ku, initial=w0), np.min(kv, initial=w0)) >= w0:
-            return (self.u[ku + off], self.v[kv + off]) if off else (self.u[ku], self.v[kv])
-        ku, kv = np.asarray(ku), np.asarray(kv)
-        rows, at = np.unique(np.concatenate([ku.ravel(), kv.ravel()]), return_inverse=True)
-        win, stride = rows >= w0, self._stride
-        kept = ~win & (rows % stride == 0)
-        hs = np.empty((rows.size, self._rows.shape[1]))
-        hs[win], hs[kept] = self._rows[rows[win] + off], self._rows[rows[kept] // stride]
-        for i in np.flatnonzero(~(win | kept)):
-            hs[i] = self._replay(int(rows[i]))
-        p = self.u.shape[1]
-        return (hs[at[:ku.size], :p].reshape(ku.shape + (p,)),
-                hs[at[ku.size:], p:].reshape(kv.shape + (hs.shape[1] - p,)))
+        if ns.size and not (0 <= ns[0] and ns[-1] <= 2 * self.k):
+            raise IndexError(f"iterates {ns[0]} .. {ns[-1]}, of 0 .. {2 * self.k} computed")
+        w0, stride, off, p = self._w0, self._stride, self._held - self._w0, self.u.shape[1]
+        if not ns.size or not self.folds and (stride == 1 or ns[0] // 2 >= w0):  # common case
+            for lo in range(0, ns.size, size):
+                m = ns[lo:lo + size]
+                ku, kv = ((m + 1) // 2 + off, m // 2 + off) if off else ((m + 1) // 2, m // 2)
+                yield lo, lo + m.size, self.u[ku], self.v[kv], self.seed
+            return
+        starts, (a, b) = self.starts, self._ab
+        later = starts[bisect_right(starts, ns[0]):bisect_right(starts, ns[-1])]  # bases begun
+        cut = sorted({*range(0, ns.size, size), *np.searchsorted(ns, later).tolist()})
+        # the walk starts at its first iterate, or at the kept row its replay starts from
+        j0 = bisect_right(starts, ns[0] - (ns[0] % (2 * stride) if ns[0] // 2 < w0 else 0)) - 1
+        f, base = max(((0, self.seed), self._kept, (len(self.folds), self._newest)),
+                      key=lambda held: held[0] if held[0] <= j0 else -1)
+        r, w = -1, None  # the replayed double step and its row [u_r | v_r]
 
-    def _replay(self, k: int) -> np.ndarray:
-        """``[u_k | v_k]`` by the run's double steps from the kept row before ``k``."""
-        stride = self._stride
-        c = k - k % stride
-        if self._cursor is None or not c <= self._cursor[0] <= k:
-            self._cursor = [c, self._rows[k // stride].copy()]
-            self._base(bisect_right(self.starts, 2 * c) - 1, self._replayed)
-        (j, w), (f, base), (a, b), starts = self._cursor, self._replayed, self._ab, self.starts
-        u, v = w[:a.size], w[a.size:]
-        row_dot, col_dot = base.dot, base.T.dot
-        while j < k:
-            j += 1
-            row_dot(v, u)
-            np.divide(a, u, u)
-            col_dot(u, v)
-            np.divide(b, v, v)
-            while f + 1 < len(starts) and starts[f + 1] <= 2 * j:  # the fold resets of step j
-                (u if starts[f + 1] % 2 else v)[:] = 1.0
-                f, base = f + 1, self._base(f + 1, self._replayed)
-                row_dot, col_dot = base.dot, base.T.dot
-        self._cursor[0] = j
-        return w
+        def forward(j):  # fold the base on to K_j, and the replayed vector with it
+            nonlocal f, base
+            while f < j:
+                f += 1
+                base = self._fold(base, f)
+                if (starts[f] + 1) // 2 == r:
+                    (w[:p] if starts[f] % 2 else w[p:])[:] = 1.0
 
-    def ratios(self, n0: int, n1: int, a: np.ndarray, b: np.ndarray):
-        """``rows(X_n)/a`` and ``cols(X_n)/b`` for ``n0 <= n < n1``, from the scalings.
+        for lo, hi in zip(cut, [*cut[1:], ns.size]):  # pieces: no fold point inside
+            m, j = ns[lo:hi], bisect_right(starts, ns[lo]) - 1
+            if stride == 1 or m[0] // 2 >= w0:  # every row in place
+                u, v = self.u[(m + 1) // 2 + off], self.v[m // 2 + off]
+            else:
+                ks, at = np.unique(np.concatenate([(m + 1) // 2, m // 2]), return_inverse=True)
+                held = (ks >= w0) | (ks % stride == 0)
+                rows, kh = np.empty((ks.size, self._rows.shape[1])), ks[held]
+                rows[held] = self._rows[np.where(kh >= w0, kh + off, kh // stride)]
+                for i in np.flatnonzero(~held).tolist():  # ascending, and from r on
+                    k = int(ks[i])
+                    c = k - k % stride
+                    if r < c:  # start again at the kept row before k
+                        forward(bisect_right(starts, 2 * c) - 1)
+                        self._kept, r, w = (f, base), c, self._rows[c // stride].copy()
+                        wu, wv = w[:p], w[p:]
+                    row_dot, col_dot = base.dot, base.T.dot
+                    while r < k:
+                        if f + 1 < len(starts) and starts[f + 1] <= 2 * r:  # step r's folds
+                            forward(bisect_right(starts, 2 * r) - 1)
+                            row_dot, col_dot = base.dot, base.T.dot
+                        r += 1
+                        row_dot(wv, wu)
+                        np.divide(a, wu, wu)
+                        col_dot(wu, wv)
+                        np.divide(b, wv, wv)
+                    if f < j and starts[f + 1] <= 2 * k:  # step k's folds, up to this base
+                        forward(min(j, bisect_right(starts, 2 * k) - 1))
+                    rows[i] = w
+                u, v = rows[at[:m.size], :p], rows[at[m.size:], p:]
+            forward(j)
+            if r < 0:
+                self._kept = f, base
+            yield lo, hi, u, v, base
 
-        The next scaling divides the marginal it fits, so
-        ``rows(X_2k)/a = u_k/u_{k+1}`` and ``cols(X_2k+1)/b = v_k/v_{k+1}``; at
-        a fold point the next vector is the recorded pre-fold one.  The fitted
-        side of an iterate reads 1; ``X_0``'s columns are summed from the seed.
-        ``u_{k+1}`` of an even final iterate is not taken: one matvec gives it.
+    def ratios(self, n0: int, n1: int, a: np.ndarray, b: np.ndarray, width: int):
+        """``rows(X_n)/a`` and ``cols(X_n)/b`` for ``n0 <= n < n1``, in slices of ``width``.
+
+        The next scaling divides the marginal it fits: ``rows(X_2k)/a =
+        u_k/u_{k+1}``, ``cols(X_2k+1)/b = v_k/v_{k+1}``, with the recorded pre-fold
+        vector at a fold point, 1 on the fitted side and the seed's columns at
+        ``X_0``.  An even final iterate's ``u_{k+1}``, never taken, is one matvec
+        with the newest base.  Rows out of place come from a walk.
         """
-        rows, cols = np.ones((n1 - n0, a.size)), np.ones((n1 - n0, b.size))
-        k0, k1 = (n0 + 1) // 2, (n1 + 1) // 2  # even n = 2k
-        kt = min(k1, self.k)
-        o = n0 // 2  # u[k - o], v[k - o] hold u_k, v_k
-        if o >= self._w0:
-            u, v, o = self.u, self.v, self._w0 - self._held
-        else:
-            ks = np.arange(o, max(kt, n1 // 2) + 1)
-            u, v = self._gather(ks, ks)
-        evens = rows[n0 % 2::2]
-        np.divide(u[k0 - o:kt - o], u[k0 + 1 - o:kt + 1 - o], out=evens[:kt - k0])
-        if kt < k1:
-            base = self._base(bisect_right(self.starts, 2 * kt) - 1, self._read)
-            np.divide(u[kt - o] * base.dot(v[kt - o]), a, out=evens[-1])
-        np.divide(v[n0 // 2 - o:n1 // 2 - o], v[n0 // 2 + 1 - o:n1 // 2 + 1 - o],
-                  out=cols[1 - n0 % 2::2])
-        for s, f in zip(self.starts[1:], self.folds):
-            if n0 < s <= n1:  # iterate s - 1 reads the folded vector's pre-fold value
+        if not 0 <= n0 <= n1 <= self.count:
+            raise IndexError(f"iterates {n0} .. {n1 - 1} outside 0 .. {self.count - 1}")
+        o, off, starts = n0 // 2, self._held - self._w0, self.starts  # u[k - o] holds u_k
+        u, v, walk = self.u[o + off:], self.v[o + off:], None
+        if self._stride > 1 and o < self._w0:  # the double steps the slices read, in pieces
+            ns = np.arange(2 * o, 2 * min((n1 + 1) // 2, self.k) + 1, 2)  # X_2k reads u_k, v_k
+            u, v, walk = u[:0], v[:0], self._walk(ns, max(1, width // 2))
+        for s0 in range(n0, n1, width):
+            s1 = min(s0 + width, n1)
+            k0, k1 = (s0 + 1) // 2, (s1 + 1) // 2  # even n = 2k
+            kt = min(k1, self.k)
+            if walk is not None:  # the steps s0 // 2 .. kt, from the walk
+                parts, o = [(u[s0 // 2 - o:], v[s0 // 2 - o:])], s0 // 2
+                while o + sum(len(part[0]) for part in parts) <= kt:
+                    parts.append(next(walk)[2:4])
+                u, v = map(np.concatenate, zip(*parts))
+            rows, cols = np.ones((s1 - s0, a.size)), np.ones((s1 - s0, b.size))
+            evens = rows[s0 % 2::2]
+            np.divide(u[k0 - o:kt - o], u[k0 + 1 - o:kt + 1 - o], out=evens[:kt - k0])
+            if kt < k1:
+                np.divide(u[kt - o] * self._newest.dot(v[kt - o]), a, out=evens[-1])
+            np.divide(v[s0 // 2 - o:s1 // 2 - o], v[s0 // 2 + 1 - o:s1 // 2 + 1 - o],
+                      out=cols[1 - s0 % 2::2])
+            for i in range(bisect_right(starts, s0), bisect_right(starts, s1)):
+                s = starts[i]  # iterate s - 1 reads the folded vector's pre-fold value
                 side, h = (rows, u) if s % 2 else (cols, v)
-                np.divide(h[(s - 1) // 2 - o], f, out=side[s - 1 - n0])
-        if n0 == 0 < n1:
-            np.divide(self.seed.sum(axis=0), b, out=cols[0])
-        return rows, cols
+                np.divide(h[(s - 1) // 2 - o], self.folds[i - 1], out=side[s - 1 - s0])
+            if s0 == 0 < s1:
+                np.divide(self.seed.sum(axis=0), b, out=cols[0])
+            yield rows, cols
 
     def log_scaling(self, n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """``ln X_n(i,j) - ln X_0(i,j)`` from the logs of the scalings; no entry is read."""
-        u, v = self._scalings(n)
+        (_, _, (u,), (v,), _), = self._walk(np.array([n]), 1)
         folded = np.zeros(np.shape(i))  # the folds' logs, summed in place in fold order
         for s, f in zip(self.starts[1:bisect_right(self.starts, n)], self.folds):
             folded += np.log(f[i] if s % 2 else f[j])
         return np.log(u[i]) + np.log(v[j]) + folded
 
-    def stack(self, ns, out: np.ndarray | None = None) -> np.ndarray:
+    def stack(self, ns, out: np.ndarray | None = None, cells=None) -> np.ndarray:
         """Iterates ``X_n`` for ``n`` in ``ns``, shape ``(p, q, len(ns))``, into ``out`` if given.
 
-        The iterates lie on the last, contiguous axis, in the order of ``ns``.
-        Each run of indices reading one base is written in one pass, in base order.
+        With ``cells = (r, c)``, each ``X_n[r, c]``, shape ``(len(r), len(ns))``
+        and transposed from contiguous.  The iterate axis is last, in order.
         """
         ns = np.asarray(ns, dtype=int)
         if out is None:
-            out = np.empty(self.seed.shape + ns.shape)
-        if not self.folds:  # the common case: one run, nothing to search
-            seg, cut = [0], [0, ns.size]
+            out = (np.empty(self.seed.shape + ns.shape) if cells is None
+                   else np.empty((ns.size, len(cells[0]))).T)
+        if (ns[1:] < ns[:-1]).any():  # a walk reads ascending; scatter back
+            order = np.argsort(ns, kind="stable")
+            out[..., order] = self.stack(ns[order], None, cells)
         else:
-            seg = np.searchsorted(self.starts, ns, side="right") - 1
-            cut = [0, *np.flatnonzero(seg[1:] != seg[:-1]) + 1, ns.size] if ns.size else []
-        us, vs = self._scalings(ns)
-        for lo, hi in sorted(zip(cut, cut[1:]), key=lambda run: seg[run[0]]):
-            x = out[:, :, lo:hi]
-            # contiguous copies of u and v keep numpy's inner loops on the iterate axis
-            u, v = us[lo:hi].T.copy(), vs[lo:hi].T.copy()
-            np.multiply(self._base(seg[lo], self._read)[:, :, None], u[:, None], out=x)
-            x *= v
+            for _ in self.blocks(ns, out, cells):
+                pass
         return out
 
-    def cells(self, ns, r: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """``X_n[r, c]`` for ``n`` in ``ns``, shape ``(len(ns), len(r))``.
+    def blocks(self, ns, out: np.ndarray | None = None, cells=None):
+        """``(indices, stacked iterates)`` for ascending ``ns``, in blocks, from one walk.
 
-        Each value is ``(K_j[r, c] u[r]) v[c]`` from the base of its own
-        iterate, the product :meth:`stack` forms, so the cells are bitwise
-        those of the stacked iterates.
+        A block is ``out``'s last axis long, written into ``out``, or holds
+        :data:`_BLOCK` floats in a new array; ``cells``, into ``out``, as in :meth:`stack`.
         """
         ns = np.asarray(ns, dtype=int)
-        us, vs = self._scalings(ns)
-        if not self.folds:
-            x = self.seed[r, c] * us[:, r]
-        else:  # the cells of each base read, one row per iterate
-            seg = np.searchsorted(self.starts, ns, side="right") - 1
-            js, at = np.unique(seg, return_inverse=True)
-            x = np.array([self._base(j, self._read)[r, c] for j in js]).reshape(js.size, r.size)[at]
-            x *= us[:, r]
-        x *= vs[:, c]
-        return x
-
-    def blocks(self, ns):
-        """``(indices, stacked iterates)`` for the index sequence ``ns``, in blocks."""
-        ns, step = np.asarray(ns, dtype=int), max(1, _BLOCK // self.seed.size)
-        for lo in range(0, len(ns), step):
-            yield ns[lo:lo + step], self.stack(ns[lo:lo + step])
+        if ns.size and not 0 <= ns[0] <= ns[-1] < self.count:
+            raise IndexError(f"iterates {ns[0]} .. {ns[-1]} outside 0 .. {self.count - 1}")
+        step = max(1, _BLOCK // self.seed.size if out is None else out.shape[-1])
+        for lo, hi, u, v, base in self._walk(ns, step):
+            at = lo % step
+            if not at:
+                m = min(step, ns.size - lo)
+                x = np.empty(self.seed.shape + (m,)) if out is None else out[..., :m]
+            y = x[..., at:at + hi - lo]
+            if cells is None:  # contiguous copies keep numpy's inner loops on the iterate axis
+                np.multiply(base[:, :, None], u.T.copy()[:, None], out=y)
+                y *= v.T.copy()
+            else:  # one row of cells (r, c) per iterate
+                np.multiply(base[cells[0], cells[1]], u[:, cells[0]], out=y.T)
+                y *= v[:, cells[1]].T
+            if at + hi - lo == x.shape[-1]:
+                yield ns[lo - at:hi], x
 
     def __len__(self) -> int:
         return self.count
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
+        if isinstance(i, slice):  # a descending slice is read ascending, and flipped
             r = range(self.count)[i]
-            return np.moveaxis(self.stack(np.arange(r.start, r.stop, r.step)), -1, 0)
+            up = r[::-1] if r.step < 0 else r
+            x = np.moveaxis(self.stack(np.arange(up.start, up.stop, up.step)), -1, 0)
+            return x[::-1] if r.step < 0 else x
         n = range(self.count)[i]  # one iterate, by its own formula
-        base = self._base(bisect_right(self.starts, n) - 1, self._read)
-        u, v = self._scalings(n)
-        return u[:, None] * base * v
+        if self.folds or self._stride > 1 and n // 2 < self._w0:
+            (_, _, (u,), (v,), base), = self._walk(np.array([n]), 1)
+            return u[:, None] * base * v
+        off = self._held - self._w0  # in place, under the seed: two row views
+        return self.u[(n + 1) // 2 + off, :, None] * self.seed * self.v[n // 2 + off]
 
     def __iter__(self):
         for _, x in self.blocks(np.arange(self.count)):
@@ -384,7 +378,7 @@ class IterationTrace:
         return np.arange(self.n_iters + 1)
 
     def _ratios(self, n0: int, n1: int):
-        return self.stored_matrices.ratios(n0, n1, self.problem.a, self.problem.b)
+        return next(self.stored_matrices.ratios(n0, n1, self.problem.a, self.problem.b, n1 - n0))
 
     @property
     def ratio_rows(self) -> np.ndarray:
@@ -459,7 +453,7 @@ def run(problem: FittingProblem, rule: StoppingRule | None = None) -> IterationT
     for n0, n1 in _slices(hist, rule.max_iters, a, b):
         ns = np.arange(n0, n1)
         lo = max(n0 - 2, 0)  # the slice and the two iterates before it, if any
-        rows, cols = hist.ratios(lo, n1, a, b)
+        rows, cols = next(hist.ratios(lo, n1, a, b, n1 - lo))
         errors = np.abs(rows[n0 - lo:] - 1.0) @ a + np.abs(cols[n0 - lo:] - 1.0) @ b
         # d_n = |X_n - X_{n-2}|_1 is at least the L1 change of either
         # marginal; it is computed exactly unless that bound proves d_n >= tol
@@ -469,7 +463,7 @@ def run(problem: FittingProblem, rule: StoppingRule | None = None) -> IterationT
         near = np.flatnonzero(d < 2.0 * rule.tol_even_odd)
         for i in range(0, near.size, step):
             n = ns[near[i:i + step]]
-            x = hist.cells(np.concatenate([n - 2, n]), *cells)  # one forward walk of the bases
+            x = hist.stack(np.concatenate([n - 2, n]), cells=cells).T
             d[n - n0] = np.abs(x[n.size:] - x[:n.size]).sum(axis=1)
         last = np.maximum.accumulate(np.where(d < rule.tol_even_odd, last_bad, ns))
         converged, cauchy = errors < rule.tol_marginal, ns - last >= 2 * _CAUCHY_WINDOW
@@ -522,8 +516,9 @@ def ratio_update_matrix(x, a, b, col_tol: float = 1e-8) -> np.ndarray:
     Raises
     ------
     ValueError
-        If ``x`` is not column-fitted within ``col_tol``.
+        If ``col_tol`` is NaN or negative, or ``x`` is not column-fitted within it.
     """
+    _check_tolerance("col_tol", col_tol)
     x = np.asarray(x, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -542,8 +537,10 @@ def ratio_update_matrices(trace: IterationTrace, start: int = 2) -> list[np.ndar
     """Harvest ``P(X_n)`` for every even iterate ``n >= start``.
 
     The backward product of the result, applied to ``rows(X_start)/a``, walks
-    the row-ratio vectors down the even subsequence.
+    the row-ratio vectors down the even subsequence.  ``start`` must be >= 0.
     """
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start!r}")
     evens = np.arange(start + start % 2, trace.n_iters + 1, 2)
     return [m for _, x in trace.stored_matrices.blocks(evens)
             for m in ratio_update_matrix(np.moveaxis(x, -1, 0), trace.problem.a, trace.problem.b)]
@@ -589,8 +586,9 @@ def rate_estimate(trace: IterationTrace, min_even: int = 10,
     Raises
     ------
     ValueError
-        If the trace holds fewer than ``min_even`` even iterates.
+        If the trace holds fewer than ``min_even`` even iterates, or ``noise_floor`` is NaN or < 0.
     """
+    _check_tolerance("noise_floor", noise_floor)
     n_last, _ = trace.last_even
     if n_last // 2 + 1 < min_even:
         raise ValueError(
@@ -664,8 +662,10 @@ def cross_ratio_check(trace: IterationTrace, rel_tol: float = 1e-10) -> CrossRat
     pair's largest deviation is ``max S / min S - 1``: O(p^2 q) work per
     iterate.  The iterates are stacked in blocks on their last axis, and
     every buffer holds at most :data:`_PAIR_BLOCK` floats, or one iterate
-    when that alone is more.
+    when that alone is more.  A NaN or negative ``rel_tol`` raises
+    ``ValueError``.
     """
+    _check_tolerance("rel_tol", rel_tol)
     supp = trace.problem.support
     p, q = supp.shape
     s = supp.astype(float)
@@ -687,13 +687,11 @@ def cross_ratio_check(trace: IterationTrace, rel_tol: float = 1e-10) -> CrossRat
     ratios = np.empty(max((p - 1) * q * step, min(_PAIR_BLOCK, (p - 1) ** 2 * q * step)))
     hi, lo = np.empty(ratios.size // q), np.empty(ratios.size // q)
     worst = 1.0
-    for n0 in range(0, n, step):
-        m = min(step, n - n0)
-        x = y[:, :, :m]
-        if isinstance(mats, _ScalingHistory):
-            mats.stack(np.arange(n0, n0 + m), x)
-        else:
-            x[...] = np.moveaxis(np.asarray(mats[n0:n0 + m], dtype=float), 0, -1)
+    xs = ((x for _, x in mats.blocks(np.arange(n), y)) if isinstance(mats, _ScalingHistory)
+          else (np.moveaxis(np.array(mats[n0:n0 + step], dtype=float), 0, -1)
+                for n0 in range(0, n, step)))  # copies: each block is scaled in place
+    for x in xs:
+        m = x.shape[2]
         low = np.less(x, floor, out=under[:, :, :m])
         x *= inv  # X_n / X_0, NaN off the support
         if low.any():
@@ -722,15 +720,15 @@ def nested_ratio_intervals(trace: IterationTrace) -> np.ndarray:
     ``[1/max C(X_n), 1/min C(X_n)]`` and for even ``n >= 2`` it is
     ``[min R(X_n), max R(X_n)]``.  Successive intervals nest and every one
     contains 1; both facts are what the tests assert.  The ratios are read
-    in slices of at most :data:`_BLOCK` floats, as :func:`run` reads them, each
-    an even number of iterates from an odd ``n``.
+    by one walk in slices of at most :data:`_BLOCK` floats, as :func:`run`
+    reads them, each an even number of iterates from an odd ``n``.
     """
-    n = trace.n_iters
+    n, (a, b) = trace.n_iters, (trace.problem.a, trace.problem.b)
     out = np.empty((n, 3))
     out[:, 0] = np.arange(1, n + 1)
     step = 2 * max(1, _BLOCK // (2 * sum(trace.problem.shape)))
-    for n0 in range(1, n + 1, step):
-        r, c = trace._ratios(n0, min(n0 + step, n + 1))
+    slices = trace.stored_matrices.ratios(1, n + 1, a, b, step)
+    for n0, (r, c) in zip(range(1, n + 1, step), slices):
         o = out[n0 - 1:n0 - 1 + len(r)]
         o[0::2, 1], o[0::2, 2] = 1.0 / c[0::2].max(axis=1), 1.0 / c[0::2].min(axis=1)
         o[1::2, 1], o[1::2, 2] = r[1::2].min(axis=1), r[1::2].max(axis=1)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_tolerance
 from .engine import _BLOCK
 from .errors import InternalCheckError
 
@@ -458,6 +459,7 @@ def product_run(ms, tracked_vectors=()) -> ProductTrace:
 
 def is_converged(trace: ProductTrace, tol: float = 1e-6) -> bool:
     """Cauchy tail test: variation accumulated over the last third below ``tol``."""
+    _check_tolerance("tol", tol)
     n = len(trace.variations)
     if n == 0:
         return True
@@ -494,8 +496,10 @@ def offdiag_convergence_report(trace: ProductTrace, limit=None,
     ValueError
         If the trace has not converged — the hypothesis is about limits —
         or ``limit`` is not a ``d x d`` matrix for the trace's ``d x d``
-        factors.
+        factors, or a tolerance is NaN or negative.
     """
+    _check_tolerance("row_diff_tol", row_diff_tol)
+    _check_tolerance("tail_tol", tail_tol)
     if not is_converged(trace):
         raise ValueError("product trace has not converged; report is undefined")
     if limit is None:
@@ -631,7 +635,7 @@ def random_ratio_bounded_stochastic(d: int, rng: np.random.Generator,
 
 def _random_ratio_bounded_stack(count, d, rng, gamma, rho) -> np.ndarray:
     """``count`` factors of :func:`random_ratio_bounded_stochastic`, bitwise, as one stack."""
-    if rho < 1:
+    if not rho >= 1:  # NaN fails too
         raise ValueError(f"rho must be >= 1, got {rho!r}")
     if not 0 <= gamma < 1:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma!r}")

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _certify
 from ._certify import CRIT_TOL, WITNESS_TOL  # noqa: F401 (read as structure.*)
-from .core import FittingProblem, as_marginals
+from .core import FittingProblem, _check_tolerance, as_marginals
 from .errors import InternalCheckError
 
 #: Flow deficits at or below this are treated as "the instance is feasible".
@@ -719,8 +719,10 @@ def partition_from_ratios(values, gap: float = CLUSTER_GAP) -> tuple[tuple[int, 
     Raises
     ------
     ValueError
-        If ``values`` is empty or holds a NaN or an infinity.
+        If ``values`` is empty or holds a NaN or an infinity, or ``gap`` is
+        NaN or negative.
     """
+    _check_tolerance("gap", gap)
     v = np.asarray(values, dtype=float).ravel()
     if not v.size:
         raise ValueError("partition_from_ratios needs at least one ratio")

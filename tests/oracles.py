@@ -210,8 +210,8 @@ class ReferenceHistory:
                     vec[:] = 1.0
             self.k = k
 
-    def ratios(self, n0: int, n1: int, a: np.ndarray, b: np.ndarray):
-        """``rows(X_n)/a`` and ``cols(X_n)/b`` for ``n0 <= n < n1``, from the scalings.
+    def ratios(self, n0: int, n1: int, a: np.ndarray, b: np.ndarray, width: int):
+        """``rows(X_n)/a`` and ``cols(X_n)/b`` for ``n0 <= n < n1``, in slices of ``width``.
 
         The next scaling divides the marginal it fits, so
         ``rows(X_2k)/a = u_k/u_{k+1}`` and ``cols(X_2k+1)/b = v_k/v_{k+1}``; at
@@ -219,23 +219,25 @@ class ReferenceHistory:
         side of an iterate reads 1; ``X_0``'s columns are summed from the seed.
         ``u_{k+1}`` of an even final iterate is not taken: one matvec gives it.
         """
-        rows, cols = np.ones((n1 - n0, a.size)), np.ones((n1 - n0, b.size))
-        k0, k1 = (n0 + 1) // 2, (n1 + 1) // 2  # even n = 2k
-        kt = min(k1, self.k)
-        evens = rows[n0 % 2::2]
-        np.divide(self.u[k0:kt], self.u[k0 + 1:kt + 1], out=evens[:kt - k0])
-        if kt < k1:
-            base = self.bases[bisect_right(self.starts, 2 * kt) - 1]
-            np.divide(self.u[kt] * base.dot(self.v[kt]), a, out=evens[-1])
-        np.divide(self.v[n0 // 2:n1 // 2], self.v[n0 // 2 + 1:n1 // 2 + 1],
-                  out=cols[1 - n0 % 2::2])
-        for s, f in zip(self.starts[1:], self.folds):
-            if n0 < s <= n1:  # iterate s - 1 reads the folded vector's pre-fold value
-                side, h = (rows, self.u) if s % 2 else (cols, self.v)
-                np.divide(h[(s - 1) // 2], f, out=side[s - 1 - n0])
-        if n0 == 0 < n1:
-            np.divide(self.bases[0].sum(axis=0), b, out=cols[0])
-        return rows, cols
+        for s0 in range(n0, n1, width):
+            s1 = min(s0 + width, n1)
+            rows, cols = np.ones((s1 - s0, a.size)), np.ones((s1 - s0, b.size))
+            k0, k1 = (s0 + 1) // 2, (s1 + 1) // 2  # even n = 2k
+            kt = min(k1, self.k)
+            evens = rows[s0 % 2::2]
+            np.divide(self.u[k0:kt], self.u[k0 + 1:kt + 1], out=evens[:kt - k0])
+            if kt < k1:
+                base = self.bases[bisect_right(self.starts, 2 * kt) - 1]
+                np.divide(self.u[kt] * base.dot(self.v[kt]), a, out=evens[-1])
+            np.divide(self.v[s0 // 2:s1 // 2], self.v[s0 // 2 + 1:s1 // 2 + 1],
+                      out=cols[1 - s0 % 2::2])
+            for s, f in zip(self.starts[1:], self.folds):
+                if s0 < s <= s1:  # iterate s - 1 reads the folded vector's pre-fold value
+                    side, h = (rows, self.u) if s % 2 else (cols, self.v)
+                    np.divide(h[(s - 1) // 2], f, out=side[s - 1 - s0])
+            if s0 == 0 < s1:
+                np.divide(self.bases[0].sum(axis=0), b, out=cols[0])
+            yield rows, cols
 
     def log_scaling(self, n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """``ln X_n(i,j) - ln X_0(i,j)`` from the logs of the scalings; no entry is read."""

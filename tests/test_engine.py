@@ -287,8 +287,8 @@ def _assert_bitwise_equal(trace, ref):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13, err_msg=name)
     hist, ref_hist = trace.stored_matrices, ref.stored_matrices
     assert hist.k == ref_hist.k and hist.starts == ref_hist.starts
-    ks = np.arange(hist.k + 1)  # every double step, rebuilt where the history thinned it
-    pairs = [*zip(hist._gather(ks, ks), (ref_hist.u[ks], ref_hist.v[ks])),
+    ks = np.arange(hist.k + 1)
+    pairs = [*zip(_every_step(hist), (ref_hist.u[ks], ref_hist.v[ks])),
              *zip(_rebuilt_bases(hist), ref_hist.bases), *zip(hist.folds, ref_hist.folds)]
     for got, want in pairs:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -300,10 +300,18 @@ def _assert_bitwise_equal(trace, ref):
         assert hist.log_scaling(n, i, j).tobytes() == ref_hist.log_scaling(n, i, j).tobytes(), n
 
 
+def _every_step(hist):
+    """``u_k`` and ``v_k`` of every double step, replayed by one walk where not kept."""
+    pieces = list(hist._walk(2 * np.arange(hist.k + 1), hist.k + 1))
+    return [np.concatenate([piece[i] for piece in pieces]) for i in (2, 3)]
+
+
 def _rebuilt_bases(hist):
     """Every base ``K_0 .. K_j`` of a history, rebuilt forward from the seed."""
-    held = [0, hist.seed]
-    return [hist._base(j, held) for j in range(len(hist.folds) + 1)]
+    bases = [hist.seed]
+    for j in range(1, len(hist.folds) + 1):
+        bases.append(hist._fold(bases[-1], j))
+    return bases
 
 
 def _loop_cases(slow_problem, fast_problem, divergence_problem):
@@ -354,8 +362,7 @@ def test_rules_in_slices_of_four_to_twelve_iterates_change_nothing(
         assert got.errors.tobytes() == want.errors.tobytes(), k
         hist, ref_hist = got.stored_matrices, want.stored_matrices
         assert hist.k == ref_hist.k and hist.starts == ref_hist.starts, k
-        ks = np.arange(hist.k + 1)
-        for x, y in [*zip(hist._gather(ks, ks), ref_hist._gather(ks, ks)),
+        for x, y in [*zip(_every_step(hist), _every_step(ref_hist)),
                      *zip(_rebuilt_bases(hist), _rebuilt_bases(ref_hist)),
                      *zip(hist.folds, ref_hist.folds)]:
             assert x.tobytes() == y.tobytes(), k
@@ -385,7 +392,7 @@ def test_exact_even_odd_distance_reads_the_seed_nonzeros():
         # the cells are the stacked iterates' own, each from its own base
         r, c = np.nonzero(problem.x0)
         for ns in (near, near - 2):
-            assert hist.cells(ns, r, c).tobytes() == hist.stack(ns)[r, c].T.tobytes()
+            assert hist.stack(ns, cells=(r, c)).tobytes() == hist.stack(ns)[r, c].tobytes()
         if folded:  # some pair reads two bases
             assert any(n - 2 < s <= n for s in hist.starts[1:] for n in near)
 
@@ -467,24 +474,93 @@ def test_folded_run_peak_memory_does_not_grow_with_its_folds():
 
 
 def test_forward_reads_rebuild_each_base_a_few_times(monkeypatch):
-    # a read rebuilds base K_j as the seed times fold vectors 1 .. j, walking
-    # forward from the base it already holds; the replay of thinned rows and
-    # the other reads each hold their own, so neither undoes the other's walk
-    monkeypatch.setattr(engine, "_KEEP", 11 * 64)  # 64 kept rows of the 5x6 seed
-    trace = run(oracles.grid_problem(), StoppingRule(max_iters=20_000))
+    # every read of more than one iterate is one forward walk: it rebuilds
+    # base K_j from the base before it and replays each thinned double step
+    # at most once, so a read costs the same after any other read; rate_estimate
+    # walks each parity from the seed, the other reads walk once
+    monkeypatch.setattr(engine, "_KEEP", 22 * 16)  # 16 kept rows of the 10x12 seed
+    trace = run(oracles.kron_grid(2), StoppingRule(max_iters=20_000))
     hist = trace.stored_matrices
-    assert len(hist.folds) >= 100 and hist._stride > 1 and not hasattr(hist, "bases")
-    fold, count = engine._ScalingHistory._fold, [0]
+    assert len(hist.folds) == 124 and hist._stride == 512 and not hasattr(hist, "bases")
+    folds, walks = [0], []
+    fold, walk = engine._ScalingHistory._fold, engine._ScalingHistory._walk
 
     def counted(self, base, j):
-        count[0] += 1
+        folds[0] += 1
         return fold(self, base, j)
 
+    def tallied(self, ns, size):
+        walks.append([])
+        yield from walk(self, ns, size)
+
+    class Tally(np.ndarray):  # a replayed double step divides a by its row sums once
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            out = getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+            if inputs[0] is self:
+                walks[-1].append(out.tobytes())  # u_k of the replayed step
+            return out
+
     monkeypatch.setattr(engine._ScalingHistory, "_fold", counted)
-    for read in (rate_estimate, ratio_update_matrices, nested_ratio_intervals):
-        count[0] = 0
-        read(trace)
-        assert 0 < count[0] <= 4 * len(hist.folds), (read.__name__, count[0])
+    monkeypatch.setattr(engine._ScalingHistory, "_walk", tallied)
+    hist._ab = hist._ab[0].view(Tally), hist._ab[1]
+    reads = {"rate_estimate": rate_estimate, "ratio_update_matrices": ratio_update_matrices,
+             "nested_ratio_intervals": nested_ratio_intervals,
+             "cross_ratio_check": cross_ratio_check, "ratio_rows": lambda t: t.ratio_rows,
+             "stored_matrices[::-1]": lambda t: t.stored_matrices[::-1]}
+    counts = []
+    for order in (list(reads), list(reads)[::-1]):
+        counts.append({})
+        for name in order:
+            folds[0] = 0
+            walks.clear()
+            reads[name](trace)
+            steps = [k for replayed in walks for k in replayed]
+            assert all(len(set(replayed)) == len(replayed) for replayed in walks), name
+            assert 0 < folds[0] <= 2 * len(hist.folds), (name, folds[0])
+            counts[-1][name] = folds[0], len(steps)
+    assert counts[0] == counts[1]
+    # a full read replays every double step that is neither kept nor in the window
+    assert counts[0]["ratio_rows"][1] == hist._w0 - -(-hist._w0 // hist._stride)
+
+
+def test_reads_outside_the_run_raise(fast_problem):
+    # rows past the run's last iterate, or never computed, are not the run's
+    trace = run_capped(oracles.kron_grid(2), 3000)
+    hist, (a, b) = trace.stored_matrices, (trace.problem.a, trace.problem.b)
+    assert len(hist) == 3001 and 2 * hist.k == 3000
+    for ns in ([3001], [-1], [0, 5, 3001], [4, -2]):
+        with pytest.raises(IndexError):
+            hist.stack(ns)
+        with pytest.raises(IndexError):
+            next(hist.blocks(sorted(ns)))
+    for n0, n1 in ((0, 3002), (-1, 5), (6, 5)):
+        with pytest.raises(IndexError):
+            next(hist.ratios(n0, n1, a, b, 4))
+    with pytest.raises(IndexError, match="computed"):
+        next(hist._walk(np.array([0, 3001]), 2))
+    # a stop in the middle of a chunk leaves computed rows past the stop
+    stopped = run(fast_problem).stored_matrices
+    assert 2 * stopped.k + 1 > len(stopped)
+    for read in (lambda: stopped.stack([len(stopped)]), lambda: stopped[len(stopped)],
+                 lambda: next(stopped.blocks([len(stopped) - 1, len(stopped)]))):
+        with pytest.raises(IndexError):
+            read()
+    with pytest.raises(ValueError, match="start must be >= 0, got -2"):
+        ratio_update_matrices(trace, start=-2)
+
+
+@pytest.mark.parametrize("value", [math.nan, -1e-300])
+def test_engine_tolerances_reject_nan_and_negative(slow_problem, value):
+    # every comparison with NaN is False: a NaN floor marked every cell converged,
+    # a NaN col_tol accepted a row-fitted matrix, a NaN rel_tol failed every check
+    trace = run_capped(slow_problem, 200)
+    calls = {"noise_floor": lambda: rate_estimate(trace, noise_floor=value),
+             "col_tol": lambda: ratio_update_matrix(trace.iterate(1), slow_problem.a,
+                                                    slow_problem.b, col_tol=value),
+             "rel_tol": lambda: cross_ratio_check(trace, rel_tol=value)}
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=f"{name} must be >= 0, got {value!r}"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,20 @@ _NOT_DS = np.array([[1.0, 0.0], [1.0, 0.0]])  # row stochastic, column sums 2 an
                  "need at least d=3 permutations, got 2", id="doubly-n_perms"),
     pytest.param(lambda rng: products.random_ratio_bounded_stochastic(3, rng, rho=0.5),
                  "rho must be >= 1, got 0.5", id="ratio-bounded-rho"),
+    pytest.param(lambda rng: products.random_ratio_bounded_stochastic(3, rng, rho=math.nan),
+                 "rho must be >= 1, got nan", id="ratio-bounded-rho-nan"),
     pytest.param(lambda rng: products.random_ratio_bounded_stochastic(3, rng, gamma=1.0),
                  "gamma must lie in [0, 1), got 1.0", id="ratio-bounded-gamma"),
+    pytest.param(lambda rng: is_converged(product_run(np.stack([np.eye(3)] * 5)), tol=math.nan),
+                 "tol must be >= 0, got nan", id="converged-tol-nan"),
+    pytest.param(lambda rng: is_converged(product_run(np.stack([np.eye(3)] * 5)), tol=-1.0),
+                 "tol must be >= 0, got -1.0", id="converged-tol-negative"),
+    pytest.param(lambda rng: offdiag_convergence_report(
+                     product_run(np.stack([np.eye(3)] * 5)), tail_tol=math.nan),
+                 "tail_tol must be >= 0, got nan", id="offdiag-tail-tol-nan"),
+    pytest.param(lambda rng: offdiag_convergence_report(
+                     product_run(np.stack([np.eye(3)] * 5)), row_diff_tol=math.nan),
+                 "row_diff_tol must be >= 0, got nan", id="offdiag-row-diff-tol-nan"),
     pytest.param(lambda rng: products.mr_sequence(3, [0.5, 0.5]), "need 3 r values, got 2",
                  id="mr-count"),
     pytest.param(lambda rng: product_run(products.mr_sequence(2), [np.ones(3)]),

@@ -606,6 +606,13 @@ def test_partition_from_ratios_rejects_empty_or_non_finite_input(values):
         partition_from_ratios(values)
 
 
+@pytest.mark.parametrize("gap", [math.nan, -0.5])
+def test_partition_from_ratios_rejects_a_nan_or_negative_gap(gap):
+    # a NaN gap split nowhere: [0.1, 5, 9] came back as one block
+    with pytest.raises(ValueError, match=f"gap must be >= 0, got {gap!r}"):
+        partition_from_ratios([0.1, 5.0, 9.0], gap=gap)
+
+
 def test_cross_block_cell_decays_at_scaling_gap_rate(divergence_problem):
     # cell (0, 0) couples the last row block with the first column block;
     # its even-iterate decay rate is half the log-gap of the scaling factors
